@@ -21,7 +21,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .matrix import ExchangeMatrix, build
+from .matrix import ExchangeMatrix
 
 
 def content_hash(n: int, m: int, flat_entries) -> str:
@@ -116,10 +116,12 @@ def _lex_min(B: ExchangeMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @lru_cache(maxsize=1 << 16)
 def _canonical(B: ExchangeMatrix) -> tuple[CanonicalForm, tuple[int, ...]]:
+    # a relabeling of a valid matrix is valid, so the symmetrizer is
+    # permuted along with the rows instead of being re-derived
     flat, perm = _lex_min(B)
     size = B.size
-    rows = [flat[i * size : (i + 1) * size] for i in range(size)]
-    matrix = build(B.n, B.m, rows)
+    rows = tuple(flat[i * size : (i + 1) * size] for i in range(size))
+    matrix = ExchangeMatrix(B.n, B.m, rows, tuple(B.d[i] for i in perm))
     return CanonicalForm(matrix, content_hash(B.n, B.m, flat)), perm
 
 

@@ -37,8 +37,9 @@ class EmptySubset(ValueError):
 class ExchangeMatrix:
     """Validated integer exchange matrix with a normalized skew-symmetrizer.
 
-    Do not call the constructor directly; go through :func:`build` (or one
-    of the operations below), which validates the matrix and derives ``d``.
+    Do not call the constructor directly; go through :func:`build`, which
+    validates the matrix and derives ``d``, or one of the operations below,
+    which derive a valid result and its ``d`` from valid inputs.
     Entries are plain Python ints, so they never overflow under mutation.
     """
 
@@ -208,8 +209,10 @@ def restrict(B: ExchangeMatrix, indices) -> ExchangeMatrix:
     """Restrict to the submatrix on the given 1-based index subset.
 
     Retained indices keep their mutable/frozen status; mutable indices are
-    placed first in the result.  The symmetrizer is re-derived (restricting
-    and renormalizing per component gives the same answer).
+    placed first in the result.  A submatrix of a valid matrix is valid, so
+    nothing is re-validated: the symmetrizer is ``B.d`` restricted and
+    divided by its gcd on each support component of the submatrix, which
+    is exactly what :func:`build` would derive.
     """
     idx = [operator.index(i) for i in indices]
     if not idx:
@@ -223,9 +226,14 @@ def restrict(B: ExchangeMatrix, indices) -> ExchangeMatrix:
     frozen = [i for i in idx if i > B.n]
     if not mutable:
         raise EmptySubset("restriction retains no mutable index")
-    order = mutable + frozen
-    rows = [[B.b[i - 1][j - 1] for j in order] for i in order]
-    return build(len(mutable), len(frozen), rows)
+    order = [i - 1 for i in mutable + frozen]
+    b = tuple(tuple(B.b[i][j] for j in order) for i in order)
+    d = [B.d[i] for i in order]
+    for comp in _support_components(b):
+        g = gcd(*(d[i] for i in comp))
+        for i in comp:
+            d[i] //= g
+    return ExchangeMatrix(len(mutable), len(frozen), b, tuple(d))
 
 
 def disjoint_union(P: ExchangeMatrix, Q: ExchangeMatrix) -> ExchangeMatrix:

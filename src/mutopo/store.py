@@ -12,6 +12,13 @@ inside, because an untripped run is a function of the seed alone; a
 TRUNCATED record is served only on an exact budget match, which keeps warm
 and cold results bit-identical.
 
+Opening a store verifies every record eagerly: its CRC, then, for a class
+record, each member's witness replayed from the seed, whose canonical form
+must match the stored hash and matrix.  Replay shares prefixes between
+witnesses, so a member costs one mutation and one canonical form.  A line
+that fails any check, or does not decode, raises :class:`CorruptRecord`
+with its line number; only a torn final line is skipped.
+
 Concurrency: single writer (guarded by an advisory lock file), any number
 of readers; readers treat a trailing partial line as absent.
 """
@@ -26,7 +33,7 @@ from pathlib import Path
 from .canonical import canonical_form
 from .classes import Budget, ClassEnumeration, Member, Verdict
 from .embed import EmbedVerdict, EmbedWitness
-from .matrix import apply_sequence, from_json_dict, to_json_dict
+from .matrix import ExchangeMatrix, from_json_dict, mutate, to_json_dict
 
 try:
     import fcntl
@@ -80,6 +87,26 @@ def _class_record(enum: ClassEnumeration) -> dict:
     }
 
 
+def _replay(seed_matrix: ExchangeMatrix, witnesses: list[tuple]) -> list[ExchangeMatrix]:
+    """Matrices the witnesses reach from the seed, as ``apply_sequence`` would.
+
+    Every reached prefix is memoized, so a witness that extends another
+    member's witness by one step (as BFS witnesses do) costs one mutation.
+    """
+    reached: dict[tuple, ExchangeMatrix] = {(): seed_matrix}
+    out = []
+    for witness in witnesses:
+        t = len(witness)
+        while witness[:t] not in reached:
+            t -= 1
+        matrix = reached[witness[:t]]
+        for t in range(t + 1, len(witness) + 1):
+            matrix = mutate(matrix, witness[t - 1])
+            reached[witness[:t]] = matrix
+        out.append(matrix)
+    return out
+
+
 def _class_from_record(record: dict, line_no: int) -> ClassEnumeration:
     seed_hash = record["seed"]
     seed_matrix = None
@@ -89,16 +116,17 @@ def _class_from_record(record: dict, line_no: int) -> ClassEnumeration:
             break
     if seed_matrix is None:
         raise CorruptRecord(line_no, "seed hash is not among the members")
+    witnesses = [tuple(witness) for _, _, witness in record["members"]]
     members = []
-    for hash_, matrix_obj, witness in record["members"]:
-        matrix = from_json_dict(matrix_obj)
-        form = canonical_form(matrix)
-        if form.hash != hash_ or form.matrix != matrix:
-            raise CorruptRecord(line_no, f"member {hash_[:12]} fails re-canonicalization")
-        reached = apply_sequence(seed_matrix, witness)
-        if canonical_form(reached).hash != hash_:
-            raise CorruptRecord(line_no, f"member {hash_[:12]} witness fails to replay")
-        members.append(Member(form, tuple(witness), reached))
+    for (hash_, matrix_obj, _), witness, reached in zip(
+        record["members"], witnesses, _replay(seed_matrix, witnesses)
+    ):
+        # the stored hash and matrix must both be the canonical form of
+        # what the witness reaches from the seed
+        form = canonical_form(reached)
+        if form.hash != hash_ or to_json_dict(form.matrix) != matrix_obj:
+            raise CorruptRecord(line_no, f"member {hash_[:12]} fails witness replay")
+        members.append(Member(form, witness, reached))
     entry_witness = (
         from_json_dict(record["entry_witness"])
         if record.get("entry_witness") is not None
@@ -234,13 +262,23 @@ class Store:
         if zlib.crc32(_canonical_line(obj).encode("utf-8")) != crc:
             raise CorruptRecord(line_no, "checksum mismatch")
         kind = obj.get("kind")
-        if kind == "class":
-            enum = _class_from_record(obj, line_no)
-            self._index_class(obj, enum)
-        elif kind == "embed":
-            self._embeds[(obj["p"], obj["q"], tuple(obj["budget"]))] = _embed_from_record(obj)
-        else:
-            raise CorruptRecord(line_no, f"unknown record kind {kind!r}")
+        try:
+            if kind == "class":
+                enum = _class_from_record(obj, line_no)
+                self._index_class(obj, enum)
+            elif kind == "embed":
+                key = (obj["p"], obj["q"], tuple(obj["budget"]))
+                self._embeds[key] = _embed_from_record(obj)
+            else:
+                raise CorruptRecord(line_no, f"unknown record kind {kind!r}")
+        except CorruptRecord:
+            raise
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            # a checksummed line that does not decode: a missing field, a
+            # witness index out of range, an invalid matrix, ...
+            raise CorruptRecord(
+                line_no, f"malformed {kind} record ({type(exc).__name__}: {exc})"
+            ) from None
         self._lines[_canonical_line(obj)] = None
 
     def _index_class(self, record: dict, enum: ClassEnumeration):

@@ -12,6 +12,7 @@ than silently misclassify when an UNKNOWN verdict could change the answer.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -189,6 +190,14 @@ def _relation_worker(pair):
 _VERDICT_CHAR = {Verdict.YES: "Y", Verdict.NO: "N", Verdict.UNKNOWN: "U"}
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def build_universe(
     rank_cap: int,
     entry_cap: int,
@@ -205,7 +214,8 @@ def build_universe(
     ``family`` selects the seed matrices: "quiver" (skew-symmetric, no
     frozen indices, the default) or "skew" (all skew-symmetrizable splits).
     ``jobs`` parallelizes the relation computation; the result is identical
-    for every job count.
+    for every job count.  It is clamped to the CPUs this process may run on
+    and to the number of pairs, and values below 2 run serially.
     """
     if rank_cap < 1:
         raise ValueError("rank cap must be at least 1")
@@ -220,7 +230,8 @@ def build_universe(
     reps = [cls.key.form.matrix for cls in classes]
     count = len(reps)
     grid = [["?"] * count for _ in range(count)]
-    if jobs > 1 and count > 1:
+    jobs = min(jobs, _available_cpus(), count * count)
+    if jobs > 1:
         pairs = [(i, j) for i in range(count) for j in range(count)]
         with ProcessPoolExecutor(
             max_workers=jobs,

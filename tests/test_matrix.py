@@ -1,7 +1,8 @@
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -12,6 +13,7 @@ from mutopo import (
     NotSkewSymmetrizable,
     apply_sequence,
     build,
+    canonical_form,
     disjoint_union,
     from_inline,
     from_json_dict,
@@ -241,3 +243,56 @@ class TestFormats:
     def test_sequences(self, a3):
         assert apply_sequence(a3, []) == a3
         assert apply_sequence(a3, [2, 2]) == a3
+
+
+@st.composite
+def non_skew_frozen_matrices(draw):
+    """Skew-symmetrizable, not skew-symmetric, with at least one frozen index:
+    b[i][j] = s[i][j] * d[j] for skew-symmetric s and positive d."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=2))
+    size = n + m
+    d = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            s = draw(st.integers(-2, 2))
+            rows[i][j] = s * d[j]
+            rows[j][i] = -s * d[i]
+    B = build(n, m, rows)
+    assume(not B.is_skew_symmetric)
+    return B
+
+
+class TestValidateOnce:
+    """Operations on valid matrices skip `build`; they must agree with it."""
+
+    @given(B=non_skew_frozen_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_build_symmetrizer_is_normalized(self, B):
+        assert all(v > 0 for v in B.d)
+        for comp in B.components():
+            assert gcd(*(B.d[i - 1] for i in comp)) == 1
+        for i in range(B.size):
+            for j in range(B.size):
+                assert B.d[i] * B.b[i][j] == -B.d[j] * B.b[j][i]
+
+    @given(B=non_skew_frozen_matrices(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_restrict_agrees_with_build(self, B, data):
+        subset = data.draw(
+            st.lists(st.integers(1, B.size), min_size=1, unique=True).filter(
+                lambda s: any(i <= B.n for i in s)
+            )
+        )
+        mutable = [i for i in subset if i <= B.n]
+        frozen = [i for i in subset if i > B.n]
+        order = mutable + frozen
+        rows = [[B.b[i - 1][j - 1] for j in order] for i in order]
+        assert restrict(B, subset) == build(len(mutable), len(frozen), rows)
+
+    @given(B=non_skew_frozen_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_form_agrees_with_build(self, B):
+        C = canonical_form(B).matrix
+        assert C == build(C.n, C.m, C.b)

@@ -163,3 +163,75 @@ def test_enumerate_class_uses_the_store(tmp_path, a3):
         second = enumerate_class(a3, store=store)
     assert first == second
     assert (tmp_path / "cache.jsonl").exists()
+
+
+def _rewrite_record(path, line_index, edit):
+    """Apply `edit` to one record of the cache file and recompute its CRC."""
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[line_index])
+    obj.pop("crc")
+    edit(obj)
+    crc = zlib.crc32(_canonical_line(obj).encode())
+    lines[line_index] = _canonical_line({**obj, "crc": crc})
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _seed_member(obj):
+    return next(mem for mem in obj["members"] if mem[0] == obj["seed"])
+
+
+def _drop_status(obj):
+    del obj["status"]
+
+
+def _witness_out_of_range(obj):
+    obj["members"][1][2] = [99]
+
+
+def _invalid_seed_matrix(obj):
+    _seed_member(obj)[1] = {"mutable": 2, "frozen": 0, "b": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_drop_status, _witness_out_of_range, _invalid_seed_matrix],
+    ids=["missing-field", "witness-out-of-range", "invalid-matrix"],
+)
+def test_malformed_record_reported_with_line_number(tmp_path, a2, a3, edit):
+    with Store(tmp_path) as store:
+        store.put_class(enumerate_class(a2))
+        store.put_class(enumerate_class(a3))
+    path = tmp_path / "cache.jsonl"
+    _rewrite_record(path, 1, edit)
+    with pytest.raises(CorruptRecord) as err:
+        Store(tmp_path, readonly=True)
+    assert err.value.line_no == 2
+    # without its newline the same line reads as a torn final write
+    path.write_text(path.read_text().rstrip("\n"))
+    with Store(tmp_path, readonly=True) as store:
+        assert store.get_class(canonical_form(a2).hash, Budget()) is not None
+        assert store.get_class(canonical_form(a3).hash, Budget()) is None
+
+
+def test_relabelled_member_matrix_fails_validation(tmp_path, a3):
+    with Store(tmp_path) as store:
+        store.put_class(enumerate_class(a3))
+    path = tmp_path / "cache.jsonl"
+
+    def relabel(obj):
+        # reverse the index order of a non-seed member that is not
+        # symmetric under it; its hash still replays, its matrix does not
+        for mem in obj["members"]:
+            rows = mem[1]["b"]
+            if mem[0] == obj["seed"]:
+                continue
+            flipped = [row[::-1] for row in rows[::-1]]
+            if flipped != rows:
+                mem[1]["b"] = flipped
+                return
+        raise AssertionError("every member is invariant under reversal")
+
+    _rewrite_record(path, 0, relabel)
+    with pytest.raises(CorruptRecord) as err:
+        Store(tmp_path)
+    assert err.value.line_no == 1
