@@ -41,7 +41,6 @@ from .classes import (
     enumerate_class,
     is_mutation_finite,
     mutation_fingerprint,
-    same_class,
 )
 from .embed import (
     EmbedVerdict,
@@ -49,6 +48,7 @@ from .embed import (
     density_witness,
     embeds,
     replay_embedding,
+    same_class,
 )
 from .properties import (
     in_E_N,

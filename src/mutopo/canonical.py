@@ -140,26 +140,5 @@ def clear_canonical_cache() -> None:
 
 
 def is_isomorphic(A: ExchangeMatrix, B: ExchangeMatrix) -> bool:
-    """True iff some partition-preserving permutation carries A to B.
-
-    Cheap invariants (shape, entry multiset, symmetrizer multiset, sorted
-    per-index profiles) reject most non-isomorphic pairs before the exact
-    canonical forms are compared.
-    """
-    if (A.n, A.m) != (B.n, B.m):
-        return False
-    if A.b == B.b:
-        return True
-    if sorted(A.d) != sorted(B.d):
-        return False
-    flat_a = sorted(v for row in A.b for v in row)
-    flat_b = sorted(v for row in B.b for v in row)
-    if flat_a != flat_b:
-        return False
-    size = A.size
-    for lo, hi in ((0, A.n), (A.n, size)):
-        prof_a = sorted((_profile(A.b, size, i), A.d[i]) for i in range(lo, hi))
-        prof_b = sorted((_profile(B.b, size, i), B.d[i]) for i in range(lo, hi))
-        if prof_a != prof_b:
-            return False
-    return canonical_form(A).hash == canonical_form(B).hash
+    """True iff some partition-preserving permutation carries A to B."""
+    return canonical_form(A).matrix == canonical_form(B).matrix

@@ -123,13 +123,6 @@ class ClassKey:
         return self.form.hash
 
 
-_MEMO: dict[tuple[str, tuple], ClassEnumeration] = {}
-
-
-def clear_memo() -> None:
-    _MEMO.clear()
-
-
 def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
     n = seed.matrix.n
     members: dict[str, Member] = {seed.hash: Member(seed, (), seed.matrix)}
@@ -191,9 +184,10 @@ def enumerate_class(
     """BFS the mutation class of B up to isomorphism, under the given budget.
 
     The seed is ``canonical_form(B)``, so isomorphic inputs share one
-    enumeration (and one cache entry).  Each member records the shortest
-    discovered mutation sequence from the seed; replaying it reproduces the
-    member exactly.
+    enumeration.  Each member records the shortest discovered mutation
+    sequence from the seed; replaying it reproduces the member exactly.
+    The given :class:`~mutopo.store.Store` is the only memo: without one,
+    every call runs the BFS.
     """
     seed = canonical_form(B)
     if seed.matrix.max_abs_entry > budget.max_entry:
@@ -201,16 +195,11 @@ def enumerate_class(
             f"budget.max_entry={budget.max_entry} is below the seed's largest entry "
             f"{seed.matrix.max_abs_entry}"
         )
-    memo_key = (seed.hash, budget.key())
-    enum = _MEMO.get(memo_key)
-    if enum is None and store is not None:
+    if store is not None:
         enum = store.get_class(seed.hash, budget)
         if enum is not None:
-            _MEMO[memo_key] = enum
-    if enum is not None:
-        return enum
+            return enum
     enum = _run_bfs(seed, budget)
-    _MEMO[memo_key] = enum
     if store is not None:
         store.put_class(enum)
     return enum
@@ -223,7 +212,7 @@ def class_key(
     return ClassKey(enum.least().form, enum.status)
 
 
-def mutation_fingerprint(B: ExchangeMatrix, rank3_invariant: bool = True) -> tuple:
+def mutation_fingerprint(B: ExchangeMatrix) -> tuple:
     """Cheap mutation-class invariants, used to certify that two classes differ.
 
     Always included (elementary facts about the mutation rule): the shape
@@ -232,11 +221,10 @@ def mutation_fingerprint(B: ExchangeMatrix, rank3_invariant: bool = True) -> tup
     support components, preserves common divisors of a component's entries,
     and preserves skew-symmetry, so these are class invariants.
 
-    With ``rank3_invariant`` (default on) a connected skew-symmetric rank-3
-    matrix also contributes a*a + b*b + c*c -/+ a*b*c over its unsigned edge
-    weights, minus for cyclic orientation and plus for acyclic.  That this
-    is mutation-invariant is a known rank-3 classification fact; disable
-    the flag to fall back to the elementary invariants only.
+    A connected skew-symmetric rank-3 matrix also contributes
+    a*a + b*b + c*c -/+ a*b*c over its unsigned edge weights, minus for
+    cyclic orientation and plus for acyclic.  That this is mutation-invariant
+    is a known rank-3 classification fact.
     """
     profiles = []
     for comp in B.components():
@@ -248,13 +236,7 @@ def mutation_fingerprint(B: ExchangeMatrix, rank3_invariant: bool = True) -> tup
         )
         profiles.append((len(idx), sum(1 for i in idx if i <= B.n), g, skew))
     fp: tuple = (B.n, B.m, tuple(sorted(profiles)))
-    if (
-        rank3_invariant
-        and B.n == 3
-        and B.m == 0
-        and B.is_connected
-        and B.is_skew_symmetric
-    ):
+    if _is_rank3_quiver(B):
         fp = fp + (_rank3_weight_invariant(B),)
     return fp
 
@@ -330,45 +312,6 @@ def _rank3_weight_invariant(B: ExchangeMatrix) -> int:
     prod = a * c * e
     base = a * a + c * c + e * e
     return base - prod if cyclic else base + prod
-
-
-def same_class(
-    A: ExchangeMatrix,
-    B: ExchangeMatrix,
-    budget: Budget = DEFAULT_BUDGET,
-    rank3_invariant: bool = True,
-    store=None,
-) -> Verdict:
-    """Are A and B mutation-equivalent? Tri-valued under the budget.
-
-    YES when either budgeted enumeration reaches the other's canonical
-    form; NO when one enumeration is CLOSED without doing so (or a class
-    invariant separates them); UNKNOWN otherwise.
-    """
-    if (A.n, A.m) != (B.n, B.m):
-        return Verdict.NO
-    cf_a = canonical_form(A)
-    cf_b = canonical_form(B)
-    if cf_a == cf_b:
-        return Verdict.YES
-    if mutation_fingerprint(A, rank3_invariant) != mutation_fingerprint(B, rank3_invariant):
-        return Verdict.NO
-    enum_a = enumerate_class(A, budget, store)
-    if enum_a.member_for(cf_b) is not None:
-        return Verdict.YES
-    if enum_a.status == CLOSED:
-        return Verdict.NO
-    enum_b = enumerate_class(B, budget, store)
-    if enum_b.member_for(cf_a) is not None:
-        return Verdict.YES
-    if enum_b.status == CLOSED:
-        return Verdict.NO
-    if rank3_invariant:
-        orbit_a = rank3_acyclic_orbit(A, enum_a)
-        orbit_b = rank3_acyclic_orbit(B, enum_b)
-        if orbit_a is not None and orbit_b is not None and orbit_a.isdisjoint(orbit_b):
-            return Verdict.NO
-    return Verdict.UNKNOWN
 
 
 @dataclass(frozen=True)

@@ -92,9 +92,9 @@ def _budget_json(budget: Budget) -> dict:
     }
 
 
-def _open_store(args):
+def _open_store(args) -> Store:
     if getattr(args, "no_cache", False):
-        return None
+        return Store()  # in memory, for this call only
     directory = getattr(args, "cache_dir", None) or default_cache_dir()
     try:
         return Store(directory)
@@ -138,13 +138,9 @@ def _cmd_mutate(args) -> int:
 def _cmd_class(args) -> int:
     B = _load_inputs(args)[0]
     budget = _budget(args)
-    with_store = _open_store(args)
-    try:
-        enum = enumerate_class(B, budget, with_store)
-        key = enum.least().form
-    finally:
-        if with_store:
-            with_store.close()
+    with _open_store(args) as store:
+        enum = enumerate_class(B, budget, store)
+    key = enum.least().form
     if args.json:
         _print_json(
             {
@@ -173,14 +169,10 @@ def _cmd_class(args) -> int:
 def _cmd_finite(args) -> int:
     B = _load_inputs(args)[0]
     budget = _budget(args)
-    with_store = _open_store(args)
-    try:
+    with _open_store(args) as store:
         fv = is_mutation_finite(
-            B, budget, infinite_exit=not args.no_infinite_exit, store=with_store
+            B, budget, infinite_exit=not args.no_infinite_exit, store=store
         )
-    finally:
-        if with_store:
-            with_store.close()
     if args.json:
         _print_json(
             {
@@ -201,12 +193,8 @@ def _cmd_embeds(args) -> int:
     P = _parse_matrix(_read_matrix_text(args.p))
     Q = _parse_matrix(_read_matrix_text(args.q))
     budget = _budget(args)
-    with_store = _open_store(args)
-    try:
-        ev = embeds(P, Q, budget, store=with_store)
-    finally:
-        if with_store:
-            with_store.close()
+    with _open_store(args) as store:
+        ev = embeds(P, Q, budget, store=store)
     if args.json:
         _print_json(
             {
@@ -238,48 +226,32 @@ def _cmd_avoid(args) -> int:
     matrices = [_parse_matrix(_read_matrix_text(args.q))]
     patterns = [_parse_matrix(_read_matrix_text(p)) for p in args.patterns]
     budget = _budget(args)
-    with_store = _open_store(args)
-    try:
-        verdict = is_avoiding(matrices[0], patterns, budget, store=with_store)
-    finally:
-        if with_store:
-            with_store.close()
+    with _open_store(args) as store:
+        verdict = is_avoiding(matrices[0], patterns, budget, store=store)
     return _tri_valued(args, verdict, {"patterns": len(patterns)})
 
 
 def _cmd_abundant(args) -> int:
     B = _load_inputs(args)[0]
     budget = _budget(args)
-    with_store = _open_store(args)
-    try:
-        verdict = is_N_abundant(B, args.arrows, budget, store=with_store)
-    finally:
-        if with_store:
-            with_store.close()
+    with _open_store(args) as store:
+        verdict = is_N_abundant(B, args.arrows, budget, store=store)
     return _tri_valued(args, verdict, {"arrows": args.arrows})
 
 
 def _cmd_acyclic(args) -> int:
     B = _load_inputs(args)[0]
     budget = _budget(args)
-    with_store = _open_store(args)
-    try:
-        verdict = is_mutation_acyclic(B, budget, store=with_store)
-    finally:
-        if with_store:
-            with_store.close()
+    with _open_store(args) as store:
+        verdict = is_mutation_acyclic(B, budget, store=store)
     return _tri_valued(args, verdict, {})
 
 
 def _cmd_universal(args) -> int:
     B = _load_inputs(args)[0]
     budget = _budget(args)
-    with_store = _open_store(args)
-    try:
-        verdict = is_k_universal_bounded(B, args.k, args.w, budget, store=with_store)
-    finally:
-        if with_store:
-            with_store.close()
+    with _open_store(args) as store:
+        verdict = is_k_universal_bounded(B, args.k, args.w, budget, store=store)
     return _tri_valued(args, verdict, {"k": args.k, "w": args.w})
 
 
@@ -304,32 +276,10 @@ def _cmd_density_witness(args) -> int:
 
 def _cmd_universe(args) -> int:
     budget = _budget(args)
-    with_store = _open_store(args)
-    try:
-        seeds = None
-        if args.seed_order != "generated":
-            import random
-
-            from .universe import iter_quiver_seeds, iter_skew_seeds
-
-            generate = iter_quiver_seeds if args.family == "quiver" else iter_skew_seeds
-            seeds = list(generate(args.r, args.w))
-            if args.seed_order == "reversed":
-                seeds.reverse()
-            else:
-                random.Random(0).shuffle(seeds)
+    with _open_store(args) as store:
         u = build_universe(
-            args.r,
-            args.w,
-            budget,
-            family=args.family,
-            store=with_store,
-            jobs=args.jobs,
-            seeds=seeds,
+            args.r, args.w, budget, family=args.family, store=store, jobs=args.jobs
         )
-    finally:
-        if with_store:
-            with_store.close()
     text = dump_universe(u)
     unknown = sum(row.count("U") for row in u.relation)
     if args.output:
@@ -346,14 +296,11 @@ def _cmd_hasse(args) -> int:
     if args.dot:
         print(hasse_to_dot(h))
     elif args.json:
-        with_store = _open_store(args)
-        try:
-            edges = []
+        edges = []
+        with _open_store(args) as store:
             for i, j in h.edges:
                 lo, hi = u.classes[i], u.classes[j]
-                ev = embeds(
-                    lo.key.form.matrix, hi.key.form.matrix, u.budget, store=with_store
-                )
+                ev = embeds(lo.key.form.matrix, hi.key.form.matrix, u.budget, store=store)
                 edges.append(
                     {
                         "lower": lo.hash,
@@ -361,9 +308,6 @@ def _cmd_hasse(args) -> int:
                         "witness": _witness_json(ev.witness),
                     }
                 )
-        finally:
-            if with_store:
-                with_store.close()
         _print_json(
             {
                 "vertices": [cls.hash for cls in u.classes],
@@ -387,11 +331,10 @@ def _select_classes(args, u) -> list[str]:
     for prefix in args.cls or []:
         selected.append(u.find(prefix).hash)
     if args.members or getattr(args, "matrix", None):
-        with_store = _open_store(args)
-        try:
+        with _open_store(args) as store:
             for source in args.members:
                 B = _parse_matrix(_read_matrix_text(source))
-                key = class_key(B, u.budget, with_store)
+                key = class_key(B, u.budget, store)
                 if key.hash not in u.hashes:
                     raise KeyError(
                         f"class {key.hash[:12]} of {source} is not in the universe"
@@ -399,13 +342,10 @@ def _select_classes(args, u) -> list[str]:
                 selected.append(key.hash)
             if getattr(args, "matrix", None):
                 B = from_inline(args.matrix, getattr(args, "frozen", 0) or 0)
-                key = class_key(B, u.budget, with_store)
+                key = class_key(B, u.budget, store)
                 if key.hash not in u.hashes:
                     raise KeyError(f"class {key.hash[:12]} is not in the universe")
                 selected.append(key.hash)
-        finally:
-            if with_store:
-                with_store.close()
     if not selected:
         raise ValueError("no classes selected (use --class or matrix files)")
     return selected
@@ -547,8 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["quiver", "skew"], default="quiver")
     p.add_argument("-o", "--output", help="write the universe JSON here")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed-order", choices=["generated", "reversed", "shuffled"],
-                   default="generated", help="order seeds are fed in (results are identical)")
     _add_budget_flags(p)
     _add_cache_flags(p)
     p.set_defaults(func=_cmd_universe)

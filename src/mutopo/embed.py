@@ -59,7 +59,6 @@ def embeds(
     P: ExchangeMatrix,
     Q: ExchangeMatrix,
     budget: Budget = DEFAULT_BUDGET,
-    rank3_invariant: bool = True,
     store=None,
 ) -> EmbedVerdict:
     """Does [P] embed into [Q]?
@@ -76,13 +75,13 @@ def embeds(
         hit = store.get_embed(cf_p.hash, cf_q.hash, budget)
         if hit is not None:
             return hit
-    verdict = _embeds_fresh(P, Q, cf_p, cf_q, budget, rank3_invariant, store)
+    verdict = _embeds_fresh(P, Q, cf_p, cf_q, budget, store)
     if store is not None:
         store.put_embed(cf_p.hash, cf_q.hash, verdict)
     return verdict
 
 
-def _embeds_fresh(P, Q, cf_p, cf_q, budget, rank3_invariant, store) -> EmbedVerdict:
+def _embeds_fresh(P, Q, cf_p, cf_q, budget, store) -> EmbedVerdict:
     if P.n > Q.n or P.m > Q.m:
         return EmbedVerdict(Verdict.NO, None, budget)
 
@@ -90,7 +89,7 @@ def _embeds_fresh(P, Q, cf_p, cf_q, budget, rank3_invariant, store) -> EmbedVerd
         full = tuple(range(1, Q.size + 1))
         if cf_p == cf_q:
             return EmbedVerdict(Verdict.YES, EmbedWitness((), full, ()), budget)
-        if mutation_fingerprint(P, rank3_invariant) != mutation_fingerprint(Q, rank3_invariant):
+        if mutation_fingerprint(P) != mutation_fingerprint(Q):
             return EmbedVerdict(Verdict.NO, None, budget)
         enum_q = enumerate_class(cf_q.matrix, budget, store)
         mem = enum_q.member_for(cf_p)
@@ -102,11 +101,10 @@ def _embeds_fresh(P, Q, cf_p, cf_q, budget, rank3_invariant, store) -> EmbedVerd
             return EmbedVerdict(Verdict.YES, EmbedWitness((), full, mem.witness), budget)
         if enum_q.status == CLOSED or enum_p.status == CLOSED:
             return EmbedVerdict(Verdict.NO, None, budget)
-        if rank3_invariant:
-            orbit_p = rank3_acyclic_orbit(P, enum_p)
-            orbit_q = rank3_acyclic_orbit(Q, enum_q)
-            if orbit_p is not None and orbit_q is not None and orbit_p.isdisjoint(orbit_q):
-                return EmbedVerdict(Verdict.NO, None, budget)
+        orbit_p = rank3_acyclic_orbit(P, enum_p)
+        orbit_q = rank3_acyclic_orbit(Q, enum_q)
+        if orbit_p is not None and orbit_q is not None and orbit_p.isdisjoint(orbit_q):
+            return EmbedVerdict(Verdict.NO, None, budget)
         return EmbedVerdict(Verdict.UNKNOWN, None, budget)
 
     enum_p = enumerate_class(cf_p.matrix, budget, store)
@@ -124,9 +122,24 @@ def _embeds_fresh(P, Q, cf_p, cf_q, budget, rank3_invariant, store) -> EmbedVerd
     if enum_p.status == CLOSED:
         if _divisibility_obstruction(enum_p, Q):
             return EmbedVerdict(Verdict.NO, None, budget)
-        if rank3_invariant and _zero_pair_obstruction(cf_p, Q, enum_q):
+        if _zero_pair_obstruction(cf_p, Q, enum_q):
             return EmbedVerdict(Verdict.NO, None, budget)
     return EmbedVerdict(Verdict.UNKNOWN, None, budget)
+
+
+def same_class(
+    A: ExchangeMatrix, B: ExchangeMatrix, budget: Budget = DEFAULT_BUDGET, store=None
+) -> Verdict:
+    """Are A and B mutation-equivalent? Tri-valued under the budget.
+
+    At equal shape this is the equal-rank question of :func:`embeds`: YES
+    when either budgeted enumeration reaches the other's canonical form; NO
+    when one enumeration is CLOSED without doing so (or a class invariant
+    separates them); UNKNOWN otherwise.
+    """
+    if (A.n, A.m) != (B.n, B.m):
+        return Verdict.NO
+    return embeds(A, B, budget, store=store).verdict
 
 
 def _divisibility_obstruction(enum_p, Q: ExchangeMatrix) -> bool:

@@ -17,6 +17,7 @@ from .classes import (
 )
 from .embed import embeds
 from .matrix import ExchangeMatrix, build, is_acyclic
+from .store import Store
 from .universe import collect_classes, iter_quiver_seeds
 
 
@@ -24,7 +25,6 @@ def is_avoiding(
     Q: ExchangeMatrix,
     patterns,
     budget: Budget = DEFAULT_BUDGET,
-    rank3_invariant: bool = True,
     store=None,
 ) -> Verdict:
     """Does [Q] avoid every class in `patterns` (none of them embeds)?
@@ -32,13 +32,17 @@ def is_avoiding(
     NO as soon as one pattern embeds; YES when every embedding test is an
     exhaustive NO; UNKNOWN otherwise.  Patterns are normalized to a sorted
     canonical order first, so the verdict does not depend on input order.
+    Without a store, the calls share an in-memory one, so [Q] is enumerated
+    once.
     """
+    if store is None:
+        store = Store()
     normalized = sorted(
         patterns, key=lambda p: (p.size, p.n, canonical_form(p).key)
     )
     unresolved = False
     for pattern in normalized:
-        ev = embeds(pattern, Q, budget, rank3_invariant, store)
+        ev = embeds(pattern, Q, budget, store)
         if ev.verdict is Verdict.YES:
             return Verdict.NO
         if ev.verdict is Verdict.UNKNOWN:
@@ -70,7 +74,6 @@ def is_N_abundant(
     B: ExchangeMatrix,
     min_arrows: int,
     budget: Budget = DEFAULT_BUDGET,
-    rank3_invariant: bool = True,
     store=None,
 ) -> Verdict:
     """Does every member carry at least `min_arrows` arrows between every
@@ -95,7 +98,7 @@ def is_N_abundant(
         return Verdict.NO
     if enum.status == CLOSED:
         return Verdict.YES
-    if min_arrows == 1 and rank3_invariant and rank3_zero_pair_free(B, enum) is True:
+    if min_arrows == 1 and rank3_zero_pair_free(B, enum) is True:
         return Verdict.YES
     return Verdict.UNKNOWN
 
@@ -109,13 +112,12 @@ def in_E_N(
     B: ExchangeMatrix,
     bound: int,
     budget: Budget = DEFAULT_BUDGET,
-    rank3_invariant: bool = True,
     store=None,
 ) -> Verdict:
     """Does [B] avoid the arrowless quiver on bound+1 vertices?"""
     if bound < 1:
         raise ValueError("the bound must be at least 1")
-    return is_avoiding(B, [isolated_quiver(bound + 1)], budget, rank3_invariant, store)
+    return is_avoiding(B, [isolated_quiver(bound + 1)], budget, store)
 
 
 def is_k_universal_bounded(
@@ -123,7 +125,6 @@ def is_k_universal_bounded(
     k: int,
     entry_cap: int,
     budget: Budget = DEFAULT_BUDGET,
-    rank3_invariant: bool = True,
     store=None,
 ) -> Verdict:
     """Does every quiver class of rank <= k (seed entries <= entry_cap)
@@ -131,14 +132,17 @@ def is_k_universal_bounded(
 
     Unbounded universality is not decidable here; the entry cap makes the
     claim finite.  NO at the first test class with an exhaustive failure,
-    YES when every test class embeds, UNKNOWN otherwise.
+    YES when every test class embeds, UNKNOWN otherwise.  Without a store,
+    the calls share an in-memory one, so [Q] is enumerated once.
     """
     if k < 2:
         raise ValueError("universality is defined for k >= 2")
+    if store is None:
+        store = Store()
     test_classes = collect_classes(iter_quiver_seeds(k, entry_cap), budget, store)
     unresolved = False
     for cls in test_classes:
-        ev = embeds(cls.key.form.matrix, Q, budget, rank3_invariant, store)
+        ev = embeds(cls.key.form.matrix, Q, budget, store)
         if ev.verdict is Verdict.NO:
             return Verdict.NO
         if ev.verdict is Verdict.UNKNOWN:

@@ -1,16 +1,22 @@
-"""Content-addressed persistent cache of enumerations and embedding verdicts.
+"""The one memo of class enumerations and embedding verdicts.
 
-Format: one JSON object per line in ``cache.jsonl``, each carrying a
-``crc`` field with the CRC-32 of the rest of the line (the object minus
-that field, serialized with sorted keys and compact separators).  The file
-is append-only; compaction is explicit and rewrites it atomically.
+A :class:`Store` keeps one index per record kind: seed hash -> budget ->
+enumeration, and (P hash, Q hash, budget) -> verdict.  ``Store()`` lives in
+memory only; ``Store(directory)`` also persists every record to
+``cache.jsonl`` in that directory.
+
+Format: one JSON object per line, each carrying a ``crc`` field with the
+CRC-32 of the rest of the line (the object minus that field, serialized
+with sorted keys and compact separators).  The file is append-only;
+compaction is explicit and rewrites it atomically from the kept records,
+without re-reading the file.
 
 Keys are canonical-form hashes plus the exact budget, so isomorphic seeds
-share entries and differing budgets never collide.  A CLOSED enumeration
-is additionally served to any request whose budget its recorded usage fits
-inside, because an untripped run is a function of the seed alone; a
-TRUNCATED record is served only on an exact budget match, which keeps warm
-and cold results bit-identical.
+share entries and differing budgets never collide; a re-put of a key is a
+no-op.  A CLOSED enumeration is additionally served to any request whose
+budget its recorded usage fits inside, because an untripped run is a
+function of the seed alone; a TRUNCATED record is served only on an exact
+budget match, which keeps warm and cold results bit-identical.
 
 Opening a store verifies every record eagerly: its CRC, then, for a class
 record, each member's witness replayed from the seed, whose canonical form
@@ -28,10 +34,11 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 from .canonical import canonical_form
-from .classes import Budget, ClassEnumeration, Member, Verdict
+from .classes import CLOSED, Budget, ClassEnumeration, Member, Verdict
 from .embed import EmbedVerdict, EmbedWitness
 from .matrix import ExchangeMatrix, from_json_dict, mutate, to_json_dict
 
@@ -180,23 +187,41 @@ def default_cache_dir() -> Path:
     return Path(base).expanduser() / "mutopo"
 
 
-class Store:
-    """Append-only JSONL cache over one directory.
+def _dominated(budget: tuple, others) -> bool:
+    """Is ``budget`` strictly below one of ``others``, componentwise?
 
-    Open writable (default) to record new results; the advisory lock file
-    rejects a second concurrent writer.  Open with ``readonly=True`` to
-    share a cache that another process may be writing.
+    A depth of None is unbounded.
+    """
+    am, ae, ad = budget
+    for bm, be, bd in others:
+        le = am <= bm and ae <= be and (bd is None or (ad is not None and ad <= bd))
+        if le and (am, ae, ad) != (bm, be, bd):
+            return True
+    return False
+
+
+class Store:
+    """The memo of class enumerations and embedding verdicts.
+
+    ``Store()`` keeps records in memory only: no file and no lock.
+    ``Store(directory)`` also loads ``cache.jsonl`` from that directory and
+    appends every new record to it; the advisory lock file rejects a second
+    concurrent writer.  Open with ``readonly=True`` to share a cache that
+    another process may be writing: new records are then kept in memory
+    only.
     """
 
-    def __init__(self, directory, readonly: bool = False):
-        self.directory = Path(directory)
-        self.path = self.directory / CACHE_FILE
+    def __init__(self, directory=None, readonly: bool = False):
+        self.directory = None if directory is None else Path(directory)
+        self.path = None if directory is None else self.directory / CACHE_FILE
         self.readonly = readonly
         self._lock_handle = None
-        self._classes: dict[tuple[str, tuple], ClassEnumeration] = {}
-        self._by_seed: dict[str, list[ClassEnumeration]] = {}
+        # seed hash -> budget key -> enumeration
+        self._classes: dict[str, dict[tuple, ClassEnumeration]] = {}
+        # (P hash, Q hash, budget key) -> verdict
         self._embeds: dict[tuple[str, str, tuple], EmbedVerdict] = {}
-        self._lines: dict[str, None] = {}  # canonical line -> marker, insertion ordered
+        if self.directory is None:
+            return
         if not readonly:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._acquire_lock()
@@ -265,10 +290,12 @@ class Store:
         try:
             if kind == "class":
                 enum = _class_from_record(obj, line_no)
-                self._index_class(obj, enum)
+                self._classes.setdefault(enum.seed.hash, {}).setdefault(
+                    enum.budget.key(), enum
+                )
             elif kind == "embed":
                 key = (obj["p"], obj["q"], tuple(obj["budget"]))
-                self._embeds[key] = _embed_from_record(obj)
+                self._embeds.setdefault(key, _embed_from_record(obj))
             else:
                 raise CorruptRecord(line_no, f"unknown record kind {kind!r}")
         except CorruptRecord:
@@ -279,36 +306,30 @@ class Store:
             raise CorruptRecord(
                 line_no, f"malformed {kind} record ({type(exc).__name__}: {exc})"
             ) from None
-        self._lines[_canonical_line(obj)] = None
-
-    def _index_class(self, record: dict, enum: ClassEnumeration):
-        key = (record["seed"], tuple(record["budget"]))
-        self._classes[key] = enum
-        self._by_seed.setdefault(record["seed"], []).append(enum)
 
     # -- class records -----------------------------------------------------
 
     def get_class(self, seed_hash: str, budget: Budget) -> ClassEnumeration | None:
-        exact = self._classes.get((seed_hash, budget.key()))
+        by_budget = self._classes.get(seed_hash, {})
+        exact = by_budget.get(budget.key())
         if exact is not None:
             return exact
-        for enum in self._by_seed.get(seed_hash, ()):
-            if enum.status != "CLOSED":
-                continue
+        for enum in by_budget.values():
             fits = (
-                enum.count <= budget.max_members
+                enum.status == CLOSED
+                and enum.count <= budget.max_members
                 and enum.max_abs_entry <= budget.max_entry
                 and (budget.max_depth is None or enum.depth + 1 <= budget.max_depth)
             )
             if fits:
-                return ClassEnumeration(
-                    enum.seed, enum.members, enum.status, enum.tripped,
-                    enum.entry_witness, budget,
-                )
+                return replace(enum, budget=budget)
         return None
 
     def put_class(self, enum: ClassEnumeration):
-        self._write(_class_record(enum), lambda rec: self._index_class(rec, enum))
+        by_budget = self._classes.setdefault(enum.seed.hash, {})
+        if enum.budget.key() not in by_budget:  # a re-put is idempotent
+            by_budget[enum.budget.key()] = enum
+            self._append(_class_record(enum))
 
     # -- embed records ------------------------------------------------------
 
@@ -316,21 +337,13 @@ class Store:
         return self._embeds.get((p_hash, q_hash, budget.key()))
 
     def put_embed(self, p_hash: str, q_hash: str, ev: EmbedVerdict):
-        record = _embed_record(p_hash, q_hash, ev)
-        self._write(
-            record,
-            lambda rec: self._embeds.__setitem__(
-                (rec["p"], rec["q"], tuple(rec["budget"])), ev
-            ),
-        )
+        key = (p_hash, q_hash, ev.budget.key())
+        if key not in self._embeds:  # a re-put is idempotent
+            self._embeds[key] = ev
+            self._append(_embed_record(p_hash, q_hash, ev))
 
-    def _write(self, record: dict, index):
-        line = _canonical_line(record)
-        if line in self._lines:
-            return  # idempotent re-put
-        index(record)
-        self._lines[line] = None
-        if self.readonly:
+    def _append(self, record: dict):
+        if self.path is None or self.readonly:
             return
         with open(self.path, "a", encoding="utf-8") as f:
             f.write(_with_crc(record) + "\n")
@@ -340,64 +353,54 @@ class Store:
 
     def compact(self) -> dict:
         """Drop records whose budget another record for the same key strictly
-        dominates, then rewrite the file atomically."""
-        records = [json.loads(line) for line in self._lines]
-        by_identity: dict[tuple, list[dict]] = {}
-        for rec in records:
-            if rec["kind"] == "class":
-                ident = ("class", rec["seed"])
-            else:
-                ident = ("embed", rec["p"], rec["q"])
-            by_identity.setdefault(ident, []).append(rec)
-
-        def dominated(a, b) -> bool:
-            # budget a strictly below budget b, componentwise (None depth = unbounded)
-            am, ae, ad = a
-            bm, be, bd = b
-            le = (
-                am <= bm
-                and ae <= be
-                and (bd is None or (ad is not None and ad <= bd))
-            )
-            return le and (am, ae, ad) != (bm, be, bd)
-
-        kept_lines = []
-        dropped = 0
-        for rec in records:
-            ident = ("class", rec["seed"]) if rec["kind"] == "class" else (
-                "embed", rec["p"], rec["q"]
-            )
-            budgets = [tuple(r["budget"]) for r in by_identity[ident]]
-            if any(dominated(tuple(rec["budget"]), other) for other in budgets):
-                dropped += 1
-                continue
-            kept_lines.append(_with_crc(rec))
-        before = self.path.stat().st_size if self.path.exists() else 0
-        if not self.readonly:
-            tmp = self.path.with_suffix(".jsonl.tmp")
-            tmp.write_text("".join(line + "\n" for line in kept_lines), encoding="utf-8")
-            os.replace(tmp, self.path)
-        after = self.path.stat().st_size if self.path.exists() else 0
-        stats = {
-            "records": len(records),
-            "kept": len(kept_lines),
-            "dropped": dropped,
-            "bytes_before": before,
-            "bytes_after": after,
+        dominates, then rewrite the file atomically from the kept records."""
+        records = self.stats()["records"]
+        self._classes = {
+            seed: {
+                key: enum
+                for key, enum in by_budget.items()
+                if not _dominated(key, by_budget)
+            }
+            for seed, by_budget in self._classes.items()
         }
-        # rebuild indexes from the kept lines
-        self._classes.clear()
-        self._by_seed.clear()
-        self._embeds.clear()
-        self._lines.clear()
-        for line_no, line in enumerate(kept_lines, start=1):
-            self._ingest(line, line_no)
-        return stats
+        embed_budgets: dict[tuple[str, str], list[tuple]] = {}
+        for p, q, key in self._embeds:
+            embed_budgets.setdefault((p, q), []).append(key)
+        self._embeds = {
+            key: ev
+            for key, ev in self._embeds.items()
+            if not _dominated(key[2], embed_budgets[key[:2]])
+        }
+        before = self._file_bytes()
+        if self.path is not None and not self.readonly:
+            tmp = self.path.with_suffix(".jsonl.tmp")
+            lines = [
+                _with_crc(_class_record(enum))
+                for by_budget in self._classes.values()
+                for enum in by_budget.values()
+            ]
+            lines.extend(
+                _with_crc(_embed_record(p, q, ev)) for (p, q, _), ev in self._embeds.items()
+            )
+            tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            os.replace(tmp, self.path)
+        kept = self.stats()["records"]
+        return {
+            "records": records,
+            "kept": kept,
+            "dropped": records - kept,
+            "bytes_before": before,
+            "bytes_after": self._file_bytes(),
+        }
+
+    def _file_bytes(self) -> int:
+        return self.path.stat().st_size if self.path is not None and self.path.exists() else 0
 
     def stats(self) -> dict:
+        classes = sum(len(by_budget) for by_budget in self._classes.values())
         return {
-            "records": len(self._lines),
-            "classes": len(self._classes),
+            "records": classes + len(self._embeds),
+            "classes": classes,
             "embeds": len(self._embeds),
             "path": str(self.path),
         }

@@ -33,6 +33,7 @@ from .matrix import (
     from_json_dict,
     to_json_dict,
 )
+from .store import Store
 
 
 class UnresolvedRelation(RuntimeError):
@@ -172,18 +173,15 @@ def collect_classes(seeds, budget: Budget, store=None) -> list[UniverseClass]:
 _WORKER_STATE: dict = {}
 
 
-def _relation_worker_init(reps, budget, rank3_invariant):
-    _WORKER_STATE["reps"] = reps
-    _WORKER_STATE["budget"] = budget
-    _WORKER_STATE["rank3"] = rank3_invariant
+def _relation_worker_init(reps, budget):
+    # each worker memoizes in its own in-memory store
+    _WORKER_STATE.update(reps=reps, budget=budget, store=Store())
 
 
 def _relation_worker(pair):
     i, j = pair
     reps = _WORKER_STATE["reps"]
-    ev = embeds(
-        reps[i], reps[j], _WORKER_STATE["budget"], _WORKER_STATE["rank3"]
-    )
+    ev = embeds(reps[i], reps[j], _WORKER_STATE["budget"], _WORKER_STATE["store"])
     return i, j, _VERDICT_CHAR[ev.verdict]
 
 
@@ -203,7 +201,6 @@ def build_universe(
     entry_cap: int,
     budget: Budget = DEFAULT_BUDGET,
     family: str = "quiver",
-    rank3_invariant: bool = True,
     store=None,
     jobs: int = 1,
     seeds=None,
@@ -215,7 +212,9 @@ def build_universe(
     frozen indices, the default) or "skew" (all skew-symmetrizable splits).
     ``jobs`` parallelizes the relation computation; the result is identical
     for every job count.  It is clamped to the CPUs this process may run on
-    and to the number of pairs, and values below 2 run serially.
+    and to the number of pairs, and values below 2 run serially.  Without a
+    store, the build memoizes in an in-memory one; each parallel worker has
+    its own.
     """
     if rank_cap < 1:
         raise ValueError("rank cap must be at least 1")
@@ -226,6 +225,8 @@ def build_universe(
             seeds = _FAMILIES[family](rank_cap, entry_cap)
         except KeyError:
             raise ValueError(f"unknown family {family!r}") from None
+    if store is None:
+        store = Store()
     classes = collect_classes(seeds, budget, store)
     reps = [cls.key.form.matrix for cls in classes]
     count = len(reps)
@@ -236,14 +237,14 @@ def build_universe(
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_relation_worker_init,
-            initargs=(reps, budget, rank3_invariant),
+            initargs=(reps, budget),
         ) as pool:
             for i, j, char in pool.map(_relation_worker, pairs, chunksize=64):
                 grid[i][j] = char
     else:
         for i in range(count):
             for j in range(count):
-                ev = embeds(reps[i], reps[j], budget, rank3_invariant, store)
+                ev = embeds(reps[i], reps[j], budget, store)
                 grid[i][j] = _VERDICT_CHAR[ev.verdict]
     relation = tuple(tuple(row) for row in grid)
     return Universe(rank_cap, entry_cap, budget, family, tuple(classes), relation)

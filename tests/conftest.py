@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from mutopo import build
-from mutopo.classes import clear_memo
 
 
 def quiver(rows):
@@ -12,14 +11,6 @@ def quiver(rows):
 
 def weighted_pair(w):
     return quiver([[0, w], [-w, 0]])
-
-
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    # keep per-test enumeration state independent of test order
-    clear_memo()
-    yield
-    clear_memo()
 
 
 @pytest.fixture

@@ -42,7 +42,6 @@ from mutopo import (
     same_class,
     build_universe,
 )
-from mutopo.classes import clear_memo
 
 A4_CLASS_SIZE = 6  # |[A4]| up to isomorphism, pinned from the oracle
 
@@ -355,7 +354,6 @@ def test_criterion_9_cache_transparency(tmp_path_factory):
             return json.dumps(payload, sort_keys=True)
 
         def workload(store):
-            clear_memo()
             results = {}
             u = build_universe(3, 3, store=store)
             results["universe"] = dump_universe(u)
@@ -382,7 +380,6 @@ def test_criterion_9_cache_transparency(tmp_path_factory):
             cold = workload(store)
         with Store(cache_dir) as store:
             warm = workload(store)
-        clear_memo()
         uncached = workload(None)
         assert cold == warm
         assert cold == uncached

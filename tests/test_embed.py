@@ -76,8 +76,6 @@ class TestEmbeds:
         triangle = quiver([[0, 2, 1], [-2, 0, 1], [-1, -1, 0]])
         ev = embeds(i2, triangle)
         assert ev.verdict is Verdict.NO
-        # with the flag off this degrades to UNKNOWN, never to a wrong answer
-        assert embeds(i2, triangle, rank3_invariant=False).verdict is Verdict.UNKNOWN
 
     def test_budget_flows_into_verdict(self, a2, a3):
         budget = Budget(max_members=10)

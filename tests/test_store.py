@@ -3,16 +3,19 @@ import zlib
 
 import pytest
 
-from conftest import weighted_pair
+import mutopo.classes
+from conftest import quiver, weighted_pair
 from mutopo import (
     Budget,
     CorruptRecord,
     Store,
+    build_universe,
     canonical_form,
     embeds,
     enumerate_class,
+    is_avoiding,
+    is_k_universal_bounded,
 )
-from mutopo.classes import clear_memo
 from mutopo.store import _canonical_line
 
 
@@ -27,7 +30,6 @@ def test_class_round_trip_is_identical(tmp_path, a3):
     with Store(tmp_path) as store:
         store.put_class(enum)
     before = (tmp_path / "cache.jsonl").read_bytes()
-    clear_memo()
     with Store(tmp_path) as store:
         again = store.get_class(enum.seed.hash, enum.budget)
         assert again == enum
@@ -38,7 +40,6 @@ def test_class_round_trip_is_identical(tmp_path, a3):
 def test_embed_round_trip(tmp_path, a2, a3):
     with Store(tmp_path) as store:
         fresh = embeds(a2, a3, store=store)
-    clear_memo()
     with Store(tmp_path) as store:
         cached = embeds(a2, a3, store=store)
     assert cached == fresh
@@ -48,7 +49,6 @@ def test_cached_equals_fresh_recomputation(tmp_path, a2, a3, markov):
     pairs = [(a2, a3), (weighted_pair(3), markov), (a3, a3)]
     with Store(tmp_path) as store:
         warm = [embeds(p, q, store=store) for p, q in pairs]
-    clear_memo()
     cold = [embeds(p, q) for p, q in pairs]
     assert warm == cold
 
@@ -128,10 +128,13 @@ def test_compact_drops_dominated_budgets(tmp_path, a3):
         store.put_class(small)
         store.put_class(full)
         assert store.stats()["records"] == 2
+        original = (tmp_path / "cache.jsonl").read_text().splitlines()
         stats = store.compact()
     assert stats["dropped"] == 1
     assert stats["kept"] == 1
-    clear_memo()
+    compacted = (tmp_path / "cache.jsonl").read_text().splitlines()
+    assert len(compacted) == 1
+    assert all(line in original for line in compacted)
     with Store(tmp_path) as store:
         assert store.get_class(full.seed.hash, Budget()) == full
         assert store.get_class(small.seed.hash, Budget(max_members=2)) is None
@@ -158,7 +161,6 @@ def test_single_writer_lock(tmp_path):
 def test_enumerate_class_uses_the_store(tmp_path, a3):
     with Store(tmp_path) as store:
         first = enumerate_class(a3, store=store)
-    clear_memo()
     with Store(tmp_path, readonly=True) as store:
         second = enumerate_class(a3, store=store)
     assert first == second
@@ -235,3 +237,48 @@ def test_relabelled_member_matrix_fails_validation(tmp_path, a3):
     with pytest.raises(CorruptRecord) as err:
         Store(tmp_path)
     assert err.value.line_no == 1
+
+
+def test_in_memory_store_round_trips_without_a_file(tmp_path, monkeypatch, a2, a3):
+    monkeypatch.chdir(tmp_path)
+    small = enumerate_class(a3, Budget(max_members=2))
+    full = enumerate_class(a3)
+    store = Store()
+    store.put_class(small)
+    store.put_class(full)
+    ev = embeds(a2, a3, store=store)
+    assert store.get_class(full.seed.hash, full.budget) == full
+    assert store.get_embed(canonical_form(a2).hash, canonical_form(a3).hash, Budget()) == ev
+    stats = store.compact()  # the embed call also put the class of a2
+    assert (stats["records"], stats["kept"], stats["dropped"]) == (4, 3, 1)
+    assert (stats["bytes_before"], stats["bytes_after"]) == (0, 0)
+    assert store.get_class(small.seed.hash, small.budget) is None
+    assert store.get_class(full.seed.hash, full.budget) == full
+    store.close()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_universe(3, 2),
+        lambda: is_avoiding(
+            quiver([[0, 2, -2], [-2, 0, 2], [2, -2, 0]]),
+            [quiver([[0, 0], [0, 0]]), weighted_pair(3), weighted_pair(4)],
+        ),
+        lambda: is_k_universal_bounded(quiver([[0, 1, 0], [-1, 0, 1], [0, -1, 0]]), 2, 1),
+    ],
+    ids=["build_universe", "is_avoiding", "is_k_universal_bounded"],
+)
+def test_one_bfs_per_seed_and_budget_without_a_store(monkeypatch, call):
+    runs = []
+    run_bfs = mutopo.classes._run_bfs
+
+    def counted(seed, budget):
+        runs.append((seed.hash, budget.key()))
+        return run_bfs(seed, budget)
+
+    monkeypatch.setattr(mutopo.classes, "_run_bfs", counted)
+    call()
+    assert runs
+    assert len(runs) == len(set(runs))
