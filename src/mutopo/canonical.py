@@ -2,17 +2,24 @@
 
 Two matrices are isomorphic when a permutation of indices that keeps the
 mutable/frozen partition carries one to the other.  The canonical form is
-the exact row-major lexicographic minimum over all such relabelings, found
-by a branch-and-bound search:
+the exact row-major lexicographic minimum over all such relabelings.  It is
+found one row at a time, over ordered partitions of the unplaced indices:
 
-- a greedy incumbent ordered by per-index invariant profiles (sorted row
-  and column weight multisets) is computed first;
-- partial assignments are pruned whenever their known prefix, completed
-  optimistically with the sorted multisets of the remaining entries, is
-  already lexicographically above the incumbent.
+- the cells start as the mutable indices, then the frozen ones;
+- position t takes an index v from the first cell.  Row t is then at least
+  ``b[v][placed...]``, 0, and ``b[v][.]`` sorted within each remaining
+  cell, and every ordering that keeps the cells in order and sorts each
+  cell by ``b[v][.]`` attains that.  So every (prefix, v) whose row bound
+  is the least over the whole frontier survives, and each cell is split
+  by ``b[v][.]`` into increasing values;
+- two surviving prefixes with the same cells and the same entries from
+  each unplaced index toward the placed positions have the same futures,
+  so only one of them is kept.
 
-This is exact, not heuristic; it is meant for the small ranks this package
-works at (roughly n+m <= 9).
+The cells follow row-major order only; a degree-based or equitable
+refinement would order indices differently and change the form.  This is
+exact, not heuristic; it is meant for the small ranks this package works
+at (roughly n+m <= 9).
 """
 
 from __future__ import annotations
@@ -43,75 +50,50 @@ class CanonicalForm:
         return tuple(v for row in self.matrix.b for v in row)
 
 
-def _profile(b, size, i):
-    row = sorted(b[i][j] for j in range(size) if j != i)
-    col = sorted(b[j][i] for j in range(size) if j != i)
-    return row, col
-
-
 def _lex_min(B: ExchangeMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Return (flattened minimal matrix, one minimizing permutation new->old, 0-based)."""
     n, size, b = B.n, B.size, B.b
-    if size == 1:
-        return (0,), (0,)
-
-    greedy = sorted(range(n), key=lambda i: (_profile(b, size, i), i)) + sorted(
-        range(n, size), key=lambda i: (_profile(b, size, i), i)
-    )
-
-    def flatten(perm):
-        return tuple(b[i][j] for i in perm for j in perm)
-
-    best = flatten(greedy)
-    best_perm = tuple(greedy)
-    assigned: list[int] = []
-    used = [False] * size
-
-    def prunes() -> bool:
-        # Optimistic completion: known prefix entries, then the sorted
-        # multiset of each row's remaining values per pool.  If even that
-        # exceeds the incumbent, no completion of this branch can win.
-        rem_mut = sorted(i for i in range(n) if not used[i])
-        rem_fro = sorted(i for i in range(n, size) if not used[i])
-        pos = 0
-        for r in assigned:
-            row = b[r]
-            for c in assigned:
-                v = row[c]
-                if v != best[pos]:
-                    return v > best[pos]
-                pos += 1
-            for v in sorted(row[i] for i in rem_mut):
-                if v != best[pos]:
-                    return v > best[pos]
-                pos += 1
-            for v in sorted(row[i] for i in rem_fro):
-                if v != best[pos]:
-                    return v > best[pos]
-                pos += 1
-        return False
-
-    def rec() -> None:
-        nonlocal best, best_perm
-        t = len(assigned)
-        if t == size:
-            cand = flatten(assigned)
-            if cand < best:
-                best, best_perm = cand, tuple(assigned)
-            return
-        pool = range(n) if t < n else range(n, size)
-        for c in pool:
-            if used[c]:
-                continue
-            used[c] = True
-            assigned.append(c)
-            if not prunes():
-                rec()
-            assigned.pop()
-            used[c] = False
-
-    rec()
-    return best, best_perm
+    # each frontier entry is (placed prefix, ordered cells of the unplaced)
+    start = [cell for cell in (list(range(n)), list(range(n, size))) if cell]
+    frontier = [((), start)]
+    flat: list[int] = []
+    for _ in range(size):
+        best = None
+        level = []
+        for prefix, cells in frontier:
+            first = cells[0]
+            for v in first:
+                row = b[v]
+                score = [row[p] for p in prefix]
+                score.append(0)
+                score += sorted([row[u] for u in first if u != v])
+                for cell in cells[1:]:
+                    score += sorted([row[u] for u in cell])
+                if best is None or score < best:
+                    best, level = score, [(prefix, cells, v)]
+                elif score == best:
+                    level.append((prefix, cells, v))
+        flat += best
+        frontier = []
+        seen = set()
+        for prefix, cells, v in level:
+            row = b[v]
+            prefix += (v,)
+            refined = []
+            for cell in [[u for u in cells[0] if u != v], *cells[1:]]:
+                for value in sorted({row[u] for u in cell}):
+                    refined.append([u for u in cell if row[u] == value])
+            if len(level) > 1:
+                unplaced = [u for cell in refined for u in cell]
+                # cell sizes agree across the level, so this flat key pins
+                # the cells and every entry of the unplaced rows toward the
+                # prefix
+                key = (*unplaced, *(b[u][p] for u in unplaced for p in prefix))
+                if key in seen:
+                    continue
+                seen.add(key)
+            frontier.append((prefix, refined))
+    return tuple(flat), frontier[0][0]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -133,10 +115,6 @@ def canonical_form(B: ExchangeMatrix) -> CanonicalForm:
 def canonical_relabeling(B: ExchangeMatrix) -> tuple[int, ...]:
     """One minimizing relabeling, as 1-based old indices listed by new position."""
     return tuple(i + 1 for i in _canonical(B)[1])
-
-
-def clear_canonical_cache() -> None:
-    _canonical.cache_clear()
 
 
 def is_isomorphic(A: ExchangeMatrix, B: ExchangeMatrix) -> bool:

@@ -1,5 +1,9 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import oracles
 from conftest import quiver, random_quiver, random_skew
 from mutopo import (
@@ -68,6 +72,93 @@ def test_matches_exhaustive_oracle_random_with_frozen():
         B = random_skew(rng, n, m)
         flat = tuple(v for row in canonical_form(B).matrix.b for v in row)
         assert flat == oracles.lexmin_relabeling([list(r) for r in B.b], n, m)
+
+
+def _assert_matches_oracle(B):
+    form = canonical_form(B)
+    flat = tuple(v for row in form.matrix.b for v in row)
+    assert flat == oracles.lexmin_relabeling([list(r) for r in B.b], B.n, B.m)
+    perm = canonical_relabeling(B)
+    assert tuple(tuple(B.b[i - 1][j - 1] for j in perm) for i in perm) == form.matrix.b
+    assert build(B.n, B.m, form.matrix.b).d == form.matrix.d
+
+
+def test_matches_exhaustive_oracle_random_sizes_6_and_7():
+    rng = random.Random(71)
+    for _ in range(60):
+        size = rng.randint(6, 7)
+        n = rng.randint(1, size)
+        B = random_skew(
+            rng, n, size - n, max_ratio=rng.choice((1, 3)), max_weight=rng.randint(1, 2)
+        )
+        _assert_matches_oracle(B)
+
+
+def _oriented(size, arrows):
+    rows = [[0] * size for _ in range(size)]
+    for i, j in arrows:
+        rows[i][j] = 1
+        rows[j][i] = -1
+    return rows
+
+
+@pytest.mark.parametrize(
+    "n, m, rows",
+    [
+        (6, 0, _oriented(6, [])),
+        (4, 3, _oriented(7, [])),
+        (6, 0, _oriented(6, [(0, j) for j in range(1, 6)])),
+        (3, 4, _oriented(7, [(0, j) for j in range(1, 7)])),
+        (6, 0, _oriented(6, [(i, j) for i in range(3) for j in range(3, 6)])),
+        (4, 2, _oriented(6, [(i, j) for i in (0, 1, 4) for j in (2, 3, 5)])),
+        (6, 0, _oriented(6, [(0, 1), (2, 3), (4, 5)])),
+        (4, 2, _oriented(6, [(0, 4), (1, 5), (2, 3)])),
+        (6, 0, _oriented(6, [(i, (i + 1) % 6) for i in range(6)])),
+        # mutable twins 1, 2 and frozen twins 5, 6
+        (4, 3, _oriented(7, [(0, 2), (1, 2), (2, 3), (3, 0), (3, 1), (2, 4), (2, 5),
+                             (6, 0), (6, 1)])),
+        # equal rows, unequal columns: the merge must compare the entries
+        # toward the placed indices, not only the cells
+        (2, 1, [[0, 0, -3], [0, 0, -3], [3, 1, 0]]),
+    ],
+    ids=[
+        "zero-6",
+        "zero-4+3",
+        "star-K1,5",
+        "star-frozen-leaves",
+        "K3,3",
+        "K3,3-frozen",
+        "3xA2",
+        "3xA2-frozen",
+        "cycle-6",
+        "twins",
+        "row-twins",
+    ],
+)
+def test_matches_exhaustive_oracle_symmetric_shapes(n, m, rows):
+    _assert_matches_oracle(build(n, m, rows))
+
+
+@st.composite
+def partitioned_matrices(draw):
+    size = draw(st.integers(min_value=1, max_value=9))
+    n = draw(st.integers(min_value=1, max_value=size))
+    ratio = draw(st.sampled_from((1, 3)))
+    weight = draw(st.integers(min_value=0, max_value=2))
+    seed = draw(st.integers(min_value=0, max_value=2**30))
+    return random_skew(random.Random(seed), n, size - n, max_ratio=ratio, max_weight=weight)
+
+
+@given(B=partitioned_matrices(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_relabeling_invariance_up_to_size_9(B, data):
+    perm = data.draw(st.permutations(range(B.n))) + data.draw(
+        st.permutations(range(B.n, B.size))
+    )
+    relabeled = build(B.n, B.m, [[B.b[i][j] for j in perm] for i in perm])
+    form = canonical_form(B)
+    assert canonical_form(relabeled) == form
+    assert canonical_form(form.matrix) == form
 
 
 def test_canonical_equality_iff_oracle_isomorphism():

@@ -350,15 +350,20 @@ def _type_e(n):
         (_type_a(5), 19),
         (_type_a(6), 49),
         (_type_a(7), 150),
+        (_type_a(8), 442),
         (_type_d(5), 26),
         (_type_d(6), 80),
         (_type_d(7), 246),
         (_type_e(6), 67),
+        (_type_e(7), 416),
+        (_type_e(8), 1574),
     ],
-    ids=["A3", "A4", "A5", "A6", "A7", "D5", "D6", "D7", "E6"],
+    ids=["A3", "A4", "A5", "A6", "A7", "A8", "D5", "D6", "D7", "E6", "E7", "E8"],
 )
 def test_dynkin_class_sizes(B, members):
-    # published counts: Torkildsen 2008 (type A), Buan-Torkildsen 2009 (type D)
+    # published counts: Torkildsen 2008 (type A), Buan-Torkildsen 2009 (type D);
+    # E6-E8 are the class sizes listed by SageMath's
+    # QuiverMutationType.class_size
     enum = enumerate_class(B)
     assert enum.status == "CLOSED"
     assert enum.count == members
