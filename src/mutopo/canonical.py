@@ -96,7 +96,9 @@ def _lex_min(B: ExchangeMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(flat), frontier[0][0]
 
 
-@lru_cache(maxsize=1 << 16)
+# small on purpose: the repeats are restrictions to a few small shapes, while
+# BFS and cache verification meet almost every matrix once
+@lru_cache(maxsize=1 << 10)
 def _canonical(B: ExchangeMatrix) -> tuple[CanonicalForm, tuple[int, ...]]:
     # a relabeling of a valid matrix is valid, so the symmetrizer is
     # permuted along with the rows instead of being re-derived

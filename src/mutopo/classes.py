@@ -76,6 +76,8 @@ class ClassEnumeration:
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {mem.form.hash: mem for mem in self.members})
+        # restriction scans by target shape, filled lazily by embed.embeds
+        object.__setattr__(self, "scans", {})
 
     def member(self, hash_: str) -> Member | None:
         return self._index.get(hash_)
@@ -138,6 +140,8 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
         candidates: dict[str, tuple[CanonicalForm, tuple[int, ...], ExchangeMatrix]] = {}
         for mem in frontier:
             for k in range(1, n + 1):
+                if mem.witness and k == mem.witness[-1]:
+                    continue  # mutation is an involution: this child is mem's parent
                 child = mutate(mem.reached, k)
                 if child.max_abs_entry > budget.max_entry:
                     tripped.add("entry")

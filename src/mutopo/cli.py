@@ -277,9 +277,7 @@ def _cmd_density_witness(args) -> int:
 def _cmd_universe(args) -> int:
     budget = _budget(args)
     with _open_store(args) as store:
-        u = build_universe(
-            args.r, args.w, budget, family=args.family, store=store, jobs=args.jobs
-        )
+        u = build_universe(args.r, args.w, budget, family=args.family, store=store)
     text = dump_universe(u)
     unknown = sum(row.count("U") for row in u.relation)
     if args.output:
@@ -300,7 +298,7 @@ def _cmd_hasse(args) -> int:
         with _open_store(args) as store:
             for i, j in h.edges:
                 lo, hi = u.classes[i], u.classes[j]
-                ev = embeds(lo.key.form.matrix, hi.key.form.matrix, u.budget, store=store)
+                ev = embeds(lo.seed, hi.seed, u.budget, store=store)
                 edges.append(
                     {
                         "lower": lo.hash,
@@ -486,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-w", type=int, required=True, help="maximum seed entry")
     p.add_argument("--family", choices=["quiver", "skew"], default="quiver")
     p.add_argument("-o", "--output", help="write the universe JSON here")
-    p.add_argument("--jobs", type=int, default=1)
     _add_budget_flags(p)
     _add_cache_flags(p)
     p.set_defaults(func=_cmd_universe)

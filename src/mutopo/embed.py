@@ -2,8 +2,9 @@
 
 [P] embeds into [Q] when some member of [P] is isomorphic to a restriction
 of some member of [Q].  The verdict is tri-valued: YES carries a replayable
-witness, NO is asserted only when both budgeted enumerations are
-exhaustive, and UNKNOWN reports that a budget tripped first.
+witness, NO is asserted only on exhaustive grounds (a CLOSED enumeration
+of [Q], or at equal rank of either class) or a class invariant, and
+UNKNOWN reports that a budget tripped first.
 
 Witnesses are anchored at the canonical forms of the two inputs: replaying
 ``q_sequence`` from ``canonical_form(Q).matrix``, restricting to
@@ -13,7 +14,7 @@ Witnesses are anchored at the canonical forms of the two inputs: replaying
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
@@ -45,14 +46,49 @@ class EmbedVerdict:
     budget: Budget
 
 
-def _subsets_colex(q_n: int, q_m: int, p_n: int, p_m: int) -> list[tuple[int, ...]]:
-    """Partition-compatible index subsets of a (q_n, q_m) matrix, in colex order."""
-    subsets = []
-    for mut in combinations(range(1, q_n + 1), p_n):
-        for fro in combinations(range(q_n + 1, q_n + q_m + 1), p_m):
-            subsets.append(mut + fro)
-    subsets.sort(key=lambda idx: idx[::-1])
-    return subsets
+@dataclass
+class _Scan:
+    """One class's restrictions to one shape: position t is member
+    ``t // len(subsets)`` (BFS order) restricted to ``subsets[t %
+    len(subsets)]`` (colex order).  ``first`` maps each canonical hash met
+    in the ``walked`` positions to the first position it appeared at."""
+
+    subsets: list[tuple[int, ...]]
+    first: dict[str, int] = field(default_factory=dict)
+    walked: int = 0
+
+
+def _first_restriction(enum_p, enum_q, p_n: int, p_m: int) -> EmbedWitness | None:
+    """The witness at the first scan position whose restriction is a member
+    of [P]: looked up among the positions already walked, else found by
+    resuming the walk; None when the walk ends without one."""
+    scan = enum_q.scans.get((p_n, p_m))
+    if scan is None:  # partition-compatible subsets, in colex order
+        q = enum_q.seed.matrix
+        subsets = (mut + fro for mut in combinations(range(1, q.n + 1), p_n)
+                   for fro in combinations(range(q.n + 1, q.size + 1), p_m))
+        scan = enum_q.scans[p_n, p_m] = _Scan(sorted(subsets, key=lambda idx: idx[::-1]))
+    first, width = scan.first, len(scan.subsets)
+    total = len(enum_q.members) * width
+    if len(enum_p.members) <= len(first):
+        t = min((first.get(mem.form.hash, total) for mem in enum_p.members), default=total)
+    else:
+        t = min((pos for h, pos in first.items() if h in enum_p), default=total)
+    if t < total:
+        q_mem, idx = enum_q.members[t // width], scan.subsets[t % width]
+        # the index holds hashes only: confirm on the recomputed form
+        form = canonical_form(restrict(q_mem.reached, idx))
+    else:
+        for t in range(scan.walked, total):
+            q_mem, idx = enum_q.members[t // width], scan.subsets[t % width]
+            form = canonical_form(restrict(q_mem.reached, idx))
+            first.setdefault(form.hash, t)
+            scan.walked = t + 1
+            if form.hash in enum_p:
+                break
+        else:
+            return None
+    return EmbedWitness(q_mem.witness, idx, enum_p.member_for(form).witness)
 
 
 def embeds(
@@ -65,9 +101,18 @@ def embeds(
 
     Rank (and per-pool) shape drops give an immediate exhaustive NO.  At
     equal rank embedding is mutation equivalence, resolved through either
-    enumeration and the class invariants.  Otherwise members of [Q] are
-    scanned in BFS order and their subsets in colex order, short-circuiting
-    on the first restriction whose canonical form is a known member of [P].
+    enumeration and the class invariants.  Otherwise the witness is the
+    first restriction (members of [Q] in BFS order, their subsets in colex
+    order) that is a member of [P].  Each enumeration of [Q] keeps one scan
+    per shape, so a (member, subset) is restricted once across calls: a
+    call looks among the positions already walked, and resumes the walk
+    only when none of them is a member of [P].
+
+    With no such restriction the answer is NO when [Q] is CLOSED (*closed
+    upper class*), whatever the status of [P]: restriction to I commutes
+    with mutation at a mutable index inside I, so the restrictions of a
+    CLOSED [Q] are closed under mutation, and the full scan would have met
+    ``canonical_form(P)``, a member of its own enumeration.
     """
     cf_p = canonical_form(P)
     cf_q = canonical_form(Q)
@@ -109,15 +154,10 @@ def _embeds_fresh(P, Q, cf_p, cf_q, budget, store) -> EmbedVerdict:
 
     enum_p = enumerate_class(cf_p.matrix, budget, store)
     enum_q = enumerate_class(cf_q.matrix, budget, store)
-    subsets = _subsets_colex(Q.n, Q.m, P.n, P.m)
-    for q_mem in enum_q.members:
-        for idx in subsets:
-            sub = restrict(q_mem.reached, idx)
-            p_mem = enum_p.member_for(canonical_form(sub))
-            if p_mem is not None:
-                witness = EmbedWitness(q_mem.witness, idx, p_mem.witness)
-                return EmbedVerdict(Verdict.YES, witness, budget)
-    if enum_p.status == CLOSED and enum_q.status == CLOSED:
+    witness = _first_restriction(enum_p, enum_q, P.n, P.m)
+    if witness is not None:
+        return EmbedVerdict(Verdict.YES, witness, budget)
+    if enum_q.status == CLOSED:
         return EmbedVerdict(Verdict.NO, None, budget)
     if enum_p.status == CLOSED:
         if _divisibility_obstruction(enum_p, Q):

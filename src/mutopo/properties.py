@@ -142,7 +142,7 @@ def is_k_universal_bounded(
     test_classes = collect_classes(iter_quiver_seeds(k, entry_cap), budget, store)
     unresolved = False
     for cls in test_classes:
-        ev = embeds(cls.key.form.matrix, Q, budget, store)
+        ev = embeds(cls.seed, Q, budget, store)
         if ev.verdict is Verdict.NO:
             return Verdict.NO
         if ev.verdict is Verdict.UNKNOWN:

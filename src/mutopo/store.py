@@ -9,7 +9,7 @@ Format: one JSON object per line, each carrying a ``crc`` field with the
 CRC-32 of the rest of the line (the object minus that field, serialized
 with sorted keys and compact separators).  The file is append-only;
 compaction is explicit and rewrites it atomically from the kept records,
-without re-reading the file.
+without re-verifying them: a record never decoded is copied as its line.
 
 Keys are canonical-form hashes plus the exact budget, so isomorphic seeds
 share entries and differing budgets never collide; a re-put of a key is a
@@ -23,7 +23,10 @@ record, each member's witness replayed from the seed, whose canonical form
 must match the stored hash and matrix.  Replay shares prefixes between
 witnesses, so a member costs one mutation and one canonical form.  A line
 that fails any check, or does not decode, raises :class:`CorruptRecord`
-with its line number; only a torn final line is skipped.
+with its line number; only a torn final line is skipped.  A verified class
+record is kept as its place in the file, which the store holds open, and
+decoded again when first requested: an open store holds in memory the
+enumerations its caller uses, not the whole cache.
 
 Concurrency: single writer (guarded by an advisory lock file), any number
 of readers; readers treat a trailing partial line as absent.
@@ -34,7 +37,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .canonical import canonical_form
@@ -58,8 +61,22 @@ class CorruptRecord(ValueError):
         self.line_no = line_no
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _canonical_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    """``json.dumps(record, sort_keys=True, separators=(",", ":"))``, with
+    the members of a class record encoded one at a time: the encoder keeps
+    every token of its input until it returns, many times the line's size."""
+    return "{" + ",".join(
+        _encode(key) + ":"
+        + (
+            "[" + ",".join(map(_encode, value)) + "]"
+            if key == "members" and isinstance(value, list)
+            else _encode(value)
+        )
+        for key, value in sorted(record.items())
+    ) + "}"
 
 
 def _with_crc(record: dict) -> str:
@@ -85,7 +102,7 @@ def _class_record(enum: ClassEnumeration) -> dict:
         "class_key": enum.least().form.hash,
         "stats": [enum.count, enum.max_abs_entry, enum.depth],
         "members": [
-            [mem.form.hash, to_json_dict(mem.form.matrix), list(mem.witness)]
+            [mem.form.hash, to_json_dict(mem.form.matrix), mem.witness]
             for mem in enum.members
         ],
         "entry_witness": (
@@ -179,6 +196,19 @@ def _embed_from_record(record: dict) -> EmbedVerdict:
     )
 
 
+@dataclass(frozen=True)
+class _Verified:
+    """A class record verified at open but not kept decoded: where its line
+    starts, and the figures :meth:`Store.get_class` matches budgets against."""
+
+    offset: int
+    line_no: int
+    status: str
+    count: int
+    max_abs_entry: int
+    depth: int
+
+
 def default_cache_dir() -> Path:
     env = os.environ.get(ENV_CACHE_DIR)
     if env:
@@ -216,8 +246,12 @@ class Store:
         self.path = None if directory is None else self.directory / CACHE_FILE
         self.readonly = readonly
         self._lock_handle = None
-        # seed hash -> budget key -> enumeration
-        self._classes: dict[str, dict[tuple, ClassEnumeration]] = {}
+        # the cache file as opened: verified class records are read back
+        # from it, even after a compaction replaced the file
+        self._file = None
+        # seed hash -> budget key -> enumeration, or where its verified line
+        # is until first requested
+        self._classes: dict[str, dict[tuple, ClassEnumeration | _Verified]] = {}
         # (P hash, Q hash, budget key) -> verdict
         self._embeds: dict[tuple[str, str, tuple], EmbedVerdict] = {}
         if self.directory is None:
@@ -225,7 +259,11 @@ class Store:
         if not readonly:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._acquire_lock()
-        self._load()
+        try:
+            self._load()
+        except BaseException:
+            self.close()
+            raise
 
     # -- lifecycle -------------------------------------------------------
 
@@ -242,6 +280,9 @@ class Store:
         self._lock_handle = handle
 
     def close(self):
+        if self._file is not None:
+            self._file.close()
+            self._file = None
         if self._lock_handle is not None:
             if fcntl is not None:
                 fcntl.flock(self._lock_handle.fileno(), fcntl.LOCK_UN)
@@ -259,26 +300,20 @@ class Store:
     def _load(self):
         if not self.path.exists():
             return
-        text = self.path.read_text(encoding="utf-8")
-        if not text:
-            return
-        terminated = text.endswith("\n")
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        last = len(lines) - 1
-        for line_no, line in enumerate(lines):
-            is_partial_candidate = line_no == last and not terminated
+        self._file = open(self.path, "rb")
+        offset = 0
+        for line_no, line in enumerate(self._file, start=1):
             try:
-                self._ingest(line, line_no + 1)
+                self._ingest(line.rstrip(b"\n"), line_no, offset)
             except CorruptRecord:
-                if is_partial_candidate:
+                if not line.endswith(b"\n"):
                     break  # torn final write, treated as absent
                 raise
+            offset += len(line)
 
-    def _ingest(self, line: str, line_no: int):
+    def _ingest(self, line: bytes, line_no: int, offset: int):
         try:
-            obj = json.loads(line)
+            obj = json.loads(line.decode("utf-8"))
         except json.JSONDecodeError as exc:
             raise CorruptRecord(line_no, f"not valid JSON ({exc.msg})") from None
         if not isinstance(obj, dict) or "crc" not in obj:
@@ -290,8 +325,11 @@ class Store:
         try:
             if kind == "class":
                 enum = _class_from_record(obj, line_no)
+                verified = _Verified(
+                    offset, line_no, enum.status, enum.count, enum.max_abs_entry, enum.depth
+                )
                 self._classes.setdefault(enum.seed.hash, {}).setdefault(
-                    enum.budget.key(), enum
+                    enum.budget.key(), verified
                 )
             elif kind == "embed":
                 key = (obj["p"], obj["q"], tuple(obj["budget"]))
@@ -311,10 +349,9 @@ class Store:
 
     def get_class(self, seed_hash: str, budget: Budget) -> ClassEnumeration | None:
         by_budget = self._classes.get(seed_hash, {})
-        exact = by_budget.get(budget.key())
-        if exact is not None:
-            return exact
-        for enum in by_budget.values():
+        if budget.key() in by_budget:
+            return self._decoded(by_budget, budget.key())
+        for key, enum in by_budget.items():
             fits = (
                 enum.status == CLOSED
                 and enum.count <= budget.max_members
@@ -322,8 +359,20 @@ class Store:
                 and (budget.max_depth is None or enum.depth + 1 <= budget.max_depth)
             )
             if fits:
-                return replace(enum, budget=budget)
+                return replace(self._decoded(by_budget, key), budget=budget)
         return None
+
+    def _line(self, record: _Verified) -> str:
+        self._file.seek(record.offset)
+        return self._file.readline().rstrip(b"\n").decode("utf-8")
+
+    def _decoded(self, by_budget: dict, key: tuple) -> ClassEnumeration:
+        enum = by_budget[key]
+        if isinstance(enum, _Verified):
+            obj = json.loads(self._line(enum))
+            del obj["crc"]
+            enum = by_budget[key] = _class_from_record(obj, enum.line_no)
+        return enum
 
     def put_class(self, enum: ClassEnumeration):
         by_budget = self._classes.setdefault(enum.seed.hash, {})
@@ -375,7 +424,9 @@ class Store:
         if self.path is not None and not self.readonly:
             tmp = self.path.with_suffix(".jsonl.tmp")
             lines = [
-                _with_crc(_class_record(enum))
+                self._line(enum)
+                if isinstance(enum, _Verified)
+                else _with_crc(_class_record(enum))
                 for by_budget in self._classes.values()
                 for enum in by_budget.values()
             ]

@@ -5,15 +5,14 @@ Hasse diagrams, DOT export).
 A universe is the desk-scale stand-in for the infinite space of mutation
 classes: all classes of valid matrices with rank at most r and seed entries
 bounded by w, together with the full tri-valued embedding relation between
-them.  Topology operations refuse with :class:`UnresolvedRelation` rather
-than silently misclassify when an UNKNOWN verdict could change the answer.
+them, anchored at the seeds whose enumerations found the classes.
+Topology operations refuse with :class:`UnresolvedRelation` rather than
+silently misclassify when an UNKNOWN verdict could change the answer.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -170,30 +169,7 @@ def collect_classes(seeds, budget: Budget, store=None) -> list[UniverseClass]:
     return out
 
 
-_WORKER_STATE: dict = {}
-
-
-def _relation_worker_init(reps, budget):
-    # each worker memoizes in its own in-memory store
-    _WORKER_STATE.update(reps=reps, budget=budget, store=Store())
-
-
-def _relation_worker(pair):
-    i, j = pair
-    reps = _WORKER_STATE["reps"]
-    ev = embeds(reps[i], reps[j], _WORKER_STATE["budget"], _WORKER_STATE["store"])
-    return i, j, _VERDICT_CHAR[ev.verdict]
-
-
 _VERDICT_CHAR = {Verdict.YES: "Y", Verdict.NO: "N", Verdict.UNKNOWN: "U"}
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def build_universe(
@@ -202,7 +178,6 @@ def build_universe(
     budget: Budget = DEFAULT_BUDGET,
     family: str = "quiver",
     store=None,
-    jobs: int = 1,
     seeds=None,
 ) -> Universe:
     """Build the universe of classes with rank <= rank_cap and seed entries
@@ -210,11 +185,10 @@ def build_universe(
 
     ``family`` selects the seed matrices: "quiver" (skew-symmetric, no
     frozen indices, the default) or "skew" (all skew-symmetrizable splits).
-    ``jobs`` parallelizes the relation computation; the result is identical
-    for every job count.  It is clamped to the CPUs this process may run on
-    and to the number of pairs, and values below 2 run serially.  Without a
-    store, the build memoizes in an in-memory one; each parallel worker has
-    its own.
+    The relation is anchored at each class's ``seed``, the canonical seed
+    :func:`collect_classes` enumerated, so every class is enumerated once
+    and its restriction scans are shared by all the pairs it is the upper
+    class of.  Without a store, the build memoizes in an in-memory one.
     """
     if rank_cap < 1:
         raise ValueError("rank cap must be at least 1")
@@ -228,25 +202,11 @@ def build_universe(
     if store is None:
         store = Store()
     classes = collect_classes(seeds, budget, store)
-    reps = [cls.key.form.matrix for cls in classes]
-    count = len(reps)
-    grid = [["?"] * count for _ in range(count)]
-    jobs = min(jobs, _available_cpus(), count * count)
-    if jobs > 1:
-        pairs = [(i, j) for i in range(count) for j in range(count)]
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_relation_worker_init,
-            initargs=(reps, budget),
-        ) as pool:
-            for i, j, char in pool.map(_relation_worker, pairs, chunksize=64):
-                grid[i][j] = char
-    else:
-        for i in range(count):
-            for j in range(count):
-                ev = embeds(reps[i], reps[j], budget, store)
-                grid[i][j] = _VERDICT_CHAR[ev.verdict]
-    relation = tuple(tuple(row) for row in grid)
+    reps = [cls.seed for cls in classes]
+    relation = tuple(
+        tuple(_VERDICT_CHAR[embeds(p, q, budget, store).verdict] for q in reps)
+        for p in reps
+    )
     return Universe(rank_cap, entry_cap, budget, family, tuple(classes), relation)
 
 

@@ -5,12 +5,16 @@ hashing machinery: mutation is done on arrow multisets via the three graph
 rules, isomorphism by exhaustive permutation search, and class enumeration
 by BFS with pairwise isomorphism deduplication.  Slow, but independently
 trustworthy on small inputs.
+
+The one exception is :func:`first_restriction`, the per-pair embedding
+scan kept as the reference for *which* witness ``embeds`` returns; it
+uses the package's enumerations and canonical forms.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import permutations
+from itertools import combinations, permutations
 
 
 def graph_mutate(rows, k):
@@ -134,8 +138,6 @@ def same_class(rows_a, rows_b, n, **caps):
 
 
 def _subsets(size, want):
-    from itertools import combinations
-
     return list(combinations(range(size), want))
 
 
@@ -151,3 +153,29 @@ def embeds(rows_p, n_p, rows_q, n_q, **caps):
             if any(isomorphic(sub, cand, n_p, 0) for cand in members_p):
                 return "YES"
     return "NO" if closed_p and closed_q else "UNKNOWN"
+
+
+def first_restriction(P, Q, budget, store=None):
+    """The witness of the per-pair embedding scan: the first member of [Q]
+    (BFS order) and partition-compatible subset (colex order) whose
+    restriction is a member of [P], as ``(q_sequence, subset,
+    p_sequence)``; None when no restriction of an enumerated member of [Q]
+    is an enumerated member of [P]."""
+    from mutopo import canonical_form, enumerate_class, restrict
+
+    enum_p = enumerate_class(P, budget, store)
+    enum_q = enumerate_class(Q, budget, store)
+    subsets = sorted(
+        (
+            mut + fro
+            for mut in combinations(range(1, Q.n + 1), P.n)
+            for fro in combinations(range(Q.n + 1, Q.size + 1), P.m)
+        ),
+        key=lambda idx: idx[::-1],
+    )
+    for q_mem in enum_q.members:
+        for idx in subsets:
+            p_mem = enum_p.member_for(canonical_form(restrict(q_mem.reached, idx)))
+            if p_mem is not None:
+                return q_mem.witness, idx, p_mem.witness
+    return None

@@ -8,7 +8,17 @@ import pytest
 
 import mutopo
 from conftest import quiver, weighted_pair
-from mutopo import canonical_form, class_key, to_json_dict, to_text
+from mutopo import (
+    EmbedVerdict,
+    EmbedWitness,
+    Verdict,
+    canonical_form,
+    class_key,
+    load_universe,
+    replay_embedding,
+    to_json_dict,
+    to_text,
+)
 from mutopo.cli import main
 
 
@@ -212,13 +222,29 @@ class TestUniversePipeline:
         assert code == 0
         assert len(out.strip().splitlines()) == 7  # the whole universe
 
-    def test_jobs_flag_matches_serial(self, capsys, files):
-        code, serial, _ = run(capsys, "universe", "-r", "2", "-w", "2", "NC")
-        code2, parallel, _ = run(
-            capsys, "universe", "-r", "2", "-w", "2", "NC", "--jobs", "2",
-        )
-        assert code == code2 == 0
-        assert serial == parallel
+    def test_hasse_witnesses_replay_from_the_seeds(self, capsys, files):
+        target = files["dir"] / "u32.json"
+        cache = str(files["dir"] / "cache32")
+        code, _, _ = run(capsys, "universe", "-r", "3", "-w", "2", "-o", str(target),
+                         "--cache-dir", cache)
+        assert code == 0
+        cache_file = files["dir"] / "cache32" / "cache.jsonl"
+        size = cache_file.stat().st_size
+        code, out, _ = run(capsys, "hasse", str(target), "--json", "--cache-dir", cache)
+        assert code == 0
+        assert cache_file.stat().st_size == size  # every edge was a cache hit
+        edges = json.loads(out)["edges"]
+        u = load_universe(target.read_text(encoding="utf-8"))
+        assert edges
+        for edge in edges:
+            w = edge["witness"]
+            ev = EmbedVerdict(
+                Verdict.YES,
+                EmbedWitness(tuple(w["q_sequence"]), tuple(w["subset"]), tuple(w["p_sequence"])),
+                u.budget,
+            )
+            lo, hi = u.class_of(edge["lower"]), u.class_of(edge["upper"])
+            assert replay_embedding(lo.seed, hi.seed, ev)
 
     def test_unknown_relation_blocks_hasse(self, capsys, files):
         target = files["dir"] / "u33.json"

@@ -1,14 +1,25 @@
 import random
+from itertools import combinations, product
 
+import pytest
+
+import mutopo.embed as embed_module
 import oracles
 from conftest import quiver, random_quiver, random_skew, weighted_pair
 from mutopo import (
     Budget,
+    EmbedVerdict,
+    EmbedWitness,
+    Store,
     Verdict,
     build,
+    build_universe,
     canonical_form,
+    collect_classes,
     density_witness,
     embeds,
+    enumerate_class,
+    iter_quiver_seeds,
     replay_embedding,
     restrict,
 )
@@ -100,6 +111,140 @@ class TestEmbeds:
                 )
                 if oracle != "UNKNOWN":
                     assert embeds(P, Q).verdict.value == oracle
+
+
+class TestRestrictionScan:
+    @pytest.mark.parametrize("r, w, family", [(3, 2, "quiver"), (3, 1, "skew")])
+    def test_witnesses_match_the_per_pair_loop(self, r, w, family):
+        u = build_universe(r, w, family=family)
+        budget = u.budget
+        seeds = [cls.seed for cls in u.classes]
+        pairs = [(i, j) for i in range(len(seeds)) for j in range(len(seeds))]
+        reference_store = Store()
+        expected = {}
+        for i, j in pairs:
+            P, Q = seeds[i], seeds[j]
+            ev = embeds(P, Q, budget)  # alone: one uninterrupted walk
+            assert ev.verdict.value[0] == u.relation[i][j]
+            if P.size < Q.size and P.n <= Q.n and P.m <= Q.m:
+                hit = oracles.first_restriction(P, Q, budget, reference_store)
+                if hit is None:
+                    assert ev.verdict is not Verdict.YES
+                else:
+                    assert ev == EmbedVerdict(Verdict.YES, EmbedWitness(*hit), budget)
+            expected[i, j] = ev
+        # one store per order, so later pairs meet scans earlier pairs began
+        # and either find [P] among the walked positions or resume the walk
+        for order_seed in range(3):
+            order = list(pairs)
+            random.Random(order_seed).shuffle(order)
+            store = Store()
+            for i, j in order:
+                assert embeds(seeds[i], seeds[j], budget, store) == expected[i, j]
+
+    def test_each_restriction_is_walked_once(self, monkeypatch):
+        calls = {}
+        real = embed_module.restrict
+
+        def counting(B, idx):
+            key = (id(B), tuple(idx))
+            calls[key] = calls.get(key, 0) + 1
+            return real(B, idx)
+
+        monkeypatch.setattr(embed_module, "restrict", counting)
+        store = Store()
+        u = build_universe(3, 2, store=store)
+        assert calls
+        # a second call for a (member, subset) can only be the one that
+        # confirms a YES found among the walked positions
+        seeds = {cls.hash: cls.seed for cls in u.classes}
+        witnessed = set()
+        for P in seeds.values():
+            for Q in seeds.values():
+                ev = embeds(P, Q, u.budget, store)
+                if ev.verdict is Verdict.YES and P.size < Q.size:
+                    enum_q = store.get_class(canonical_form(Q).hash, u.budget)
+                    member = next(
+                        mem for mem in enum_q.members if mem.witness == ev.witness.q_sequence
+                    )
+                    witnessed.add((id(member.reached), ev.witness.subset))
+        assert max(calls.values()) <= 2
+        assert {key for key, count in calls.items() if count == 2} <= witnessed
+
+    def test_closed_upper_class_answers_no(self, cycle321, a4):
+        # [cycle321] is mutation-infinite, so its enumeration is TRUNCATED;
+        # [A4] is CLOSED and none of its members' restrictions is in it
+        store = Store()
+        ev = embeds(cycle321, a4, store=store)
+        assert ev == EmbedVerdict(Verdict.NO, None, Budget())
+        assert store.get_class(canonical_form(cycle321).hash, Budget()).status == "TRUNCATED"
+
+
+def _restriction_hashes(enum_q, p_n):
+    """Canonical hashes of every restriction of every member of [Q] to p_n
+    indices (quivers: no frozen indices)."""
+    return {
+        canonical_form(restrict(mem.reached, idx)).hash
+        for mem in enum_q.members
+        for idx in combinations(range(1, enum_q.seed.matrix.n + 1), p_n)
+    }
+
+
+def _rank4_seeds(w):
+    """One labelling of every rank-4 quiver with entries <= w: the one with
+    a heaviest arrow 1 -> 2."""
+    pairs = list(combinations(range(4), 2))
+    for values in product(range(-w, w + 1), repeat=len(pairs)):
+        if values[0] != max(abs(v) for v in values):
+            continue
+        rows = [[0] * 4 for _ in range(4)]
+        for (i, j), v in zip(pairs, values):
+            rows[i][j], rows[j][i] = v, -v
+        yield quiver(rows)
+
+
+def test_closed_upper_rule_is_sound():
+    # every quiver class of rank <= 4 with seed entries <= 2; the small caps
+    # keep the mutation-infinite classes cheap and still give the 176
+    # classes (24 CLOSED) of the default budget
+    budget = Budget(max_members=100, max_entry=4)
+    store = Store()
+    seeds = [*iter_quiver_seeds(3, 2), *_rank4_seeds(2)]
+    classes = collect_classes(seeds, budget, store)
+    assert len(classes) == 176
+    enums = {cls.hash: enumerate_class(cls.seed, budget, store) for cls in classes}
+    closed = [cls for cls in classes if cls.key.status == "CLOSED"]
+    assert len(closed) == 24
+    exact_pairs = newly_decided = 0
+    for hi in closed:
+        for lo in classes:
+            if lo.rank >= hi.rank:
+                continue
+            ev = embeds(lo.seed, hi.seed, budget, store)
+            if lo.key.status == "CLOSED":
+                # an exact pair: the exhaustive answer, and the rule reads
+                # one member of [P] where any member gives the same answer
+                reached = _restriction_hashes(enums[hi.hash], lo.rank)
+                exact = not reached.isdisjoint(enums[lo.hash].hashes)
+                assert ev.verdict is (Verdict.YES if exact else Verdict.NO)
+                assert all(
+                    (mem.form.hash in reached) == exact for mem in enums[lo.hash].members
+                )
+                exact_pairs += 1
+                continue
+            assert ev.verdict is not Verdict.UNKNOWN
+            if ev.verdict is Verdict.NO:
+                newly_decided += 1
+                # [P] is infinite, so the oracle cannot close it: it can only
+                # refute the NO by finding a restriction of [Q] in [P]
+                oracle = oracles.embeds(
+                    [list(r) for r in lo.seed.b], lo.rank,
+                    [list(r) for r in hi.seed.b], hi.rank,
+                    max_members=30, max_entry=4,
+                )
+                assert oracle != "YES"
+    assert exact_pairs > 0
+    assert newly_decided == 70
 
 
 class TestDensityWitness:

@@ -4,6 +4,7 @@ import zlib
 import pytest
 
 import mutopo.classes
+import mutopo.store
 from conftest import quiver, weighted_pair
 from mutopo import (
     Budget,
@@ -16,7 +17,7 @@ from mutopo import (
     is_avoiding,
     is_k_universal_bounded,
 )
-from mutopo.store import _canonical_line
+from mutopo.store import _canonical_line, _class_record
 
 
 def test_get_on_empty_cache_is_absent(tmp_path, a3):
@@ -138,6 +139,49 @@ def test_compact_drops_dominated_budgets(tmp_path, a3):
     with Store(tmp_path) as store:
         assert store.get_class(full.seed.hash, Budget()) == full
         assert store.get_class(small.seed.hash, Budget(max_members=2)) is None
+
+
+def test_class_records_decode_when_first_requested(tmp_path, monkeypatch, a2, a3):
+    with Store(tmp_path) as store:
+        store.put_class(enumerate_class(a2))
+        store.put_class(enumerate_class(a3))
+    decodes = []
+    decode = mutopo.store._class_from_record
+
+    def counted(record, line_no):
+        decodes.append(line_no)
+        return decode(record, line_no)
+
+    monkeypatch.setattr(mutopo.store, "_class_from_record", counted)
+    with Store(tmp_path, readonly=True) as store:
+        assert decodes == [1, 2]  # every record is verified at open
+        first = store.get_class(canonical_form(a3).hash, Budget())
+        assert first == enumerate_class(a3)
+        assert store.get_class(canonical_form(a3).hash, Budget()) is first
+    assert decodes == [1, 2, 2]
+
+
+def test_compact_keeps_lines_of_records_never_decoded(tmp_path, a3):
+    small = enumerate_class(a3, Budget(max_members=2))
+    full = enumerate_class(a3)
+    with Store(tmp_path) as store:
+        store.put_class(small)
+        store.put_class(full)
+    original = (tmp_path / "cache.jsonl").read_text().splitlines()
+    with Store(tmp_path, readonly=True) as reader:
+        with Store(tmp_path) as writer:
+            assert writer.compact()["dropped"] == 1
+        # the reader still reads the file it verified, not the compacted one
+        assert reader.get_class(small.seed.hash, small.budget) == small
+    assert (tmp_path / "cache.jsonl").read_text().splitlines() == original[1:]
+
+
+def test_canonical_line_is_sorted_compact_json(a3, w333):
+    for enum in (enumerate_class(a3), enumerate_class(w333, Budget(max_entry=6))):
+        record = _class_record(enum)
+        assert _canonical_line(record) == json.dumps(
+            record, sort_keys=True, separators=(",", ":")
+        )
 
 
 def test_compact_keeps_incomparable_budgets(tmp_path, w333):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-import mutopo.universe as universe_module
+import mutopo.classes as classes_module
 from conftest import weighted_pair
 from mutopo import (
     Budget,
@@ -11,6 +11,7 @@ from mutopo import (
     Universe,
     build_hasse,
     build_universe,
+    canonical_form,
     class_key,
     closure,
     dump_universe,
@@ -81,64 +82,18 @@ class TestBuildUniverse:
         shuffled = build_universe(2, 2, seeds=shuffled_seeds)
         assert forward == backward == shuffled
 
-    def test_jobs_do_not_change_the_result(self, u23):
-        parallel = build_universe(2, 3, jobs=2)
-        assert parallel == u23
+    def test_each_class_is_enumerated_once(self, monkeypatch):
+        seeds = []
+        real = classes_module._run_bfs
 
-    def test_jobs_are_clamped(self, monkeypatch):
-        # a stub pool records the requested size and runs the pairs in process
-        sizes = []
+        def counting(seed, budget):
+            seeds.append(seed.hash)
+            return real(seed, budget)
 
-        class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(universe_module, "ProcessPoolExecutor", RecordingPool)
-        serial = build_universe(2, 1)
-        assert len(serial.classes) == 3  # 9 pairs
-        for cpus, jobs, expected in [
-            (4, 1000, 4),  # CPU count
-            (64, 1000, 9),  # number of pairs
-            (1, 8, None),  # one CPU: serial
-            (4, 0, None),
-            (4, -3, None),
-        ]:
-            monkeypatch.setattr(universe_module, "_available_cpus", lambda: cpus)
-            sizes.clear()
-            assert build_universe(2, 1, jobs=jobs) == serial
-            assert sizes == ([] if expected is None else [expected])
-
-    def test_cpu_count_falls_back_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(universe_module.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(universe_module.os, "cpu_count", lambda: None)
-        assert universe_module._available_cpus() == 1
-        monkeypatch.setattr(universe_module.os, "cpu_count", lambda: 3)
-        assert universe_module._available_cpus() == 3
-
-    def test_real_pool_whatever_the_cpu_count(self, monkeypatch, u23):
-        # the clamp would run one-CPU hosts serially; pretend to have two so
-        # that a real two-worker pool (pickling, worker init) is exercised
-        sizes = []
-        real_pool = universe_module.ProcessPoolExecutor
-
-        def recording_pool(max_workers, **kwargs):
-            sizes.append(max_workers)
-            return real_pool(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(universe_module, "_available_cpus", lambda: 2)
-        monkeypatch.setattr(universe_module, "ProcessPoolExecutor", recording_pool)
-        assert build_universe(2, 3, jobs=2) == u23
-        assert sizes == [2]
+        monkeypatch.setattr(classes_module, "_run_bfs", counting)
+        u = build_universe(3, 3)
+        assert len(seeds) == len(u) == 29
+        assert set(seeds) == {canonical_form(cls.seed).hash for cls in u.classes}
 
     def test_skew_family_extends_the_quiver_universe(self):
         u = build_universe(2, 1, family="skew")
