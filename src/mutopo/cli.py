@@ -104,7 +104,9 @@ def _open_store(args) -> Store:
 
 
 def _print_json(payload: dict):
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    # streamed: dumps() with indent holds every token of a large payload
+    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
 
 
 def _verdict_exit(verdict: Verdict) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from math import gcd, lcm
 
@@ -100,27 +99,30 @@ def _symmetrizer(b: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Derive the normalized skew-symmetrizer by spanning-tree propagation.
 
     One root per support component gets a provisional value of 1; along
-    each tree edge ``d[j] = d[i] * |b[i][j]| / |b[j][i]|``.  Denominators
-    are cleared per component, the component gcd is divided out, and the
-    defining identity is then verified globally, which catches inconsistent
-    cycles.
+    each tree edge ``d[j] = d[i] * |b[i][j]| / |b[j][i]|``, kept as a reduced
+    integer (numerator, denominator) pair.  Denominators are cleared per
+    component, the component gcd is divided out, and the defining identity
+    is then verified globally, which catches inconsistent cycles.
     """
     n = len(b)
-    frac: list[Fraction | None] = [None] * n
+    ratio: list[tuple[int, int] | None] = [None] * n
     comps = _support_components(b)
     for comp in comps:
-        frac[comp[0]] = Fraction(1)
+        ratio[comp[0]] = (1, 1)
         stack = [comp[0]]
         while stack:
             i = stack.pop()
+            num, den = ratio[i]
             for j in range(n):
-                if b[i][j] != 0 and frac[j] is None:
-                    frac[j] = frac[i] * abs(b[i][j]) / abs(b[j][i])
+                if b[i][j] != 0 and ratio[j] is None:
+                    p, q = num * abs(b[i][j]), den * abs(b[j][i])
+                    g = gcd(p, q)
+                    ratio[j] = (p // g, q // g)
                     stack.append(j)
     d = [0] * n
     for comp in comps:
-        scale = lcm(*(frac[i].denominator for i in comp))
-        vals = [int(frac[i] * scale) for i in comp]
+        scale = lcm(*(ratio[i][1] for i in comp))
+        vals = [ratio[i][0] * (scale // ratio[i][1]) for i in comp]
         g = gcd(*vals)
         for i, v in zip(comp, vals):
             d[i] = v // g

@@ -8,8 +8,8 @@ memory only; ``Store(directory)`` also persists every record to
 Format: one JSON object per line, each carrying a ``crc`` field with the
 CRC-32 of the rest of the line (the object minus that field, serialized
 with sorted keys and compact separators).  The file is append-only;
-compaction is explicit and rewrites it atomically from the kept records,
-without re-verifying them: a record never decoded is copied as its line.
+compaction is explicit and rewrites it atomically from the kept records:
+a record never decoded is verified and copied as its line.
 
 Keys are canonical-form hashes plus the exact budget, so isomorphic seeds
 share entries and differing budgets never collide; a re-put of a key is a
@@ -18,15 +18,14 @@ budget its recorded usage fits inside, because an untripped run is a
 function of the seed alone; a TRUNCATED record is served only on an exact
 budget match, which keeps warm and cold results bit-identical.
 
-Opening a store verifies every record eagerly: its CRC, then, for a class
-record, each member's witness replayed from the seed, whose canonical form
-must match the stored hash and matrix.  Replay shares prefixes between
-witnesses, so a member costs one mutation and one canonical form.  A line
-that fails any check, or does not decode, raises :class:`CorruptRecord`
-with its line number; only a torn final line is skipped.  A verified class
-record is kept as its place in the file, which the store holds open, and
-decoded again when first requested: an open store holds in memory the
-enumerations its caller uses, not the whole cache.
+Opening a store reads every line and decodes only embed records, which are
+small, after checking their CRC.  A class record is indexed by the seed,
+budget, status and figures it claims, and kept as its place in the file,
+which the store holds open.  Serving it the first time checks its CRC,
+replays each member's witness from the seed (one mutation and one canonical
+form per member) against the stored hash and matrix, and checks its
+figures; so does compaction.  A failure raises :class:`CorruptRecord` with
+the line number.
 
 Concurrency: single writer (guarded by an advisory lock file), any number
 of readers; readers treat a trailing partial line as absent.
@@ -35,9 +34,12 @@ of readers; readers treat a trailing partial line as absent.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import zlib
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from .canonical import canonical_form
@@ -84,12 +86,30 @@ def _with_crc(record: dict) -> str:
     return _canonical_line({**record, "crc": crc})
 
 
+def _check_crc(obj: dict, line_no: int) -> dict:
+    """The record without its ``crc`` field, which must match the rest."""
+    crc = obj.pop("crc")
+    if zlib.crc32(_canonical_line(obj).encode("utf-8")) != crc:
+        raise CorruptRecord(line_no, "checksum mismatch")
+    return obj
+
+
+@contextmanager
+def _malformed_is_corrupt(line_no: int, kind):
+    """A record that does not decode (a missing field, a witness index out
+    of range, an invalid matrix, ...) raises :class:`CorruptRecord`."""
+    try:
+        yield
+    except CorruptRecord:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CorruptRecord(
+            line_no, f"malformed {kind} record ({type(exc).__name__}: {exc})"
+        ) from None
+
+
 def _budget_list(budget: Budget) -> list:
     return [budget.max_members, budget.max_entry, budget.max_depth]
-
-
-def _budget_from_list(values) -> Budget:
-    return Budget(values[0], values[1], values[2])
 
 
 def _class_record(enum: ClassEnumeration) -> dict:
@@ -162,7 +182,7 @@ def _class_from_record(record: dict, line_no: int) -> ClassEnumeration:
         status=record["status"],
         tripped=frozenset(record["tripped"]),
         entry_witness=entry_witness,
-        budget=_budget_from_list(record["budget"]),
+        budget=Budget(*record["budget"]),
     )
 
 
@@ -192,21 +212,13 @@ def _embed_from_record(record: dict) -> EmbedVerdict:
             tuple(w["q_sequence"]), tuple(w["subset"]), tuple(w["p_sequence"])
         )
     return EmbedVerdict(
-        Verdict(record["verdict"]), witness, _budget_from_list(record["budget"])
+        Verdict(record["verdict"]), witness, Budget(*record["budget"])
     )
 
 
-@dataclass(frozen=True)
-class _Verified:
-    """A class record verified at open but not kept decoded: where its line
-    starts, and the figures :meth:`Store.get_class` matches budgets against."""
-
-    offset: int
-    line_no: int
-    status: str
-    count: int
-    max_abs_entry: int
-    depth: int
+# A class record not yet served: where its line is, and the figures it
+# claims, which Store.get_class matches budgets against.
+_Indexed = namedtuple("_Indexed", "offset line_no seed budget status count max_abs_entry depth")
 
 
 def default_cache_dir() -> Path:
@@ -246,12 +258,14 @@ class Store:
         self.path = None if directory is None else self.directory / CACHE_FILE
         self.readonly = readonly
         self._lock_handle = None
-        # the cache file as opened: verified class records are read back
+        # the cache file as opened: indexed class records are read back
         # from it, even after a compaction replaced the file
         self._file = None
-        # seed hash -> budget key -> enumeration, or where its verified line
-        # is until first requested
-        self._classes: dict[str, dict[tuple, ClassEnumeration | _Verified]] = {}
+        # seed hash -> budget key -> enumeration, or where its line is until
+        # first served
+        self._classes: dict[str, dict[tuple, ClassEnumeration | _Indexed]] = {}
+        # (seed hash, budget key) -> a CLOSED record served to a wider budget
+        self._widened: dict[tuple[str, tuple], ClassEnumeration] = {}
         # (P hash, Q hash, budget key) -> verdict
         self._embeds: dict[tuple[str, str, tuple], EmbedVerdict] = {}
         if self.directory is None:
@@ -303,12 +317,9 @@ class Store:
         self._file = open(self.path, "rb")
         offset = 0
         for line_no, line in enumerate(self._file, start=1):
-            try:
-                self._ingest(line.rstrip(b"\n"), line_no, offset)
-            except CorruptRecord:
-                if not line.endswith(b"\n"):
-                    break  # torn final write, treated as absent
-                raise
+            if not line.endswith(b"\n"):
+                break  # a torn final write reads as absent
+            self._ingest(line, line_no, offset)
             offset += len(line)
 
     def _ingest(self, line: bytes, line_no: int, offset: int):
@@ -318,40 +329,29 @@ class Store:
             raise CorruptRecord(line_no, f"not valid JSON ({exc.msg})") from None
         if not isinstance(obj, dict) or "crc" not in obj:
             raise CorruptRecord(line_no, "missing crc field")
-        crc = obj.pop("crc")
-        if zlib.crc32(_canonical_line(obj).encode("utf-8")) != crc:
-            raise CorruptRecord(line_no, "checksum mismatch")
         kind = obj.get("kind")
-        try:
-            if kind == "class":
-                enum = _class_from_record(obj, line_no)
-                verified = _Verified(
-                    offset, line_no, enum.status, enum.count, enum.max_abs_entry, enum.depth
-                )
-                self._classes.setdefault(enum.seed.hash, {}).setdefault(
-                    enum.budget.key(), verified
-                )
+        with _malformed_is_corrupt(line_no, kind):
+            if kind == "class":  # indexed only: checked when first served
+                budget = Budget(*obj["budget"]).key()
+                stats = map(operator.index, obj["stats"])
+                entry = _Indexed(offset, line_no, obj["seed"], budget, obj["status"], *stats)
+                self._classes.setdefault(entry.seed, {}).setdefault(budget, entry)
             elif kind == "embed":
                 key = (obj["p"], obj["q"], tuple(obj["budget"]))
-                self._embeds.setdefault(key, _embed_from_record(obj))
+                self._embeds.setdefault(key, _embed_from_record(_check_crc(obj, line_no)))
             else:
                 raise CorruptRecord(line_no, f"unknown record kind {kind!r}")
-        except CorruptRecord:
-            raise
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            # a checksummed line that does not decode: a missing field, a
-            # witness index out of range, an invalid matrix, ...
-            raise CorruptRecord(
-                line_no, f"malformed {kind} record ({type(exc).__name__}: {exc})"
-            ) from None
 
     # -- class records -----------------------------------------------------
 
     def get_class(self, seed_hash: str, budget: Budget) -> ClassEnumeration | None:
         by_budget = self._classes.get(seed_hash, {})
-        if budget.key() in by_budget:
-            return self._decoded(by_budget, budget.key())
-        for key, enum in by_budget.items():
+        key = budget.key()
+        if key in by_budget:
+            return self._decoded(by_budget, key)
+        if (seed_hash, key) in self._widened:
+            return self._widened[seed_hash, key]
+        for other, enum in by_budget.items():
             fits = (
                 enum.status == CLOSED
                 and enum.count <= budget.max_members
@@ -359,19 +359,30 @@ class Store:
                 and (budget.max_depth is None or enum.depth + 1 <= budget.max_depth)
             )
             if fits:
-                return replace(self._decoded(by_budget, key), budget=budget)
+                widened = replace(self._decoded(by_budget, other), budget=budget)
+                self._widened[seed_hash, key] = widened
+                return widened
         return None
 
-    def _line(self, record: _Verified) -> str:
-        self._file.seek(record.offset)
-        return self._file.readline().rstrip(b"\n").decode("utf-8")
+    def _line(self, entry: _Indexed) -> bytes:
+        self._file.seek(entry.offset)
+        return self._file.readline().rstrip(b"\n")
 
     def _decoded(self, by_budget: dict, key: tuple) -> ClassEnumeration:
         enum = by_budget[key]
-        if isinstance(enum, _Verified):
-            obj = json.loads(self._line(enum))
-            del obj["crc"]
-            enum = by_budget[key] = _class_from_record(obj, enum.line_no)
+        if isinstance(enum, _Indexed):
+            enum = by_budget[key] = self._verified(enum)
+        return enum
+
+    def _verified(self, entry: _Indexed) -> ClassEnumeration:
+        """Decode a record through its CRC, member replay and figures checks."""
+        obj = _check_crc(json.loads(self._line(entry)), entry.line_no)
+        with _malformed_is_corrupt(entry.line_no, "class"):
+            enum = _class_from_record(obj, entry.line_no)
+        figures = (enum.seed.hash, enum.budget.key(), enum.status, enum.count,
+                   enum.max_abs_entry, enum.depth)
+        if figures != entry[2:]:
+            raise CorruptRecord(entry.line_no, "figures differ from its members")
         return enum
 
     def put_class(self, enum: ClassEnumeration):
@@ -402,7 +413,8 @@ class Store:
 
     def compact(self) -> dict:
         """Drop records whose budget another record for the same key strictly
-        dominates, then rewrite the file atomically from the kept records."""
+        dominates, then rewrite the file atomically from the kept records;
+        a class line never served is checked first (and decoded for that only)."""
         records = self.stats()["records"]
         self._classes = {
             seed: {
@@ -423,13 +435,14 @@ class Store:
         before = self._file_bytes()
         if self.path is not None and not self.readonly:
             tmp = self.path.with_suffix(".jsonl.tmp")
-            lines = [
-                self._line(enum)
-                if isinstance(enum, _Verified)
-                else _with_crc(_class_record(enum))
-                for by_budget in self._classes.values()
-                for enum in by_budget.values()
-            ]
+            lines = []
+            for by_budget in self._classes.values():
+                for enum in by_budget.values():
+                    if isinstance(enum, _Indexed):
+                        self._verified(enum)  # then dropped: memory stays flat
+                        lines.append(self._line(enum).decode("utf-8"))
+                    else:
+                        lines.append(_with_crc(_class_record(enum)))
             lines.extend(
                 _with_crc(_embed_record(p, q, ev)) for (p, q, _), ev in self._embeds.items()
             )

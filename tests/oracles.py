@@ -14,7 +14,9 @@ uses the package's enumerations and canonical forms.
 from __future__ import annotations
 
 from collections import Counter, deque
+from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 
 def graph_mutate(rows, k):
@@ -72,6 +74,40 @@ def matrix_mutate(rows, k):
                     + max(-rows[i][kk], 0) * rows[kk][j]
                 )
     return out
+
+
+def symmetrizer(rows):
+    """The normalized skew-symmetrizer of a square integer matrix, or None
+    when it has none: a positive integer d with ``d[i]*b[i][j] ==
+    -d[j]*b[j][i]``, whose entries have gcd 1 on each connected component
+    of the support graph.  Ratios propagate as exact fractions."""
+    size = len(rows)
+    d = [None] * size
+    for root in range(size):
+        if d[root] is not None:
+            continue
+        d[root] = Fraction(1)
+        comp, queue = [root], deque([root])
+        while queue:
+            i = queue.popleft()
+            for j in range(size):
+                if rows[i][j] != 0 and d[j] is None:
+                    if rows[j][i] == 0:
+                        return None
+                    d[j] = d[i] * abs(rows[i][j]) / abs(rows[j][i])
+                    comp.append(j)
+                    queue.append(j)
+        scale = lcm(*(d[i].denominator for i in comp))
+        ints = [int(d[i] * scale) for i in comp]
+        g = gcd(*ints)
+        for i, v in zip(comp, ints):
+            d[i] = v // g
+    ok = all(
+        d[i] * rows[i][j] == -d[j] * rows[j][i]
+        for i in range(size)
+        for j in range(size)
+    )
+    return tuple(d) if ok else None
 
 
 def lexmin_relabeling(rows, n, m):

@@ -93,6 +93,7 @@ class TestClassAndFinite:
     def test_class_json_dump_format(self, capsys, files, a3):
         code, out, _ = run(capsys, "class", "NC", "--json", files["a3"])
         payload = json.loads(out)
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
         assert payload["status"] == "CLOSED"
         assert payload["seed"] == canonical_form(a3).hash
         assert len(payload["members"]) == 4
@@ -260,6 +261,20 @@ class TestUniversePipeline:
         assert "style=dashed" in out
 
 
+def _break_checksum(path, seed_hash):
+    """Edit the class record of seed_hash without updating its CRC; return
+    its line number."""
+    lines = path.read_text().splitlines()
+    for k, line in enumerate(lines, start=1):
+        obj = json.loads(line)
+        if obj["kind"] == "class" and obj["seed"] == seed_hash:
+            obj["class_key"] = "0" * 64
+            lines[k - 1] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            path.write_text("\n".join(lines) + "\n")
+            return k
+    raise AssertionError("no class record for that seed")
+
+
 class TestCache:
     def test_stats_and_compact(self, capsys, files):
         cache_dir = str(files["dir"] / "cache2")
@@ -278,6 +293,29 @@ class TestCache:
         second = run(capsys, "embeds", files["a2"], files["a3"], "--json",
                      "--cache-dir", cache_dir)
         assert first == second
+
+    def test_tampered_record_fails_only_the_call_that_reads_it(self, capsys, files, markov):
+        cache_dir = str(files["dir"] / "cache5")
+        for name in ("markov", "a2", "a3"):
+            run(capsys, "class", files[name], "--cache-dir", cache_dir)
+        k = _break_checksum(files["dir"] / "cache5" / "cache.jsonl", canonical_form(markov).hash)
+        warm = run(capsys, "embeds", files["a2"], files["a3"], "--json", "--cache-dir", cache_dir)
+        assert warm == run(capsys, "embeds", "NC", files["a2"], files["a3"], "--json")
+        code, out, err = run(capsys, "class", files["markov"], "--cache-dir", cache_dir)
+        assert (code, out) == (1, "") and f"cache line {k}:" in err
+
+    def test_compact_checks_records_no_call_read(self, capsys, files, markov):
+        cache_dir = str(files["dir"] / "cache6")
+        for name in ("a2", "markov"):
+            run(capsys, "class", files[name], "--cache-dir", cache_dir)
+        path = files["dir"] / "cache6" / "cache.jsonl"
+        k = _break_checksum(path, canonical_form(markov).hash)
+        before = path.read_bytes()
+        code, out, _ = run(capsys, "cache", "stats", "--cache-dir", cache_dir)
+        assert code == 0 and "records=2" in out
+        code, out, err = run(capsys, "cache", "compact", "--cache-dir", cache_dir)
+        assert (code, out) == (1, "") and f"cache line {k}:" in err
+        assert path.read_bytes() == before
 
     def test_env_var_selects_directory(self, capsys, files, monkeypatch):
         cache_dir = files["dir"] / "cache4"

@@ -115,6 +115,28 @@ def skew_matrices(draw):
     return random_skew(random.Random(seed), n, m)
 
 
+@st.composite
+def square_integer_matrices(draw):
+    """Square integer matrices of size <= 6: skew-symmetrizable by
+    construction (b[i][j] = s*d[j]/g, b[j][i] = -s*d[i]/g), sign-coherent
+    with random magnitudes (mostly not symmetrizable), or arbitrary."""
+    size = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["symmetrizable", "coherent", "arbitrary"]))
+    d = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if kind == "arbitrary":
+                rows[i][j] = draw(st.integers(-3, 3))
+            elif j > i and kind == "symmetrizable":
+                s, g = draw(st.integers(-2, 2)), gcd(d[i], d[j])
+                rows[i][j], rows[j][i] = s * d[j] // g, -s * d[i] // g
+            elif j > i:
+                s = draw(st.sampled_from([0, 1, -1]))
+                rows[i][j], rows[j][i] = s * draw(st.integers(1, 4)), -s * draw(st.integers(1, 4))
+    return rows
+
+
 class TestMutationProperties:
     @given(B=skew_matrices(), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -136,6 +158,16 @@ class TestMutationProperties:
     @settings(max_examples=100, deadline=None)
     def test_rebuild_reproduces_symmetrizer(self, B):
         assert build(B.n, B.m, B.b).d == B.d
+
+    @given(rows=square_integer_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_symmetrizer_matches_fraction_reference(self, rows):
+        expected = oracles.symmetrizer(rows)
+        if expected is None:
+            with pytest.raises(NotSkewSymmetrizable):
+                build(len(rows), 0, rows)
+        else:
+            assert build(len(rows), 0, rows).d == expected
 
 
 class TestRestrict:

@@ -86,9 +86,12 @@ def test_corrupt_crc_reported_with_line_number(tmp_path, a2, a3):
     obj["status"] = "TRUNCATED"  # content no longer matches the checksum
     lines[0] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorruptRecord) as err:
-        Store(tmp_path)
-    assert err.value.line_no == 1
+    with Store(tmp_path) as store:  # open indexes class records unchecked
+        assert store.get_class(canonical_form(a3).hash, Budget()) == enumerate_class(a3)
+        for _ in range(2):  # every request that would serve it fails
+            with pytest.raises(CorruptRecord) as err:
+                store.get_class(canonical_form(a2).hash, Budget())
+            assert err.value.line_no == 1
 
 
 def test_tampered_member_fails_replay_validation(tmp_path, a3):
@@ -101,8 +104,10 @@ def test_tampered_member_fails_replay_validation(tmp_path, a3):
     line = _canonical_line(obj)
     crc = zlib.crc32(line.encode())
     path.write_text(_canonical_line({**obj, "crc": crc}) + "\n")
-    with pytest.raises(CorruptRecord):
-        Store(tmp_path)
+    with Store(tmp_path) as store:
+        with pytest.raises(CorruptRecord) as err:
+            store.get_class(canonical_form(a3).hash, Budget())
+    assert err.value.line_no == 1
 
 
 def test_trailing_partial_line_is_tolerated(tmp_path, a2, a3):
@@ -154,11 +159,15 @@ def test_class_records_decode_when_first_requested(tmp_path, monkeypatch, a2, a3
 
     monkeypatch.setattr(mutopo.store, "_class_from_record", counted)
     with Store(tmp_path, readonly=True) as store:
-        assert decodes == [1, 2]  # every record is verified at open
-        first = store.get_class(canonical_form(a3).hash, Budget())
+        assert decodes == []  # open only indexes class records
+        seed = canonical_form(a3).hash
+        first = store.get_class(seed, Budget())
         assert first == enumerate_class(a3)
-        assert store.get_class(canonical_form(a3).hash, Budget()) is first
-    assert decodes == [1, 2, 2]
+        assert store.get_class(seed, Budget()) is first
+        wide = store.get_class(seed, Budget(max_members=50))
+        assert wide.members is first.members
+        assert store.get_class(seed, Budget(max_members=50)) is wide
+    assert decodes == [2]  # checked once, however often it is served
 
 
 def test_compact_keeps_lines_of_records_never_decoded(tmp_path, a3):
@@ -239,18 +248,24 @@ def _invalid_seed_matrix(obj):
 
 
 @pytest.mark.parametrize(
-    "edit",
-    [_drop_status, _witness_out_of_range, _invalid_seed_matrix],
+    "edit, at_open",
+    [(_drop_status, True), (_witness_out_of_range, False), (_invalid_seed_matrix, False)],
     ids=["missing-field", "witness-out-of-range", "invalid-matrix"],
 )
-def test_malformed_record_reported_with_line_number(tmp_path, a2, a3, edit):
+def test_malformed_record_reported_with_line_number(tmp_path, a2, a3, edit, at_open):
     with Store(tmp_path) as store:
         store.put_class(enumerate_class(a2))
         store.put_class(enumerate_class(a3))
     path = tmp_path / "cache.jsonl"
     _rewrite_record(path, 1, edit)
-    with pytest.raises(CorruptRecord) as err:
-        Store(tmp_path, readonly=True)
+    if at_open:  # the index needs the status
+        with pytest.raises(CorruptRecord) as err:
+            Store(tmp_path, readonly=True)
+    else:
+        with Store(tmp_path, readonly=True) as store:
+            assert store.get_class(canonical_form(a2).hash, Budget()) is not None
+            with pytest.raises(CorruptRecord) as err:
+                store.get_class(canonical_form(a3).hash, Budget())
     assert err.value.line_no == 2
     # without its newline the same line reads as a torn final write
     path.write_text(path.read_text().rstrip("\n"))
@@ -278,8 +293,9 @@ def test_relabelled_member_matrix_fails_validation(tmp_path, a3):
         raise AssertionError("every member is invariant under reversal")
 
     _rewrite_record(path, 0, relabel)
-    with pytest.raises(CorruptRecord) as err:
-        Store(tmp_path)
+    with Store(tmp_path) as store:
+        with pytest.raises(CorruptRecord) as err:
+            store.get_class(canonical_form(a3).hash, Budget())
     assert err.value.line_no == 1
 
 
@@ -326,3 +342,93 @@ def test_one_bfs_per_seed_and_budget_without_a_store(monkeypatch, call):
     call()
     assert runs
     assert len(runs) == len(set(runs))
+
+
+@pytest.fixture(scope="module")
+def r3w2_cache(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("r3w2")
+    with Store(directory) as store:
+        build_universe(3, 2, store=store)
+    return directory
+
+
+def _class_lines(directory):
+    """(line number, record) of every class record in a cache file."""
+    lines = (directory / "cache.jsonl").read_text().splitlines()
+    return [
+        (k, obj)
+        for k, obj in enumerate(map(json.loads, lines), start=1)
+        if obj["kind"] == "class"
+    ]
+
+
+def test_open_replays_nothing(monkeypatch, r3w2_cache):
+    calls = []
+    for name in ("canonical_form", "mutate", "from_json_dict"):
+        real = getattr(mutopo.store, name)
+        monkeypatch.setattr(
+            mutopo.store, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+        )
+    with Store(r3w2_cache, readonly=True) as store:
+        assert store.stats()["classes"] == len(_class_lines(r3w2_cache)) > 1
+        assert calls == []
+        for _, obj in _class_lines(r3w2_cache):  # serving replays and checks
+            assert store.get_class(obj["seed"], Budget(*obj["budget"])) is not None
+    assert {"canonical_form", "mutate", "from_json_dict"} <= set(calls)
+
+
+def _witness_to_seed(obj):
+    obj["members"][1][2] = [1, 1]
+
+
+def _three_members(obj):
+    obj["stats"][0] = 3
+
+
+def test_tampered_record_fails_only_when_served(tmp_path, r3w2_cache):
+    records = _class_lines(r3w2_cache)
+    k, tampered = next(
+        (k, obj) for k, obj in records[1:] if obj["status"] == "CLOSED" and obj["stats"][0] > 1
+    )
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes((r3w2_cache / "cache.jsonl").read_bytes())
+    _rewrite_record(path, k - 1, _witness_to_seed)
+    with Store(r3w2_cache, readonly=True) as clean, Store(tmp_path, readonly=True) as store:
+        for _, obj in records:
+            if obj is not tampered:
+                budget = Budget(*obj["budget"])
+                assert store.get_class(obj["seed"], budget) == clean.get_class(obj["seed"], budget)
+        wider = (Budget(max_members=50000), Budget(max_entry=99))
+        for budget in (Budget(*tampered["budget"]), *wider):
+            with pytest.raises(CorruptRecord) as err:
+                store.get_class(tampered["seed"], budget)
+            assert err.value.line_no == k
+
+
+def test_lying_stats_fail_when_served(tmp_path, a3):
+    enum = enumerate_class(a3)  # CLOSED with 4 members
+    with Store(tmp_path) as store:
+        store.put_class(enum)
+    _rewrite_record(tmp_path / "cache.jsonl", 0, _three_members)
+    with Store(tmp_path) as store:
+        # the claimed 3 members would fit this budget; the real 4 do not
+        with pytest.raises(CorruptRecord) as err:
+            store.get_class(enum.seed.hash, Budget(max_members=3))
+        assert err.value.line_no == 1
+        with pytest.raises(CorruptRecord):
+            store.get_class(enum.seed.hash, Budget())
+
+
+def test_wider_budget_shares_one_view(tmp_path, a4):
+    with Store(tmp_path) as store:
+        enumerate_class(a4, store=store)
+    before = (tmp_path / "cache.jsonl").read_bytes()
+    wide = Budget(max_members=50000)
+    with Store(tmp_path) as store:
+        stats = store.stats()
+        first = store.get_class(canonical_form(a4).hash, wide)
+        assert first.budget == wide and first.status == "CLOSED"
+        assert store.get_class(canonical_form(a4).hash, wide) is first
+        assert store.stats() == stats
+        assert store.compact()["kept"] == stats["records"]
+    assert (tmp_path / "cache.jsonl").read_bytes() == before
