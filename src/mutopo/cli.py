@@ -378,7 +378,8 @@ def _emit_class_set(args, u, hashes) -> int:
 
 def _cmd_cache(args) -> int:
     directory = args.cache_dir or default_cache_dir()
-    with Store(directory) as store:
+    # only compaction writes, so only it takes the writer lock
+    with Store(directory, readonly=args.action != "compact") as store:
         stats = store.compact() if args.action == "compact" else store.stats()
     print(" ".join(f"{k}={v}" for k, v in stats.items()))
     return 0

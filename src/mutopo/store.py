@@ -5,11 +5,12 @@ enumeration, and (P hash, Q hash, budget) -> verdict.  ``Store()`` lives in
 memory only; ``Store(directory)`` also persists every record to
 ``cache.jsonl`` in that directory.
 
-Format: one JSON object per line, each carrying a ``crc`` field with the
-CRC-32 of the rest of the line (the object minus that field, serialized
-with sorted keys and compact separators).  The file is append-only;
-compaction is explicit and rewrites it atomically from the kept records:
-a record never decoded is verified and copied as its line.
+Format: one JSON object per line, serialized with sorted keys and compact
+separators, each carrying a ``crc`` field: the CRC-32 of the line's bytes
+with its ``,"crc":N`` field cut out, so a line in any other encoding fails
+it.  The file is append-only; compaction is explicit and rewrites it
+atomically from the kept records: a record never decoded is verified and
+copied as its line.
 
 Keys are canonical-form hashes plus the exact budget, so isomorphic seeds
 share entries and differing budgets never collide; a re-put of a key is a
@@ -18,17 +19,19 @@ budget its recorded usage fits inside, because an untripped run is a
 function of the seed alone; a TRUNCATED record is served only on an exact
 budget match, which keeps warm and cold results bit-identical.
 
-Opening a store reads every line and decodes only embed records, which are
-small, after checking their CRC.  A class record is indexed by the seed,
-budget, status and figures it claims, and kept as its place in the file,
-which the store holds open.  Serving it the first time checks its CRC,
-replays each member's witness from the seed (one mutation and one canonical
-form per member) against the stored hash and matrix, and checks its
-figures; so does compaction.  A failure raises :class:`CorruptRecord` with
-the line number.
+Opening a store reads every line but parses a class record without its
+member array, which it never decodes there: the record is indexed by the
+seed, budget, status and figures it claims, and kept as its place in the
+file, which the store holds open.  Embed records, which are small, are
+checked against their CRC and decoded.  Serving a class record the first
+time checks the CRC of its line, replays each member's witness from the
+seed (one mutation and one canonical form per member) against the stored
+hash and matrix, and checks its figures; so does compaction.  A failure
+raises :class:`CorruptRecord` with the line number.
 
 Concurrency: single writer (guarded by an advisory lock file), any number
-of readers; readers treat a trailing partial line as absent.
+of readers.  A trailing partial line is a torn write and reads as absent;
+a writer cuts it off before its first append.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ from __future__ import annotations
 import json
 import operator
 import os
+import re
 import zlib
 from collections import namedtuple
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -81,31 +84,58 @@ def _canonical_line(record: dict) -> str:
     ) + "}"
 
 
-def _with_crc(record: dict) -> str:
-    crc = zlib.crc32(_canonical_line(record).encode("utf-8"))
-    return _canonical_line({**record, "crc": crc})
+_CRC_FIELD = re.compile(rb',"crc":(\d+)')
 
 
-def _check_crc(obj: dict, line_no: int) -> dict:
-    """The record without its ``crc`` field, which must match the rest."""
-    crc = obj.pop("crc")
-    if zlib.crc32(_canonical_line(obj).encode("utf-8")) != crc:
+def _cut_crc(line: bytes):
+    """``(rest, at, crc)``: the line without its ``,"crc":N`` field, the
+    offset the field was cut at, and N; None for a line without one."""
+    field = _CRC_FIELD.search(line)
+    if field is not None:
+        return line[: field.start()] + line[field.end():], field.start(), int(field[1])
+
+
+def _with_crc(record: dict) -> bytes:
+    """The record's line, encoded once: a placeholder ``crc`` field lands in
+    its sorted-key place and is replaced by the CRC-32 of the rest."""
+    rest, at, _ = _cut_crc(_canonical_line({**record, "crc": 0}).encode("utf-8"))
+    return b'%s,"crc":%d%s' % (rest[:at], zlib.crc32(rest), rest[at:])
+
+
+def _check_crc(line: bytes, line_no: int) -> bytes:
+    """The line, checked: cut of its ``,"crc":N`` field, its CRC-32 is N."""
+    cut = _cut_crc(line)
+    if cut is None or zlib.crc32(cut[0]) != cut[2]:
         raise CorruptRecord(line_no, "checksum mismatch")
-    return obj
+    return line
 
 
-@contextmanager
-def _malformed_is_corrupt(line_no: int, kind):
+def _index_fields(line: bytes) -> bytes:
+    """The line with a class record's member array cut out, which leaves
+    the fields open indexes it by; any other line as it is."""
+    head = line.find(b',"members":[')
+    tail = line.rfind(b'],"seed":')
+    return line[:head] + line[tail + 1:] if 0 <= head < tail else line
+
+
+class _malformed_is_corrupt:
     """A record that does not decode (a missing field, a witness index out
-    of range, an invalid matrix, ...) raises :class:`CorruptRecord`."""
-    try:
-        yield
-    except CorruptRecord:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise CorruptRecord(
-            line_no, f"malformed {kind} record ({type(exc).__name__}: {exc})"
-        ) from None
+    of range, an invalid matrix, ...) raises :class:`CorruptRecord`.  A
+    class, not a generator, because open enters one per line."""
+
+    malformed = (KeyError, IndexError, TypeError, ValueError)
+
+    def __init__(self, line_no: int, kind):
+        self.line_no, self.kind = line_no, kind
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, _type, exc, _tb):
+        if isinstance(exc, self.malformed) and not isinstance(exc, CorruptRecord):
+            raise CorruptRecord(
+                self.line_no, f"malformed {self.kind} record ({type(exc).__name__}: {exc})"
+            ) from None
 
 
 def _budget_list(budget: Budget) -> list:
@@ -171,11 +201,8 @@ def _class_from_record(record: dict, line_no: int) -> ClassEnumeration:
         if form.hash != hash_ or to_json_dict(form.matrix) != matrix_obj:
             raise CorruptRecord(line_no, f"member {hash_[:12]} fails witness replay")
         members.append(Member(form, witness, reached))
-    entry_witness = (
-        from_json_dict(record["entry_witness"])
-        if record.get("entry_witness") is not None
-        else None
-    )
+    entry_witness = record.get("entry_witness")
+    entry_witness = None if entry_witness is None else from_json_dict(entry_witness)
     return ClassEnumeration(
         seed=canonical_form(seed_matrix),
         members=tuple(members),
@@ -187,13 +214,7 @@ def _class_from_record(record: dict, line_no: int) -> ClassEnumeration:
 
 
 def _embed_record(p_hash: str, q_hash: str, ev: EmbedVerdict) -> dict:
-    witness = None
-    if ev.witness is not None:
-        witness = {
-            "q_sequence": list(ev.witness.q_sequence),
-            "subset": list(ev.witness.subset),
-            "p_sequence": list(ev.witness.p_sequence),
-        }
+    witness = None if ev.witness is None else {k: list(v) for k, v in vars(ev.witness).items()}
     return {
         "kind": "embed",
         "p": p_hash,
@@ -205,15 +226,11 @@ def _embed_record(p_hash: str, q_hash: str, ev: EmbedVerdict) -> dict:
 
 
 def _embed_from_record(record: dict) -> EmbedVerdict:
-    witness = None
-    if record.get("witness") is not None:
-        w = record["witness"]
-        witness = EmbedWitness(
-            tuple(w["q_sequence"]), tuple(w["subset"]), tuple(w["p_sequence"])
-        )
-    return EmbedVerdict(
-        Verdict(record["verdict"]), witness, Budget(*record["budget"])
+    w = record.get("witness")
+    witness = None if w is None else EmbedWitness(
+        tuple(w["q_sequence"]), tuple(w["subset"]), tuple(w["p_sequence"])
     )
+    return EmbedVerdict(Verdict(record["verdict"]), witness, Budget(*record["budget"]))
 
 
 # A class record not yet served: where its line is, and the figures it
@@ -230,10 +247,8 @@ def default_cache_dir() -> Path:
 
 
 def _dominated(budget: tuple, others) -> bool:
-    """Is ``budget`` strictly below one of ``others``, componentwise?
-
-    A depth of None is unbounded.
-    """
+    """Is ``budget`` strictly below one of ``others``, componentwise?  A
+    depth of None is unbounded."""
     am, ae, ad = budget
     for bm, be, bd in others:
         le = am <= bm and ae <= be and (bd is None or (ad is not None and ad <= bd))
@@ -261,6 +276,8 @@ class Store:
         # the cache file as opened: indexed class records are read back
         # from it, even after a compaction replaced the file
         self._file = None
+        # where a torn final line starts, cut off before the first append
+        self._torn_at = None
         # seed hash -> budget key -> enumeration, or where its line is until
         # first served
         self._classes: dict[str, dict[tuple, ClassEnumeration | _Indexed]] = {}
@@ -317,16 +334,17 @@ class Store:
         self._file = open(self.path, "rb")
         offset = 0
         for line_no, line in enumerate(self._file, start=1):
-            if not line.endswith(b"\n"):
-                break  # a torn final write reads as absent
+            if not line.endswith(b"\n"):  # a torn final write reads as absent
+                self._torn_at = offset
+                break
             self._ingest(line, line_no, offset)
             offset += len(line)
 
     def _ingest(self, line: bytes, line_no: int, offset: int):
         try:
-            obj = json.loads(line.decode("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CorruptRecord(line_no, f"not valid JSON ({exc.msg})") from None
+            obj = json.loads(_index_fields(line).decode("utf-8"))
+        except ValueError as exc:  # also a UnicodeDecodeError
+            raise CorruptRecord(line_no, f"not valid JSON ({getattr(exc, 'msg', exc)})") from None
         if not isinstance(obj, dict) or "crc" not in obj:
             raise CorruptRecord(line_no, "missing crc field")
         kind = obj.get("kind")
@@ -337,8 +355,9 @@ class Store:
                 entry = _Indexed(offset, line_no, obj["seed"], budget, obj["status"], *stats)
                 self._classes.setdefault(entry.seed, {}).setdefault(budget, entry)
             elif kind == "embed":
+                _check_crc(line[:-1], line_no)
                 key = (obj["p"], obj["q"], tuple(obj["budget"]))
-                self._embeds.setdefault(key, _embed_from_record(_check_crc(obj, line_no)))
+                self._embeds.setdefault(key, _embed_from_record(obj))
             else:
                 raise CorruptRecord(line_no, f"unknown record kind {kind!r}")
 
@@ -376,9 +395,9 @@ class Store:
 
     def _verified(self, entry: _Indexed) -> ClassEnumeration:
         """Decode a record through its CRC, member replay and figures checks."""
-        obj = _check_crc(json.loads(self._line(entry)), entry.line_no)
+        line = _check_crc(self._line(entry), entry.line_no)
         with _malformed_is_corrupt(entry.line_no, "class"):
-            enum = _class_from_record(obj, entry.line_no)
+            enum = _class_from_record(json.loads(line), entry.line_no)
         figures = (enum.seed.hash, enum.budget.key(), enum.status, enum.count,
                    enum.max_abs_entry, enum.depth)
         if figures != entry[2:]:
@@ -405,9 +424,11 @@ class Store:
     def _append(self, record: dict):
         if self.path is None or self.readonly:
             return
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(_with_crc(record) + "\n")
-            f.flush()
+        with open(self.path, "ab") as f:
+            if self._torn_at is not None:
+                f.truncate(self._torn_at)
+                self._torn_at = None
+            f.write(_with_crc(record) + b"\n")
 
     # -- maintenance --------------------------------------------------------
 
@@ -417,11 +438,7 @@ class Store:
         a class line never served is checked first (and decoded for that only)."""
         records = self.stats()["records"]
         self._classes = {
-            seed: {
-                key: enum
-                for key, enum in by_budget.items()
-                if not _dominated(key, by_budget)
-            }
+            seed: {key: enum for key, enum in by_budget.items() if not _dominated(key, by_budget)}
             for seed, by_budget in self._classes.items()
         }
         embed_budgets: dict[tuple[str, str], list[tuple]] = {}
@@ -440,14 +457,15 @@ class Store:
                 for enum in by_budget.values():
                     if isinstance(enum, _Indexed):
                         self._verified(enum)  # then dropped: memory stays flat
-                        lines.append(self._line(enum).decode("utf-8"))
+                        lines.append(self._line(enum))
                     else:
                         lines.append(_with_crc(_class_record(enum)))
             lines.extend(
                 _with_crc(_embed_record(p, q, ev)) for (p, q, _), ev in self._embeds.items()
             )
-            tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            tmp.write_bytes(b"".join(line + b"\n" for line in lines))
             os.replace(tmp, self.path)
+            self._torn_at = None
         kept = self.stats()["records"]
         return {
             "records": records,

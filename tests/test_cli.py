@@ -11,6 +11,7 @@ from conftest import quiver, weighted_pair
 from mutopo import (
     EmbedVerdict,
     EmbedWitness,
+    Store,
     Verdict,
     canonical_form,
     class_key,
@@ -285,6 +286,17 @@ class TestCache:
         code, out, _ = run(capsys, "cache", "compact", "--cache-dir", cache_dir)
         assert code == 0
         assert "kept=1" in out
+
+    def test_stats_needs_no_lock_and_creates_nothing(self, capsys, files):
+        cache_dir = files["dir"] / "cache7"
+        run(capsys, "class", files["a3"], "--cache-dir", str(cache_dir))
+        with Store(cache_dir):  # another writer holds the lock
+            code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(cache_dir))
+        assert code == 0 and "records=1 classes=1 embeds=0" in out
+        missing = files["dir"] / "missing"
+        code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(missing))
+        assert code == 0 and "records=0" in out
+        assert not missing.exists()
 
     def test_warm_cache_repeats_output(self, capsys, files):
         cache_dir = str(files["dir"] / "cache3")

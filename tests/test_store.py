@@ -1,5 +1,7 @@
 import json
+import shutil
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,12 @@ from mutopo import (
     is_avoiding,
     is_k_universal_bounded,
 )
-from mutopo.store import _canonical_line, _class_record
+from mutopo.cli import main
+from mutopo.matrix import from_json_dict
+from mutopo.store import _canonical_line, _class_record, _embed_record, _with_crc
+
+# the cache.jsonl of `mutopo universe -r 3 -w 1`: 7 class and 49 embed records
+GOLDEN = Path(__file__).parent / "data" / "cache_r3w1.jsonl"
 
 
 def test_get_on_empty_cache_is_absent(tmp_path, a3):
@@ -432,3 +439,127 @@ def test_wider_budget_shares_one_view(tmp_path, a4):
         assert store.stats() == stats
         assert store.compact()["kept"] == stats["records"]
     assert (tmp_path / "cache.jsonl").read_bytes() == before
+
+
+def test_torn_final_line_is_cut_before_the_first_append(tmp_path, a2, a3):
+    with Store(tmp_path) as store:
+        store.put_class(enumerate_class(a2))
+    path = tmp_path / "cache.jsonl"
+    torn = path.read_bytes()[:-1]  # the A2 record without its newline
+    path.write_bytes(torn)
+    with Store(tmp_path, readonly=True) as store:  # a reader never cuts
+        enumerate_class(a3, store=store)
+    assert path.read_bytes() == torn
+    with Store(tmp_path) as store:
+        assert path.read_bytes() == torn  # nor does a writer that appends nothing
+        enumerate_class(a3, store=store)
+    for _ in range(2):
+        with Store(tmp_path) as store:
+            assert store.get_class(canonical_form(a3).hash, Budget()) == enumerate_class(a3)
+            assert store.get_class(canonical_form(a2).hash, Budget()) is None
+    assert path.read_bytes().count(b"\n") == 1
+
+
+def _golden_records():
+    """(line, record) of every line of the golden cache, and the seed
+    matrix of every class in it by seed hash."""
+    lines = GOLDEN.read_bytes().splitlines()
+    records = [json.loads(line) for line in lines]
+    seeds = {
+        obj["seed"]: from_json_dict(next(m[1] for m in obj["members"] if m[0] == obj["seed"]))
+        for obj in records
+        if obj["kind"] == "class"
+    }
+    return list(zip(lines, records)), seeds
+
+
+def test_golden_cache_serves_fresh_results(tmp_path):
+    shutil.copy(GOLDEN, tmp_path / "cache.jsonl")
+    lines, seeds = _golden_records()
+    kinds = [obj["kind"] for _, obj in lines]
+    assert (kinds.count("class"), kinds.count("embed")) == (7, 49)
+    with Store(tmp_path, readonly=True) as store:
+        for _, obj in lines:
+            budget = Budget(*obj["budget"])
+            if obj["kind"] == "class":
+                fresh = enumerate_class(seeds[obj["seed"]], budget)
+                assert store.get_class(obj["seed"], budget) == fresh
+            else:
+                fresh = embeds(seeds[obj["p"]], seeds[obj["q"]], budget)
+                assert store.get_embed(obj["p"], obj["q"], budget) == fresh
+
+
+def test_golden_cache_lines_are_written_byte_for_byte(tmp_path):
+    shutil.copy(GOLDEN, tmp_path / "cache.jsonl")
+    lines, _ = _golden_records()
+    with Store(tmp_path, readonly=True) as store:
+        for line, obj in lines:
+            budget = Budget(*obj["budget"])
+            if obj["kind"] == "class":
+                record = _class_record(store.get_class(obj["seed"], budget))
+            else:
+                record = _embed_record(obj["p"], obj["q"], store.get_embed(obj["p"], obj["q"], budget))
+            assert _with_crc(record) == line
+    with Store(tmp_path) as store:  # and so does compaction
+        assert store.compact()["dropped"] == 0
+    assert (tmp_path / "cache.jsonl").read_bytes() == GOLDEN.read_bytes()
+
+
+def test_open_parses_no_member_array(tmp_path, monkeypatch, w333):
+    shutil.copy(GOLDEN, tmp_path / "cache.jsonl")
+    with Store(tmp_path) as store:  # a TRUNCATED record whose tail names "members"
+        assert "members" in enumerate_class(w333, Budget(max_members=3), store=store).tripped
+    texts = []
+    loads = json.loads
+    monkeypatch.setattr(mutopo.store.json, "loads", lambda s: texts.append(s) or loads(s))
+    with Store(tmp_path, readonly=True) as store:
+        assert store.stats()["records"] == 57
+    assert len(texts) == 57
+    assert not any('"members":' in text for text in texts)
+
+
+def _garble_members(line: bytes) -> bytes:
+    """The line with bytes in the middle of its member array overwritten."""
+    head, tail = line.index(b',"members":['), line.rindex(b'],"seed":')
+    middle = (head + tail) // 2
+    return line[:middle] + b'#"{' + line[middle + 3:]
+
+
+def test_garbled_member_list_fails_when_served_and_compacted(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    lines = GOLDEN.read_bytes().splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    k, obj = next(
+        (k, obj) for k, obj in enumerate(records, start=1)
+        if obj["kind"] == "class" and obj["stats"][0] == 4
+    )
+    lines[k - 1] = _garble_members(lines[k - 1])
+    with pytest.raises(ValueError):
+        json.loads(lines[k - 1])
+    path.write_bytes(b"".join(lines))
+    before = path.read_bytes()
+    with Store(tmp_path, readonly=True) as store:  # the index fields are intact
+        with pytest.raises(CorruptRecord) as err:
+            store.get_class(obj["seed"], Budget(*obj["budget"]))
+        assert err.value.line_no == k
+    assert main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 1
+    assert f"cache line {k}:" in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("kind", ["class", "embed"])
+def test_record_in_another_encoding_fails_its_checksum(tmp_path, kind):
+    path = tmp_path / "cache.jsonl"
+    lines = GOLDEN.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines, start=1) if json.loads(line)["kind"] == kind)
+    obj = json.loads(lines[k - 1])  # its crc field is still the right CRC-32
+    lines[k - 1] = json.dumps(obj, sort_keys=True, separators=(", ", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    if kind == "embed":  # embed records are checked at open
+        with pytest.raises(CorruptRecord) as err:
+            Store(tmp_path, readonly=True)
+    else:
+        with Store(tmp_path, readonly=True) as store:
+            with pytest.raises(CorruptRecord) as err:
+                store.get_class(obj["seed"], Budget(*obj["budget"]))
+    assert err.value.line_no == k and "checksum" in str(err.value)
