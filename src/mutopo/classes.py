@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from itertools import permutations
+from functools import cached_property
 from math import gcd
 
 from .canonical import CanonicalForm, canonical_form
@@ -111,6 +111,38 @@ class ClassEnumeration:
 
     def least(self) -> Member:
         return min(self.members, key=lambda mem: mem.form.key)
+
+    @cached_property
+    def reflection_orbit(self) -> dict[str, ExchangeMatrix] | None:
+        """The sink/source reflection orbit of the first acyclic member, as
+        {canonical hash: canonical matrix}.
+
+        Mutation-equivalent acyclic quivers are related by sink/source
+        reflections (Caldero & Keller, "From triangulated categories to
+        cluster algebras II", Ann. Sci. ENS 2006), and a reflection is a
+        mutation, so the orbit is exactly the set of the class's acyclic
+        members, discovered or not.  A reflection only reverses the arrows
+        at one vertex, so the orbit lies among the acyclic orientations of
+        one weighted graph: it is finite and needs no budget.  None unless
+        this is a quiver class (skew-symmetric, no frozen index) with a
+        discovered acyclic member.
+        """
+        if self.seed.matrix.m or not self.seed.matrix.is_skew_symmetric:
+            return None
+        start = next((mem.form for mem in self.members if is_acyclic(mem.form.matrix)), None)
+        if start is None:
+            return None
+        orbit = {start.hash: start.matrix}
+        frontier = [start.matrix]
+        while frontier:
+            mat = frontier.pop()
+            for k, row in enumerate(mat.b, start=1):
+                if min(row) >= 0 or max(row) <= 0:  # a source or a sink
+                    form = canonical_form(mutate(mat, k))
+                    if form.hash not in orbit:
+                        orbit[form.hash] = form.matrix
+                        frontier.append(form.matrix)
+        return orbit
 
 
 @dataclass(frozen=True)
@@ -240,68 +272,22 @@ def mutation_fingerprint(B: ExchangeMatrix) -> tuple:
         )
         profiles.append((len(idx), sum(1 for i in idx if i <= B.n), g, skew))
     fp: tuple = (B.n, B.m, tuple(sorted(profiles)))
-    if _is_rank3_quiver(B):
+    if B.n == 3 and B.m == 0 and B.is_skew_symmetric and B.is_connected:
         fp = fp + (_rank3_weight_invariant(B),)
     return fp
 
 
-def _is_rank3_quiver(B: ExchangeMatrix) -> bool:
-    return B.n == 3 and B.m == 0 and B.is_skew_symmetric and B.is_connected
+def rank3_zero_pair_free(enum: ClassEnumeration) -> bool | None:
+    """Does no member of this rank-3 quiver class have an arrowless pair?
 
-
-def rank3_acyclic_orbit(B: ExchangeMatrix, enum: ClassEnumeration) -> frozenset | None:
-    """Weight readings of the class's acyclic members, as one closed orbit.
-
-    A forward reading of an acyclic rank-3 member is the triple
-    (source->mid, mid->sink, source->sink) of unsigned weights.  The acyclic
-    members of a connected rank-3 class form a single sink/source-reflection
-    orbit, a reflection rotates any reading, and a member with a missing
-    edge (a zero in the triple) can be read two ways, so the full reading
-    set is the closure of one member's readings under rotation and the
-    zero re-reading swap.  That closure is computed here from the first
-    acyclic member discovered.  Returns None when the family conditions
-    fail or no acyclic member was discovered; then nothing can be
-    concluded.  Two classes whose orbits are disjoint share no acyclic
-    member and are therefore distinct.
+    At rank 3 a member with an arrowless pair carries arrows on at most two
+    of its three pairs, so it is acyclic and lies in the reflection orbit.
+    None when the class has no orbit or another rank.
     """
-    if not _is_rank3_quiver(B):
+    orbit = enum.reflection_orbit
+    if orbit is None or enum.seed.matrix.n != 3:
         return None
-    for mem in enum.members:
-        mat = mem.form.matrix
-        if not is_acyclic(mat):
-            continue
-        b = mat.b
-        frontier = set()
-        for p, q, r in permutations(range(3)):
-            if b[p][q] >= 0 and b[q][r] >= 0 and b[p][r] >= 0:
-                frontier.add((b[p][q], b[q][r], b[p][r]))
-        orbit: set[tuple[int, int, int]] = set()
-        while frontier:
-            a, c, e = frontier.pop()
-            if (a, c, e) in orbit:
-                continue
-            orbit.add((a, c, e))
-            frontier.add((c, e, a))
-            if a == 0:
-                frontier.add((0, e, c))
-            if c == 0:
-                frontier.add((e, 0, a))
-        return frozenset(orbit)
-    return None
-
-
-def rank3_zero_pair_free(B: ExchangeMatrix, enum: ClassEnumeration) -> bool | None:
-    """Does no member of this connected rank-3 class have an arrowless pair?
-
-    A member with a zero pair has at most two edges and is therefore
-    acyclic, so the question is decided by the acyclic reading orbit:
-    True/False when an acyclic member was discovered, None when the family
-    conditions fail or the class has no discovered acyclic member.
-    """
-    orbit = rank3_acyclic_orbit(B, enum)
-    if orbit is None:
-        return None
-    return all(0 not in triple for triple in orbit)
+    return all(mat.b[0][1] and mat.b[0][2] and mat.b[1][2] for mat in orbit.values())
 
 
 def _rank3_weight_invariant(B: ExchangeMatrix) -> int:

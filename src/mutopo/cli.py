@@ -14,22 +14,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .classes import (
+    CLOSED,
     Budget,
+    Finiteness,
     Verdict,
     class_key,
     enumerate_class,
     is_mutation_finite,
 )
-from .embed import density_witness, embeds
+from .embed import density_witness, embeds, witness_json
 from .matrix import (
-    EmptySubset,
     ExchangeMatrix,
-    FrozenMutation,
-    NotSkewSymmetrizable,
     apply_sequence,
     from_inline,
     from_json_dict,
@@ -43,9 +43,8 @@ from .properties import (
     is_mutation_acyclic,
     is_N_abundant,
 )
-from .store import CorruptRecord, Store, default_cache_dir
+from .store import Store, default_cache_dir
 from .universe import (
-    UnresolvedRelation,
     build_hasse,
     build_universe,
     closure,
@@ -84,14 +83,6 @@ def _budget(args) -> Budget:
     return Budget(args.max_members, args.max_entry, args.max_depth)
 
 
-def _budget_json(budget: Budget) -> dict:
-    return {
-        "max_members": budget.max_members,
-        "max_entry": budget.max_entry,
-        "max_depth": budget.max_depth,
-    }
-
-
 def _open_store(args) -> Store:
     if getattr(args, "no_cache", False):
         return Store()  # in memory, for this call only
@@ -111,16 +102,6 @@ def _print_json(payload: dict):
 
 def _verdict_exit(verdict: Verdict) -> int:
     return 2 if verdict is Verdict.UNKNOWN else 0
-
-
-def _witness_json(witness) -> dict | None:
-    if witness is None:
-        return None
-    return {
-        "q_sequence": list(witness.q_sequence),
-        "subset": list(witness.subset),
-        "p_sequence": list(witness.p_sequence),
-    }
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -157,7 +138,7 @@ def _cmd_class(args) -> int:
                     }
                     for mem in enum.members
                 ],
-                "budget": _budget_json(budget),
+                "budget": asdict(budget),
             }
         )
     else:
@@ -165,7 +146,7 @@ def _cmd_class(args) -> int:
         for mem in enum.members:
             seq = ",".join(str(k) for k in mem.witness)
             print(f"  {mem.form.hash[:12]} witness=[{seq}]")
-    return 0 if enum.status == "CLOSED" else 2
+    return 0 if enum.status == CLOSED else 2
 
 
 def _cmd_finite(args) -> int:
@@ -181,14 +162,14 @@ def _cmd_finite(args) -> int:
                 "verdict": fv.kind.value,
                 "members": fv.members,
                 "witness": to_json_dict(fv.offender) if fv.offender is not None else None,
-                "budget": _budget_json(budget),
+                "budget": asdict(budget),
             }
         )
-    elif fv.kind.value == "FINITE":
+    elif fv.kind is Finiteness.FINITE:
         print(f"FINITE members={fv.members}")
     else:
         print(fv.kind.value)
-    return 2 if fv.kind.value == "UNKNOWN" else 0
+    return 2 if fv.kind is Finiteness.UNKNOWN else 0
 
 
 def _cmd_embeds(args) -> int:
@@ -201,8 +182,8 @@ def _cmd_embeds(args) -> int:
         _print_json(
             {
                 "verdict": ev.verdict.value,
-                "witness": _witness_json(ev.witness),
-                "budget": _budget_json(budget),
+                "witness": witness_json(ev.witness),
+                "budget": asdict(budget),
             }
         )
     else:
@@ -218,7 +199,7 @@ def _cmd_embeds(args) -> int:
 
 def _tri_valued(args, verdict: Verdict, extra: dict) -> int:
     if args.json:
-        _print_json({"verdict": verdict.value, "budget": _budget_json(_budget(args)), **extra})
+        _print_json({"verdict": verdict.value, "budget": asdict(_budget(args)), **extra})
     else:
         print(verdict.value)
     return _verdict_exit(verdict)
@@ -265,8 +246,8 @@ def _cmd_density_witness(args) -> int:
         _print_json(
             {
                 "union": to_json_dict(R),
-                "p": {"verdict": vp.verdict.value, "witness": _witness_json(vp.witness)},
-                "q": {"verdict": vq.verdict.value, "witness": _witness_json(vq.witness)},
+                "p": {"verdict": vp.verdict.value, "witness": witness_json(vp.witness)},
+                "q": {"verdict": vq.verdict.value, "witness": witness_json(vq.witness)},
             }
         )
     else:
@@ -305,7 +286,7 @@ def _cmd_hasse(args) -> int:
                     {
                         "lower": lo.hash,
                         "upper": hi.hash,
-                        "witness": _witness_json(ev.witness),
+                        "witness": witness_json(ev.witness),
                     }
                 )
         _print_json(
@@ -315,7 +296,7 @@ def _cmd_hasse(args) -> int:
                 "unknown": [
                     [u.classes[i].hash, u.classes[j].hash] for i, j in h.unknown
                 ],
-                "budget": _budget_json(u.budget),
+                "budget": asdict(u.budget),
             }
         )
     else:
@@ -366,7 +347,7 @@ def _cmd_open_set(args) -> int:
 def _emit_class_set(args, u, hashes) -> int:
     ordered = sorted(hashes, key=u.index_of)
     if args.json:
-        _print_json({"classes": ordered, "budget": _budget_json(u.budget)})
+        _print_json({"classes": ordered, "budget": asdict(u.budget)})
     else:
         for hash_ in ordered:
             cls = u.class_of(hash_)
@@ -527,18 +508,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 1
-    except (
-        NotSkewSymmetrizable,
-        FrozenMutation,
-        EmptySubset,
-        UnresolvedRelation,
-        CorruptRecord,
-        ValueError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-        RuntimeError,
-    ) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -3,8 +3,9 @@
 [P] embeds into [Q] when some member of [P] is isomorphic to a restriction
 of some member of [Q].  The verdict is tri-valued: YES carries a replayable
 witness, NO is asserted only on exhaustive grounds (a CLOSED enumeration
-of [Q], or at equal rank of either class) or a class invariant, and
-UNKNOWN reports that a budget tripped first.
+of [Q], or at equal rank of either class) or a class invariant (the
+fingerprint, divisibility, a reflection orbit), and UNKNOWN reports that
+a budget tripped first.
 
 Witnesses are anchored at the canonical forms of the two inputs: replaying
 ``q_sequence`` from ``canonical_form(Q).matrix``, restricting to
@@ -14,7 +15,7 @@ Witnesses are anchored at the canonical forms of the two inputs: replaying
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from math import gcd
 
@@ -26,7 +27,6 @@ from .classes import (
     Verdict,
     enumerate_class,
     mutation_fingerprint,
-    rank3_acyclic_orbit,
     rank3_zero_pair_free,
 )
 from .matrix import ExchangeMatrix, apply_sequence, disjoint_union, restrict
@@ -37,6 +37,11 @@ class EmbedWitness:
     q_sequence: tuple[int, ...]
     subset: tuple[int, ...]
     p_sequence: tuple[int, ...]
+
+
+def witness_json(witness: EmbedWitness | None) -> dict | None:
+    """The one JSON encoding of a witness, for CLI output and cache records."""
+    return None if witness is None else asdict(witness)
 
 
 @dataclass(frozen=True)
@@ -101,9 +106,10 @@ def embeds(
 
     Rank (and per-pool) shape drops give an immediate exhaustive NO.  At
     equal rank embedding is mutation equivalence, resolved through either
-    enumeration and the class invariants.  Otherwise the witness is the
-    first restriction (members of [Q] in BFS order, their subsets in colex
-    order) that is a member of [P].  Each enumeration of [Q] keeps one scan
+    enumeration and the class invariants, disjoint reflection orbits
+    (:attr:`ClassEnumeration.reflection_orbit`) among them.  Otherwise the
+    witness is the first restriction (members of [Q] in BFS order, their
+    subsets in colex order) that is a member of [P].  Each enumeration of [Q] keeps one scan
     per shape, so a (member, subset) is restricted once across calls: a
     call looks among the positions already walked, and resumes the walk
     only when none of them is a member of [P].
@@ -112,7 +118,9 @@ def embeds(
     upper class*), whatever the status of [P]: restriction to I commutes
     with mutation at a mutable index inside I, so the restrictions of a
     CLOSED [Q] are closed under mutation, and the full scan would have met
-    ``canonical_form(P)``, a member of its own enumeration.
+    ``canonical_form(P)``, a member of its own enumeration.  A CLOSED [P]
+    also gives NO by divisibility, and the arrowless pair by the reflection
+    orbit of a rank-3 [Q] (:func:`~mutopo.classes.rank3_zero_pair_free`).
     """
     cf_p = canonical_form(P)
     cf_q = canonical_form(Q)
@@ -146,9 +154,8 @@ def _embeds_fresh(P, Q, cf_p, cf_q, budget, store) -> EmbedVerdict:
             return EmbedVerdict(Verdict.YES, EmbedWitness((), full, mem.witness), budget)
         if enum_q.status == CLOSED or enum_p.status == CLOSED:
             return EmbedVerdict(Verdict.NO, None, budget)
-        orbit_p = rank3_acyclic_orbit(P, enum_p)
-        orbit_q = rank3_acyclic_orbit(Q, enum_q)
-        if orbit_p is not None and orbit_q is not None and orbit_p.isdisjoint(orbit_q):
+        orbit_p, orbit_q = enum_p.reflection_orbit, enum_q.reflection_orbit
+        if orbit_p is not None and orbit_q is not None and orbit_p.keys().isdisjoint(orbit_q):
             return EmbedVerdict(Verdict.NO, None, budget)
         return EmbedVerdict(Verdict.UNKNOWN, None, budget)
 
@@ -162,7 +169,7 @@ def _embeds_fresh(P, Q, cf_p, cf_q, budget, store) -> EmbedVerdict:
     if enum_p.status == CLOSED:
         if _divisibility_obstruction(enum_p, Q):
             return EmbedVerdict(Verdict.NO, None, budget)
-        if _zero_pair_obstruction(cf_p, Q, enum_q):
+        if cf_p.matrix.b == ((0, 0), (0, 0)) and rank3_zero_pair_free(enum_q) is True:
             return EmbedVerdict(Verdict.NO, None, budget)
     return EmbedVerdict(Verdict.UNKNOWN, None, budget)
 
@@ -193,15 +200,6 @@ def _divisibility_obstruction(enum_p, Q: ExchangeMatrix) -> bool:
         all(v % g == 0 for row in mem.form.matrix.b for v in row)
         for mem in enum_p.members
     )
-
-
-def _zero_pair_obstruction(cf_p, Q: ExchangeMatrix, enum_q) -> bool:
-    """Exhaustive NO for the arrowless pair against a connected rank-3 quiver:
-    a zero-pair member would be acyclic, and the acyclic reading orbit of
-    [Q] shows none exists."""
-    if cf_p.matrix.b != ((0, 0), (0, 0)) or cf_p.matrix.m != 0:
-        return False
-    return rank3_zero_pair_free(Q, enum_q) is True
 
 
 def replay_embedding(P: ExchangeMatrix, Q: ExchangeMatrix, ev: EmbedVerdict) -> bool:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
 from math import gcd, lcm
 
 
@@ -262,16 +261,20 @@ def disjoint_union(P: ExchangeMatrix, Q: ExchangeMatrix) -> ExchangeMatrix:
 
 
 def is_acyclic(B: ExchangeMatrix) -> bool:
-    """True iff the digraph on mutable indices (edge i->j when b[i][j] > 0) is acyclic."""
-    preds: dict[int, set[int]] = {j: set() for j in range(B.n)}
-    for i in range(B.n):
-        for j in range(B.n):
-            if B.b[i][j] > 0:
-                preds[j].add(i)
-    try:
-        tuple(TopologicalSorter(preds).static_order())
-    except CycleError:
-        return False
+    """True iff the digraph on mutable indices (edge i->j when b[i][j] > 0) is acyclic.
+
+    Repeatedly removes a mutable index with no incoming arrow from the
+    remaining ones; the digraph is acyclic iff every index gets removed.
+    """
+    b = B.b
+    left = list(range(B.n))
+    while left:
+        for j in left:
+            if all(b[i][j] <= 0 for i in left):
+                left.remove(j)
+                break
+        else:
+            return False
     return True
 
 

@@ -82,10 +82,10 @@ def is_N_abundant(
     Only mutable pairs are consulted; on skew-symmetrizable input the pair
     weight is taken conservatively as min(|b[i][j]|, |b[j][i]|).  A rank-1
     matrix is trivially abundant for every bound.  For the bound 1 a
-    violation is exactly an arrowless pair, so on connected rank-3 quivers
-    the acyclic reading orbit can assert YES even when the enumeration
-    truncates (same machinery, and hence the same verdict, as avoiding the
-    arrowless pair).
+    violation is exactly an arrowless pair, so on rank-3 quivers the
+    reflection orbit can assert YES even when the enumeration truncates
+    (the same query, and hence the same verdict, as avoiding the arrowless
+    pair).
     """
     if min_arrows < 1:
         raise ValueError("the arrow bound must be at least 1")
@@ -98,7 +98,7 @@ def is_N_abundant(
         return Verdict.NO
     if enum.status == CLOSED:
         return Verdict.YES
-    if min_arrows == 1 and rank3_zero_pair_free(B, enum) is True:
+    if min_arrows == 1 and rank3_zero_pair_free(enum) is True:
         return Verdict.YES
     return Verdict.UNKNOWN
 

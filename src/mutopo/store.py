@@ -47,7 +47,7 @@ from pathlib import Path
 
 from .canonical import canonical_form
 from .classes import CLOSED, Budget, ClassEnumeration, Member, Verdict
-from .embed import EmbedVerdict, EmbedWitness
+from .embed import EmbedVerdict, EmbedWitness, witness_json
 from .matrix import ExchangeMatrix, from_json_dict, mutate, to_json_dict
 
 try:
@@ -214,14 +214,13 @@ def _class_from_record(record: dict, line_no: int) -> ClassEnumeration:
 
 
 def _embed_record(p_hash: str, q_hash: str, ev: EmbedVerdict) -> dict:
-    witness = None if ev.witness is None else {k: list(v) for k, v in vars(ev.witness).items()}
     return {
         "kind": "embed",
         "p": p_hash,
         "q": q_hash,
         "budget": _budget_list(ev.budget),
         "verdict": ev.verdict.value,
-        "witness": witness,
+        "witness": witness_json(ev.witness),
     }
 
 

@@ -13,7 +13,7 @@ silently misclassify when an UNKNOWN verdict could change the answer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, product
 
 from .canonical import canonical_form
@@ -353,11 +353,7 @@ def universe_to_json(u: Universe) -> dict:
         "params": {
             "r": u.rank_cap,
             "w": u.entry_cap,
-            "budget": {
-                "max_members": u.budget.max_members,
-                "max_entry": u.budget.max_entry,
-                "max_depth": u.budget.max_depth,
-            },
+            "budget": asdict(u.budget),
             "family": u.family,
         },
         "classes": [

@@ -228,7 +228,8 @@ class TestRank3Structure:
                 assert _rank3_weight_invariant(mem.form.matrix) == value
 
     def test_acyclic_members_share_one_reading_orbit(self):
-        from mutopo.classes import rank3_acyclic_orbit
+        # the reflection orbit is the class's whole acyclic part: every
+        # acyclic member lies in it and reflects to exactly the same orbit
         from mutopo.matrix import is_acyclic
 
         rng = random.Random(0x0B)
@@ -238,28 +239,29 @@ class TestRank3Structure:
             if not B.is_connected:
                 continue
             enum = enumerate_class(B, Budget(max_members=300))
-            orbit = rank3_acyclic_orbit(B, enum)
+            orbit = enum.reflection_orbit
             if orbit is None:
                 continue
             checked += 1
+            assert all(is_acyclic(mat) for mat in orbit.values())
             for mem in enum.members:
                 mat = mem.form.matrix
                 if not is_acyclic(mat):
                     continue
+                assert orbit[mem.form.hash] == mat
                 singleton = enumerate_class(mat, Budget(max_members=1))
-                readings = rank3_acyclic_orbit(mat, singleton)
-                assert readings <= orbit
+                assert singleton.reflection_orbit == orbit
         assert checked > 20
 
-    def test_zero_pair_free_examples(self, cycle321, w333, a3):
+    def test_zero_pair_free_examples(self, cycle321, w333, a3, a4):
         from mutopo.classes import rank3_zero_pair_free
 
-        enum = enumerate_class(cycle321)
-        assert rank3_zero_pair_free(cycle321, enum) is True
+        assert rank3_zero_pair_free(enumerate_class(cycle321)) is True
         enum = enumerate_class(w333)
-        assert rank3_zero_pair_free(w333, enum) is None  # no acyclic member found
-        enum = enumerate_class(a3)
-        assert rank3_zero_pair_free(a3, enum) is False  # the path drops a pair
+        assert enum.reflection_orbit is None  # no acyclic member found
+        assert rank3_zero_pair_free(enum) is None
+        assert rank3_zero_pair_free(enumerate_class(a3)) is False  # the path drops a pair
+        assert rank3_zero_pair_free(enumerate_class(a4)) is None  # rank 4
 
 
 class TestFingerprint:

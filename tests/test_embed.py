@@ -19,6 +19,7 @@ from mutopo import (
     density_witness,
     embeds,
     enumerate_class,
+    is_acyclic,
     iter_quiver_seeds,
     replay_embedding,
     restrict,
@@ -87,6 +88,14 @@ class TestEmbeds:
         triangle = quiver([[0, 2, 1], [-2, 0, 1], [-1, -1, 0]])
         ev = embeds(i2, triangle)
         assert ev.verdict is Verdict.NO
+
+    def test_disjoint_reflection_orbits_separate_rank4_classes(self):
+        # both classes are TRUNCATED with acyclic members and share the
+        # elementary fingerprint; only their reflection orbits tell them apart
+        P = quiver([[0, -1, -1, -1], [1, 0, -1, 0], [1, 1, 0, 0], [1, 0, 0, 0]])
+        Q = quiver([[0, -1, -1, -1], [1, 0, -1, -1], [1, 1, 0, 0], [1, 1, 0, 0]])
+        assert embeds(P, Q).verdict is Verdict.NO
+        assert embeds(Q, P).verdict is Verdict.NO
 
     def test_budget_flows_into_verdict(self, a2, a3):
         budget = Budget(max_members=10)
@@ -203,16 +212,22 @@ def _rank4_seeds(w):
         yield quiver(rows)
 
 
-def test_closed_upper_rule_is_sound():
-    # every quiver class of rank <= 4 with seed entries <= 2; the small caps
-    # keep the mutation-infinite classes cheap and still give the 176
-    # classes (24 CLOSED) of the default budget
+@pytest.fixture(scope="module")
+def r4w2_classes():
+    """Every quiver class of rank <= 4 with seed entries <= 2; the small caps
+    keep the mutation-infinite classes cheap and still give the 176 classes
+    (24 CLOSED) of the default budget."""
     budget = Budget(max_members=100, max_entry=4)
     store = Store()
     seeds = [*iter_quiver_seeds(3, 2), *_rank4_seeds(2)]
     classes = collect_classes(seeds, budget, store)
     assert len(classes) == 176
     enums = {cls.hash: enumerate_class(cls.seed, budget, store) for cls in classes}
+    return budget, store, classes, enums
+
+
+def test_closed_upper_rule_is_sound(r4w2_classes):
+    budget, store, classes, enums = r4w2_classes
     closed = [cls for cls in classes if cls.key.status == "CLOSED"]
     assert len(closed) == 24
     exact_pairs = newly_decided = 0
@@ -245,6 +260,28 @@ def test_closed_upper_rule_is_sound():
                 assert oracle != "YES"
     assert exact_pairs > 0
     assert newly_decided == 70
+
+
+def test_reflection_orbit_is_sound(r4w2_classes):
+    # the orbit of a CLOSED class is exactly its acyclic members, and a
+    # TRUNCATED class's discovered acyclic members all lie in its orbit
+    _, _, classes, enums = r4w2_classes
+    orbits = {}
+    for cls in classes:
+        enum = enums[cls.hash]
+        acyclic = {mem.form.hash for mem in enum.members if is_acyclic(mem.form.matrix)}
+        orbit = enum.reflection_orbit
+        if enum.status == "CLOSED":
+            assert set(orbit or ()) == acyclic
+        else:
+            assert acyclic <= set(orbit or ())
+        if orbit is not None:
+            orbits[cls.hash] = (enum.status, orbit.keys())
+    assert len(orbits) == 127
+    # distinct classes, one of them CLOSED, never share an acyclic member
+    for (h1, (s1, o1)), (h2, (s2, o2)) in combinations(orbits.items(), 2):
+        if "CLOSED" in (s1, s2):
+            assert o1.isdisjoint(o2), (h1, h2)
 
 
 class TestDensityWitness:

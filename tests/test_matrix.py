@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -250,6 +251,23 @@ class TestIsAcyclic:
         # mutable pair is acyclic; arrows through the frozen index are ignored
         B = build(2, 1, [[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
         assert is_acyclic(B)
+
+    def test_matches_brute_force_orderings(self):
+        # acyclic iff some ordering of the mutable indices sends every arrow
+        # between them forward; frozen indices never count
+        rng = random.Random(0xAC)
+        outcomes = {True: 0, False: 0}
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            B = random_skew(rng, n, rng.randint(0, 6 - n), max_weight=rng.randint(1, 2))
+            expected = any(
+                all(B.b[i][j] <= 0 or order.index(i) < order.index(j)
+                    for i in range(n) for j in range(n))
+                for order in permutations(range(n))
+            )
+            assert is_acyclic(B) is expected
+            outcomes[expected] += 1
+        assert min(outcomes.values()) > 50
 
 
 class TestFormats:

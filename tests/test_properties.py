@@ -67,7 +67,7 @@ class TestAbundance:
         assert is_N_abundant(markov, 3) is Verdict.NO
 
     def test_wild_class_with_every_edge_present(self, cycle321):
-        # the enumeration truncates, but the acyclic reading orbit shows no
+        # the enumeration truncates, but the reflection orbit shows no
         # member ever drops an edge
         assert is_N_abundant(cycle321, 1) is Verdict.YES
 
