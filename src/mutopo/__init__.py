@@ -18,6 +18,7 @@ from .matrix import (
     is_acyclic,
     mutate,
     restrict,
+    to_inline,
     to_json_dict,
     to_text,
 )

@@ -79,9 +79,6 @@ class ClassEnumeration:
         # restriction scans by target shape, filled lazily by embed.embeds
         object.__setattr__(self, "scans", {})
 
-    def member(self, hash_: str) -> Member | None:
-        return self._index.get(hash_)
-
     def member_for(self, form: CanonicalForm) -> Member | None:
         """Hash-indexed lookup with full-matrix confirmation; the hash is an
         index, never a proof of membership."""
@@ -319,21 +316,20 @@ class FinitenessVerdict:
 def is_mutation_finite(
     B: ExchangeMatrix,
     budget: Budget = DEFAULT_BUDGET,
-    infinite_exit: bool = True,
     store=None,
 ) -> FinitenessVerdict:
-    """FINITE when the enumeration closes; INFINITE via the early exit; else UNKNOWN.
+    """FINITE when the enumeration closes; INFINITE by classification; else UNKNOWN.
 
-    The early exit applies to connected skew-symmetric matrices with
-    n >= 3 and no frozen indices: any class member with an entry of
-    magnitude above 2 proves the class infinite (a known finite-mutation-
-    type classification fact, external to the mutation algebra itself).
-    It is on by default; with ``infinite_exit=False``, or whenever the
-    matrix is outside that family, the always-sound fallback is UNKNOWN.
+    A connected quiver on n >= 3 vertices (skew-symmetric, no frozen
+    indices) is mutation-finite iff every member of its class has all
+    entries of magnitude <= 2 (Felikson, Shapiro & Tumarkin, "Skew-symmetric
+    cluster algebras of finite mutation type", J. Eur. Math. Soc. 14, 2012).
+    So for such a quiver, a member with a larger entry proves the class
+    infinite, and the enumeration runs with ``max_entry=2``.  Outside that
+    family the always-sound fallback is UNKNOWN.
     """
     applies = (
-        infinite_exit
-        and B.m == 0
+        B.m == 0
         and B.n >= 3
         and budget.max_entry >= 2
         and B.is_skew_symmetric

@@ -6,7 +6,7 @@ included so recorded verdicts are reproducible), DOT for Hasse diagrams
 with --dot.
 
 Exit codes: 0 for a resolved result, 2 for UNKNOWN (or a truncated
-enumeration), 1 for any error.
+enumeration), 1 for any error, usage errors included.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -34,6 +35,7 @@ from .matrix import (
     from_inline,
     from_json_dict,
     from_text,
+    to_inline,
     to_json_dict,
     to_text,
 )
@@ -55,28 +57,23 @@ from .universe import (
 )
 
 
-def _read_matrix_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    return Path(source).read_text(encoding="utf-8")
+def _read_text(source: str) -> str:
+    return sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
 
 
-def _parse_matrix(text: str) -> ExchangeMatrix:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+def _read_matrix(source: str) -> ExchangeMatrix:
+    """The matrix in a file, or on stdin for '-': JSON or text."""
+    text = _read_text(source)
+    if text.lstrip().startswith("{"):
         return from_json_dict(json.loads(text))
     return from_text(text)
 
 
-def _load_inputs(args, attr="input") -> list[ExchangeMatrix]:
-    matrices = []
-    for source in getattr(args, attr, []) or []:
-        matrices.append(_parse_matrix(_read_matrix_text(source)))
-    if getattr(args, "matrix", None):
-        matrices.append(from_inline(args.matrix, getattr(args, "frozen", 0) or 0))
-    if not matrices:
-        raise ValueError("no matrix given (pass a file path or --matrix)")
-    return matrices
+def _input(args) -> ExchangeMatrix:
+    """The one matrix of a single-matrix verb: its file, or --matrix."""
+    if args.matrix is not None:
+        return from_inline(args.matrix, args.frozen)
+    return _read_matrix(args.input)
 
 
 def _budget(args) -> Budget:
@@ -84,9 +81,9 @@ def _budget(args) -> Budget:
 
 
 def _open_store(args) -> Store:
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return Store()  # in memory, for this call only
-    directory = getattr(args, "cache_dir", None) or default_cache_dir()
+    directory = args.cache_dir or default_cache_dir()
     try:
         return Store(directory)
     except RuntimeError:
@@ -108,7 +105,7 @@ def _verdict_exit(verdict: Verdict) -> int:
 
 
 def _cmd_mutate(args) -> int:
-    B = _load_inputs(args)[0]
+    B = _input(args)
     sequence = args.at or []
     result = apply_sequence(B, sequence)
     if args.json:
@@ -119,28 +116,18 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_class(args) -> int:
-    B = _load_inputs(args)[0]
+    B = _input(args)
     budget = _budget(args)
     with _open_store(args) as store:
         enum = enumerate_class(B, budget, store)
     key = enum.least().form
     if args.json:
-        _print_json(
-            {
-                "seed": enum.seed.hash,
-                "status": enum.status,
-                "class_key": key.hash,
-                "members": [
-                    {
-                        "hash": mem.form.hash,
-                        "matrix": to_json_dict(mem.form.matrix),
-                        "witness": list(mem.witness),
-                    }
-                    for mem in enum.members
-                ],
-                "budget": asdict(budget),
-            }
-        )
+        members = [
+            {"hash": mem.form.hash, "matrix": to_json_dict(mem.form.matrix), "witness": list(mem.witness)}
+            for mem in enum.members
+        ]
+        _print_json({"seed": enum.seed.hash, "status": enum.status, "class_key": key.hash,
+                     "members": members, "budget": asdict(budget)})
     else:
         print(f"status={enum.status} members={enum.count} key={key.hash[:12]}")
         for mem in enum.members:
@@ -150,12 +137,10 @@ def _cmd_class(args) -> int:
 
 
 def _cmd_finite(args) -> int:
-    B = _load_inputs(args)[0]
+    B = _input(args)
     budget = _budget(args)
     with _open_store(args) as store:
-        fv = is_mutation_finite(
-            B, budget, infinite_exit=not args.no_infinite_exit, store=store
-        )
+        fv = is_mutation_finite(B, budget, store=store)
     if args.json:
         _print_json(
             {
@@ -173,8 +158,7 @@ def _cmd_finite(args) -> int:
 
 
 def _cmd_embeds(args) -> int:
-    P = _parse_matrix(_read_matrix_text(args.p))
-    Q = _parse_matrix(_read_matrix_text(args.q))
+    P, Q = _read_matrix(args.p), _read_matrix(args.q)
     budget = _budget(args)
     with _open_store(args) as store:
         ev = embeds(P, Q, budget, store=store)
@@ -197,50 +181,40 @@ def _cmd_embeds(args) -> int:
     return _verdict_exit(ev.verdict)
 
 
-def _tri_valued(args, verdict: Verdict, extra: dict) -> int:
+def _tri_valued(args, ask, **extra) -> int:
+    """Answer a verdict verb: ``ask(budget, store=...)`` under the call's budget."""
+    budget = _budget(args)
+    with _open_store(args) as store:
+        verdict = ask(budget, store=store)
     if args.json:
-        _print_json({"verdict": verdict.value, "budget": asdict(_budget(args)), **extra})
+        _print_json({"verdict": verdict.value, "budget": asdict(budget), **extra})
     else:
         print(verdict.value)
     return _verdict_exit(verdict)
 
 
 def _cmd_avoid(args) -> int:
-    matrices = [_parse_matrix(_read_matrix_text(args.q))]
-    patterns = [_parse_matrix(_read_matrix_text(p)) for p in args.patterns]
-    budget = _budget(args)
-    with _open_store(args) as store:
-        verdict = is_avoiding(matrices[0], patterns, budget, store=store)
-    return _tri_valued(args, verdict, {"patterns": len(patterns)})
+    patterns = [_read_matrix(p) for p in args.patterns]
+    return _tri_valued(args, partial(is_avoiding, _read_matrix(args.q), patterns),
+                       patterns=len(patterns))
 
 
 def _cmd_abundant(args) -> int:
-    B = _load_inputs(args)[0]
-    budget = _budget(args)
-    with _open_store(args) as store:
-        verdict = is_N_abundant(B, args.arrows, budget, store=store)
-    return _tri_valued(args, verdict, {"arrows": args.arrows})
+    return _tri_valued(args, partial(is_N_abundant, _input(args), args.arrows),
+                       arrows=args.arrows)
 
 
 def _cmd_acyclic(args) -> int:
-    B = _load_inputs(args)[0]
-    budget = _budget(args)
-    with _open_store(args) as store:
-        verdict = is_mutation_acyclic(B, budget, store=store)
-    return _tri_valued(args, verdict, {})
+    return _tri_valued(args, partial(is_mutation_acyclic, _input(args)))
 
 
 def _cmd_universal(args) -> int:
-    B = _load_inputs(args)[0]
-    budget = _budget(args)
-    with _open_store(args) as store:
-        verdict = is_k_universal_bounded(B, args.k, args.w, budget, store=store)
-    return _tri_valued(args, verdict, {"k": args.k, "w": args.w})
+    return _tri_valued(args, partial(is_k_universal_bounded, _input(args), args.k, args.w),
+                       k=args.k, w=args.w)
 
 
 def _cmd_density_witness(args) -> int:
-    P = _parse_matrix(_read_matrix_text(args.p))
-    Q = _parse_matrix(_read_matrix_text(args.q))
+    P, Q = _read_matrix(args.p), _read_matrix(args.q)
     R, vp, vq = density_witness(P, Q)
     if args.json:
         _print_json(
@@ -272,7 +246,7 @@ def _cmd_universe(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
-    u = load_universe(_read_matrix_text(args.universe))
+    u = load_universe(_read_text(args.universe))
     h = build_hasse(u, partial=args.partial)
     if args.dot:
         print(hasse_to_dot(h))
@@ -308,52 +282,34 @@ def _cmd_hasse(args) -> int:
 
 
 def _select_classes(args, u) -> list[str]:
-    selected = []
-    for prefix in args.cls or []:
-        selected.append(u.find(prefix).hash)
-    if args.members or getattr(args, "matrix", None):
+    selected = [u.find(prefix).hash for prefix in args.cls or []]
+    sources = [(source, _read_matrix(source)) for source in args.members]
+    if args.matrix is not None:
+        sources.append(("--matrix", from_inline(args.matrix, args.frozen)))
+    if sources:
         with _open_store(args) as store:
-            for source in args.members:
-                B = _parse_matrix(_read_matrix_text(source))
+            for source, B in sources:
                 key = class_key(B, u.budget, store)
                 if key.hash not in u.hashes:
                     raise KeyError(
                         f"class {key.hash[:12]} of {source} is not in the universe"
                     )
                 selected.append(key.hash)
-            if getattr(args, "matrix", None):
-                B = from_inline(args.matrix, getattr(args, "frozen", 0) or 0)
-                key = class_key(B, u.budget, store)
-                if key.hash not in u.hashes:
-                    raise KeyError(f"class {key.hash[:12]} is not in the universe")
-                selected.append(key.hash)
     if not selected:
         raise ValueError("no classes selected (use --class or matrix files)")
     return selected
 
 
-def _cmd_closure(args) -> int:
-    u = load_universe(_read_matrix_text(args.universe))
-    result = closure(u, _select_classes(args, u))
-    return _emit_class_set(args, u, result)
-
-
-def _cmd_open_set(args) -> int:
-    u = load_universe(_read_matrix_text(args.universe))
-    result = open_set_generated(u, _select_classes(args, u))
-    return _emit_class_set(args, u, result)
-
-
-def _emit_class_set(args, u, hashes) -> int:
-    ordered = sorted(hashes, key=u.index_of)
+def _cmd_class_set(args) -> int:
+    u = load_universe(_read_text(args.universe))
+    ordered = sorted(args.generate(u, _select_classes(args, u)), key=u.index_of)
     if args.json:
         _print_json({"classes": ordered, "budget": asdict(u.budget)})
     else:
         for hash_ in ordered:
-            cls = u.class_of(hash_)
-            mat = cls.key.form.matrix
-            rows = ";".join(" ".join(str(v) for v in row) for row in mat.b)
-            print(f"{hash_[:12]} n={mat.n} m={mat.m} status={cls.key.status} [{rows}]")
+            key = u.class_of(hash_).key
+            mat = key.form.matrix
+            print(f"{hash_[:12]} n={mat.n} m={mat.m} status={key.status} [{to_inline(mat)}]")
     return 0
 
 
@@ -369,25 +325,34 @@ def _cmd_cache(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
-def _add_budget_flags(parser):
-    parser.add_argument("--max-members", type=int, default=Budget().max_members)
-    parser.add_argument("--max-entry", type=int, default=Budget().max_entry)
-    parser.add_argument("--max-depth", type=int, default=None)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like any other error: exit 2 means UNKNOWN."""
 
-
-def _add_cache_flags(parser):
-    parser.add_argument("--cache-dir", default=None, help="cache directory (default: $MUTOPO_CACHE_DIR or ~/.cache/mutopo)")
-    parser.add_argument("--no-cache", action="store_true", help="disable the persistent cache")
-
-
-def _add_input_flags(parser):
-    parser.add_argument("input", nargs="*", help="matrix file (JSON or text), '-' for stdin")
-    parser.add_argument("--matrix", help="inline matrix, rows separated by ';', e.g. '0 1;-1 0'")
-    parser.add_argument("--frozen", type=int, default=0, help="freeze the last K indices of an inline matrix")
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    json_flag = _Parser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
+
+    budget = _Parser(add_help=False)
+    budget.add_argument("--max-members", type=int, default=Budget().max_members)
+    budget.add_argument("--max-entry", type=int, default=Budget().max_entry)
+    budget.add_argument("--max-depth", type=int, default=None)
+
+    cache = _Parser(add_help=False)
+    cache.add_argument("--cache-dir", default=None, help="cache directory (default: $MUTOPO_CACHE_DIR or ~/.cache/mutopo)")
+    cache.add_argument("--no-cache", action="store_true", help="disable the persistent cache")
+
+    single = _Parser(add_help=False)  # exactly one matrix: a file, '-', or --matrix
+    one = single.add_mutually_exclusive_group(required=True)
+    one.add_argument("input", nargs="?", help="matrix file (JSON or text), '-' for stdin")
+    one.add_argument("--matrix", help="inline matrix, rows separated by ';', e.g. '0 1;-1 0'")
+    single.add_argument("--frozen", type=int, default=0, help="freeze the last K indices of an inline matrix")
+
+    parser = _Parser(
         prog="mutopo",
         description="Quiver and skew-symmetrizable matrix mutation, mutation classes, "
         "the embedding poset, and the mutation class topology on finite universes.",
@@ -395,103 +360,65 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mutopo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mutate", help="apply a mutation sequence")
-    _add_input_flags(p)
+    p = sub.add_parser("mutate", parents=[single, json_flag], help="apply a mutation sequence")
     p.add_argument("--at", type=int, action="append", help="mutable index to mutate at (repeatable)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mutate)
 
-    p = sub.add_parser("class", help="enumerate the mutation class")
-    _add_input_flags(p)
-    _add_budget_flags(p)
-    _add_cache_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_class)
+    asks = [budget, cache, json_flag]
+    verdicts = [single, *asks]
+    sub.add_parser("class", parents=verdicts, help="enumerate the mutation class").set_defaults(func=_cmd_class)
+    sub.add_parser("finite", parents=verdicts, help="mutation-finiteness verdict").set_defaults(func=_cmd_finite)
 
-    p = sub.add_parser("finite", help="mutation-finiteness verdict")
-    _add_input_flags(p)
-    _add_budget_flags(p)
-    _add_cache_flags(p)
-    p.add_argument("--no-infinite-exit", action="store_true",
-                   help="disable the classification-based INFINITE early exit")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_finite)
-
-    p = sub.add_parser("embeds", help="does [P] embed into [Q]?")
+    p = sub.add_parser("embeds", parents=asks, help="does [P] embed into [Q]?")
     p.add_argument("p")
     p.add_argument("q")
-    _add_budget_flags(p)
-    _add_cache_flags(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_embeds)
 
-    p = sub.add_parser("avoid", help="is [Q] avoiding every pattern class?")
+    p = sub.add_parser("avoid", parents=asks, help="is [Q] avoiding every pattern class?")
     p.add_argument("q")
     p.add_argument("patterns", nargs="+")
-    _add_budget_flags(p)
-    _add_cache_flags(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_avoid)
 
-    p = sub.add_parser("abundant", help="N-abundance verdict")
-    _add_input_flags(p)
+    p = sub.add_parser("abundant", parents=verdicts, help="N-abundance verdict")
     p.add_argument("-N", "--arrows", type=int, required=True, help="minimum arrows per mutable pair")
-    _add_budget_flags(p)
-    _add_cache_flags(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_abundant)
 
-    p = sub.add_parser("acyclic", help="mutation-acyclicity verdict")
-    _add_input_flags(p)
-    _add_budget_flags(p)
-    _add_cache_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_acyclic)
+    sub.add_parser("acyclic", parents=verdicts, help="mutation-acyclicity verdict").set_defaults(func=_cmd_acyclic)
 
-    p = sub.add_parser("universal", help="bounded k-universality verdict")
-    _add_input_flags(p)
+    p = sub.add_parser("universal", parents=verdicts, help="bounded k-universality verdict")
     p.add_argument("-k", type=int, required=True, help="rank bound of the test classes")
     p.add_argument("-w", type=int, required=True, help="entry bound of the test class seeds")
-    _add_budget_flags(p)
-    _add_cache_flags(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_universal)
 
-    p = sub.add_parser("density-witness", help="common upper bound via disjoint union")
+    p = sub.add_parser("density-witness", parents=[json_flag], help="common upper bound via disjoint union")
     p.add_argument("p")
     p.add_argument("q")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_density_witness)
 
-    p = sub.add_parser("universe", help="build a finite universe of classes")
+    p = sub.add_parser("universe", parents=[budget, cache], help="build a finite universe of classes")
     p.add_argument("-r", type=int, required=True, help="maximum rank")
     p.add_argument("-w", type=int, required=True, help="maximum seed entry")
     p.add_argument("--family", choices=["quiver", "skew"], default="quiver")
     p.add_argument("-o", "--output", help="write the universe JSON here")
-    _add_budget_flags(p)
-    _add_cache_flags(p)
     p.set_defaults(func=_cmd_universe)
 
-    p = sub.add_parser("hasse", help="Hasse diagram of a universe file")
+    p = sub.add_parser("hasse", parents=[cache, json_flag], help="Hasse diagram of a universe file")
     p.add_argument("universe")
     p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--partial", action="store_true",
                    help="emit unresolved pairs as dashed edges instead of failing")
-    _add_cache_flags(p)
     p.set_defaults(func=_cmd_hasse)
 
-    for name, handler in (("closure", _cmd_closure), ("open-set", _cmd_open_set)):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} of classes in a universe")
+    for name, generate in (("closure", closure), ("open-set", open_set_generated)):
+        p = sub.add_parser(name, parents=[cache, json_flag],
+                           help=f"{name.replace('-', ' ')} of classes in a universe")
         p.add_argument("universe")
         p.add_argument("members", nargs="*", help="matrix files selecting classes")
         p.add_argument("--class", dest="cls", action="append",
                        help="class hash prefix (repeatable)")
         p.add_argument("--matrix", help="inline matrix selecting a class")
         p.add_argument("--frozen", type=int, default=0)
-        _add_cache_flags(p)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=_cmd_class_set, generate=generate)
 
     p = sub.add_parser("cache", help="cache maintenance")
     p.add_argument("action", choices=["stats", "compact"])

@@ -13,7 +13,6 @@ All public index arguments (mutation vertex, restriction subsets) are
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from math import gcd, lcm
@@ -291,10 +290,6 @@ def from_json_dict(obj: dict) -> ExchangeMatrix:
         raise ValueError(f"matrix object is missing key {exc}") from None
 
 
-def to_json(B: ExchangeMatrix) -> str:
-    return json.dumps(to_json_dict(B), sort_keys=True)
-
-
 def to_text(B: ExchangeMatrix) -> str:
     lines = [f"{B.n} {B.m}"]
     lines.extend(" ".join(str(v) for v in row) for row in B.b)
@@ -312,6 +307,11 @@ def from_text(text: str) -> ExchangeMatrix:
         raise ValueError(f"expected {size * size} entries, got {len(entries)}")
     rows = [entries[i * size : (i + 1) * size] for i in range(size)]
     return build(n, m, rows)
+
+
+def to_inline(B: ExchangeMatrix) -> str:
+    """Rows separated by ';', as :func:`from_inline` reads them (with ``frozen=B.m``)."""
+    return ";".join(" ".join(str(v) for v in row) for row in B.b)
 
 
 def from_inline(spec: str, frozen: int = 0) -> ExchangeMatrix:

@@ -30,6 +30,7 @@ from .matrix import (
     NotSkewSymmetrizable,
     build,
     from_json_dict,
+    to_inline,
     to_json_dict,
 )
 from .store import Store
@@ -317,10 +318,6 @@ def build_hasse(u: Universe, partial: bool = False) -> HasseDiagram:
     return HasseDiagram(u, tuple(sorted(edges)), unknown)
 
 
-def _matrix_label(B: ExchangeMatrix) -> str:
-    return ";".join(" ".join(str(v) for v in row) for row in B.b)
-
-
 def hasse_to_dot(h: HasseDiagram) -> str:
     """Graphviz digraph; vertices carry the class hash prefix and a
     representative matrix, cover edges point upward."""
@@ -331,7 +328,7 @@ def hasse_to_dot(h: HasseDiagram) -> str:
     ]
     for cls in h.universe.classes:
         short = cls.hash[:12]
-        label = f"{short}\\n{_matrix_label(cls.key.form.matrix)}"
+        label = f"{short}\\n{to_inline(cls.key.form.matrix)}"
         lines.append(f'  "{short}" [label="{label}"];')
     for i, j in h.edges:
         lines.append(
@@ -391,6 +388,10 @@ def universe_from_json(obj: dict) -> Universe:
     relation = tuple(tuple(row) for row in obj["relation"])
     if len(relation) != len(classes) or any(len(row) != len(classes) for row in relation):
         raise ValueError("universe relation shape does not match the class list")
+    for i, row in enumerate(relation):
+        for j, cell in enumerate(row):
+            if cell not in ("Y", "N", "U"):
+                raise ValueError(f"universe relation[{i}][{j}] is {cell!r}, not 'Y', 'N' or 'U'")
     return Universe(
         params["r"], params["w"], budget, params.get("family", "quiver"),
         tuple(classes), relation,

@@ -304,10 +304,6 @@ class TestFiniteness:
         # the offending matrix really is in the class: seed entries are <= 2
         assert fv.offender.max_abs_entry > 2
 
-    def test_early_exit_flag_off_gives_unknown(self, w333):
-        fv = is_mutation_finite(w333, infinite_exit=False)
-        assert fv.kind is Finiteness.UNKNOWN
-
     def test_disconnected_falls_back_to_unknown(self, w333, pt):
         fv = is_mutation_finite(disjoint_union(w333, pt), Budget(max_members=500))
         assert fv.kind is Finiteness.UNKNOWN

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -13,8 +14,11 @@ from mutopo import (
     EmbedWitness,
     Store,
     Verdict,
+    build_universe,
     canonical_form,
     class_key,
+    disjoint_union,
+    dump_universe,
     load_universe,
     replay_embedding,
     to_json_dict,
@@ -30,6 +34,7 @@ def files(tmp_path, a2, a3, markov, w333, cycle321, pt, i2):
         ("a2", a2), ("a3", a3), ("markov", markov), ("w333", w333),
         ("cycle321", cycle321), ("pt", pt), ("i2", i2),
         ("w3", weighted_pair(3)), ("w5", weighted_pair(5)),
+        ("w333_pt", disjoint_union(w333, pt)),
     ]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(to_json_dict(B)))
@@ -117,12 +122,43 @@ class TestClassAndFinite:
         assert out.strip() == "INFINITE"
 
     def test_finite_unknown_exits_two(self, capsys, files):
-        code, out, _ = run(
-            capsys, "finite", "NC", "--no-infinite-exit",
-            "--max-members", "50", files["w333"],
-        )
+        # disconnected, so the classification gives no INFINITE
+        code, out, _ = run(capsys, "finite", "NC", "--max-members", "50", files["w333_pt"])
         assert code == 2
         assert out.strip() == "UNKNOWN"
+
+
+class TestInput:
+    def test_stdin_for_class(self, capsys, files, monkeypatch):
+        expected = run(capsys, "class", "NC", files["a3"])
+        monkeypatch.setattr("sys.stdin", io.StringIO(Path(files["a3"]).read_text()))
+        assert run(capsys, "class", "NC", "-") == expected
+
+    def test_stdin_for_embeds(self, capsys, files, monkeypatch):
+        expected = run(capsys, "embeds", "NC", "--json", files["a2"], files["a3"])
+        monkeypatch.setattr("sys.stdin", io.StringIO(Path(files["a3"]).read_text()))
+        assert run(capsys, "embeds", "NC", "--json", files["a2"], "-") == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["embeds", "NC", "a2"],  # q is missing
+        ["class", "NC", "--bogus", "a3"],
+        ["class", "NC", "a3", "a2"],  # two matrices to a single-matrix verb
+        ["class", "NC", "a3", "--matrix", "0 2;-2 0"],
+        ["finite", "NC"],  # no matrix at all
+    ])
+    def test_usage_errors_exit_one(self, capsys, files, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *(files.get(a, a) for a in argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == "" and "usage:" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert "mutopo" in capsys.readouterr().out
 
 
 class TestEmbeds:
@@ -260,6 +296,37 @@ class TestUniversePipeline:
         code, out, _ = run(capsys, "hasse", str(target), "--dot", "--partial", "NC")
         assert code == 0
         assert "style=dashed" in out
+
+
+@pytest.fixture(scope="module")
+def u31_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("u31") / "u31.json"
+    path.write_text(dump_universe(build_universe(3, 1)) + "\n")
+    return str(path)
+
+
+class TestClassSelection:
+    def test_inline_matrix_selects_a_class(self, capsys, files, u31_file):
+        by_file = run(capsys, "closure", u31_file, files["a3"], "NC")
+        assert by_file[0] == 0 and len(by_file[1].splitlines()) == 4
+        assert run(capsys, "closure", u31_file, "--matrix", "0 1 0;-1 0 1;0 -1 0", "NC") == by_file
+
+    def test_stdin_selects_a_class(self, capsys, files, u31_file, monkeypatch):
+        by_file = run(capsys, "open-set", u31_file, files["pt"], "--json", "NC")
+        monkeypatch.setattr("sys.stdin", io.StringIO(Path(files["pt"]).read_text()))
+        assert run(capsys, "open-set", u31_file, "-", "--json", "NC") == by_file
+
+    def test_files_and_matrix_select_together(self, capsys, files, u31_file, a2, i2, pt):
+        code, out, _ = run(capsys, "closure", u31_file, files["i2"], "--matrix", "0 1;-1 0",
+                           "--json", "NC")
+        assert code == 0
+        assert set(json.loads(out)["classes"]) == {class_key(B).hash for B in (a2, i2, pt)}
+
+    def test_class_outside_the_universe_names_its_source(self, capsys, files, u31_file):
+        code, _, err = run(capsys, "closure", u31_file, "--matrix", "0 2;-2 0", "NC")
+        assert code == 1 and "of --matrix is not in the universe" in err
+        code, _, err = run(capsys, "open-set", u31_file, files["markov"], "NC")
+        assert code == 1 and f"of {files['markov']} is not in the universe" in err
 
 
 def _break_checksum(path, seed_hash):

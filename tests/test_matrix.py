@@ -23,6 +23,7 @@ from mutopo import (
     is_isomorphic,
     mutate,
     restrict,
+    to_inline,
     to_json_dict,
     to_text,
 )
@@ -289,6 +290,13 @@ class TestFormats:
     def test_inline(self):
         assert from_inline("0 1;-1 0") == weighted_pair(1)
         assert from_inline("0 1;-1 0", frozen=1).m == 1
+
+    def test_inline_round_trip(self, pt, a3, markov, cycle321):
+        rng = random.Random(7)
+        frozen = [build(1, 1, [[0, 2], [-1, 0]])] + [random_skew(rng, 3, 2) for _ in range(20)]
+        for B in [pt, a3, markov, cycle321, *frozen]:
+            assert from_inline(to_inline(B), B.m) == B
+        assert to_inline(a3) == "0 1 0;-1 0 1;0 -1 0"
 
     def test_sequences(self, a3):
         assert apply_sequence(a3, []) == a3

@@ -312,6 +312,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_universe(json.dumps(obj))
 
+    @pytest.mark.parametrize("cell", ["X", "y", "", None])
+    def test_relation_cell_outside_YNU_rejected(self, u23, cell):
+        obj = json.loads(dump_universe(u23))
+        obj["relation"][1][3] = cell
+        with pytest.raises(ValueError, match=r"relation\[1\]\[3\]"):
+            load_universe(json.dumps(obj))
+
     def test_find_by_prefix(self, u23, pt):
         full = khash(pt)
         assert u23.find(full[:10]).hash == full
