@@ -100,12 +100,11 @@ def _lex_min(B: ExchangeMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # BFS and cache verification meet almost every matrix once
 @lru_cache(maxsize=1 << 10)
 def _canonical(B: ExchangeMatrix) -> tuple[CanonicalForm, tuple[int, ...]]:
-    # a relabeling of a valid matrix is valid, so the symmetrizer is
-    # permuted along with the rows instead of being re-derived
+    # a relabeling of a valid matrix is valid: nothing is re-validated
     flat, perm = _lex_min(B)
     size = B.size
     rows = tuple(flat[i * size : (i + 1) * size] for i in range(size))
-    matrix = ExchangeMatrix(B.n, B.m, rows, tuple(B.d[i] for i in perm))
+    matrix = ExchangeMatrix(B.n, B.m, rows)
     return CanonicalForm(matrix, content_hash(B.n, B.m, flat)), perm
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import combinations
 from math import gcd
 
 from .canonical import CanonicalForm, canonical_form
@@ -43,9 +44,7 @@ class Budget:
     max_depth: int | None = None
 
     def __post_init__(self):
-        if self.max_members < 1 or self.max_entry < 1:
-            raise ValueError("budget caps must be positive")
-        if self.max_depth is not None and self.max_depth < 1:
+        if any(cap is not None and cap < 1 for cap in self.key()):
             raise ValueError("budget caps must be positive")
 
     def key(self) -> tuple:
@@ -78,6 +77,7 @@ class ClassEnumeration:
         object.__setattr__(self, "_index", {mem.form.hash: mem for mem in self.members})
         # restriction scans by target shape, filled lazily by embed.embeds
         object.__setattr__(self, "scans", {})
+        object.__setattr__(self, "verdicts", {})  # see verdict()
 
     def member_for(self, form: CanonicalForm) -> Member | None:
         """Hash-indexed lookup with full-matrix confirmation; the hash is an
@@ -124,7 +124,7 @@ class ClassEnumeration:
         this is a quiver class (skew-symmetric, no frozen index) with a
         discovered acyclic member.
         """
-        if self.seed.matrix.m or not self.seed.matrix.is_skew_symmetric:
+        if not self.seed.matrix.is_quiver:
             return None
         start = next((mem.form for mem in self.members if is_acyclic(mem.form.matrix)), None)
         if start is None:
@@ -140,6 +140,31 @@ class ClassEnumeration:
                         orbit[form.hash] = form.matrix
                         frontier.append(form.matrix)
         return orbit
+
+    def verdict(self, row, arg=None) -> Verdict:
+        """The verdict of a row of :data:`HEREDITARY` on this class, cached."""
+        if (row, arg) not in self.verdicts:
+            self.verdicts[row, arg] = row(self, arg)
+        return self.verdicts[row, arg]
+
+    @property
+    def entry_gcd(self) -> int:
+        """The gcd of all entries (0 for the zero matrix), a class invariant."""
+        return gcd(*(abs(v) for row in self.seed.matrix.b for v in row))
+
+    @cached_property
+    def bbh_member(self) -> bool:
+        """Has a discovered member a full rank-3 subquiver that is cyclic, with
+        every weight >= 2 and Markov constant <= 4 ("BBH")?  It is mutation-cyclic,
+        and every quiver in its class is cyclic with every weight >= 2 (Beineke,
+        Brüstle & Hille, Algebr. Represent. Theory 14, 2011)."""
+        for mem in self.members:
+            b = mem.form.matrix.b
+            for i, j, k in combinations(range(self.seed.matrix.n), 3):
+                heavy = min(abs(b[i][j]), abs(b[j][k]), abs(b[k][i])) >= 2
+                if heavy and _rank3_weight_invariant(mem.form.matrix, i, j, k) <= 4:
+                    return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -190,18 +215,16 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
                 if prev is None or witness < prev[1]:
                     candidates[form.hash] = (form, witness, child)
         new_members: list[Member] = []
-        capped = False
         for hash_ in sorted(candidates, key=lambda h: candidates[h][0].key):
             if len(members) >= budget.max_members:
                 tripped.add("members")
-                capped = True
                 break
             form, witness, child = candidates[hash_]
             mem = Member(form, witness, child)
             members[hash_] = mem
             order.append(mem)
             new_members.append(mem)
-        if capped:
+        if "members" in tripped:
             break
         frontier = new_members
         depth += 1
@@ -254,10 +277,8 @@ def mutation_fingerprint(B: ExchangeMatrix) -> tuple:
     support components, preserves common divisors of a component's entries,
     and preserves skew-symmetry, so these are class invariants.
 
-    A connected skew-symmetric rank-3 matrix also contributes
-    a*a + b*b + c*c -/+ a*b*c over its unsigned edge weights, minus for
-    cyclic orientation and plus for acyclic.  That this is mutation-invariant
-    is a known rank-3 classification fact.
+    A connected skew-symmetric rank-3 matrix also contributes its Markov
+    constant (:func:`_rank3_weight_invariant`), a known rank-3 class invariant.
     """
     profiles = []
     for comp in B.components():
@@ -269,36 +290,82 @@ def mutation_fingerprint(B: ExchangeMatrix) -> tuple:
         )
         profiles.append((len(idx), sum(1 for i in idx if i <= B.n), g, skew))
     fp: tuple = (B.n, B.m, tuple(sorted(profiles)))
-    if B.n == 3 and B.m == 0 and B.is_skew_symmetric and B.is_connected:
+    if B.n == 3 and B.is_quiver and B.is_connected:
         fp = fp + (_rank3_weight_invariant(B),)
     return fp
 
 
-def rank3_zero_pair_free(enum: ClassEnumeration) -> bool | None:
-    """Does no member of this rank-3 quiver class have an arrowless pair?
-
-    At rank 3 a member with an arrowless pair carries arrows on at most two
-    of its three pairs, so it is acyclic and lies in the reflection orbit.
-    None when the class has no orbit or another rank.
-    """
-    orbit = enum.reflection_orbit
-    if orbit is None or enum.seed.matrix.n != 3:
-        return None
-    return all(mat.b[0][1] and mat.b[0][2] and mat.b[1][2] for mat in orbit.values())
+def _rank3_weight_invariant(B: ExchangeMatrix, i: int = 0, j: int = 1, k: int = 2) -> int:
+    """The Markov constant a*a + b*b + c*c -/+ a*b*c of the weights of the
+    arrows between indices i, j, k (0-based): minus for an oriented cycle."""
+    x, y, z = B.b[i][j], B.b[j][k], B.b[k][i]
+    sign = -1 if x * y > 0 and y * z > 0 else 1
+    return x * x + y * y + z * z + sign * abs(x * y * z)
 
 
-def _rank3_weight_invariant(B: ExchangeMatrix) -> int:
-    b = B.b
-    s12, s13, s23 = b[0][1], b[0][2], b[1][2]
-    # Directed 3-cycle iff the signs of b12, b23, b31 = -b13 all agree and
-    # none vanish (covers both traversal directions).
-    nonzero = s12 != 0 and s23 != 0 and s13 != 0
-    signs = (s12 > 0, s23 > 0, s13 < 0)
-    cyclic = nonzero and (all(signs) or not any(signs))
-    a, c, e = abs(s12), abs(s13), abs(s23)
-    prod = a * c * e
-    base = a * a + c * c + e * e
-    return base - prod if cyclic else base + prod
+# --- the table of hereditary, mutation-invariant class properties ------------
+# The closed sets, by the paper's main theorem: each one that holds for [Q]
+# holds for every [P] embedding into it.  ClassEnumeration.verdict caches rows.
+
+
+def abundance(enum: ClassEnumeration, N: int) -> Verdict:
+    """N-abundance: min(|b_ij|, |b_ji|) >= N at each pair of mutable indices
+    of each member; hereditary, as each member of an embedded class is a
+    restriction of a member.  NO on a discovered member with a thinner pair.
+    YES when CLOSED; for N = 1 on a rank-3 quiver class whose reflection
+    orbit arrows every pair (a member with an arrowless pair is acyclic);
+    for N <= 2 on a rank-3 quiver class with a BBH member, all of whose
+    members are cyclic with weights >= 2 (Beineke, Brüstle & Hille 2011)."""
+    def thin(B: ExchangeMatrix) -> bool:
+        return any(min(abs(B.b[i][j]), abs(B.b[j][i])) < N for i, j in combinations(range(B.n), 2))
+    if any(thin(mem.form.matrix) for mem in enum.members):
+        return Verdict.NO
+    rank3 = enum.seed.matrix.is_quiver and enum.seed.matrix.n == 3
+    orbit = enum.reflection_orbit if rank3 and N == 1 else None
+    arrowed = orbit is not None and not any(map(thin, orbit.values()))
+    if enum.status == CLOSED or arrowed or rank3 and N <= 2 and enum.bbh_member:
+        return Verdict.YES
+    return Verdict.UNKNOWN
+
+
+def acyclicity(enum: ClassEnumeration, _=None) -> Verdict:
+    """Mutation-acyclicity: some member is acyclic.  Hereditary on quivers:
+    full subquivers of mutation-acyclic quivers are mutation-acyclic (Buan,
+    Marsh & Reiten, Comment. Math. Helv. 83, 2008).  YES on a discovered
+    acyclic member; NO when CLOSED without one, or on a quiver class with a
+    BBH member, as its BBH subquiver is mutation-cyclic (Beineke et al.)."""
+    if any(is_acyclic(mem.form.matrix) for mem in enum.members):
+        return Verdict.YES
+    if enum.status == CLOSED or enum.seed.matrix.is_quiver and enum.bbh_member:
+        return Verdict.NO
+    return Verdict.UNKNOWN
+
+
+def divisibility(enum: ClassEnumeration, g: int) -> Verdict:
+    """Entry divisibility: every entry lies in g*Z.  Mutation adds products
+    of entries to entries and is an involution, so the entry gcd is a class
+    invariant: read off the seed, whatever the status."""
+    e = enum.entry_gcd
+    return Verdict.YES if (e % g == 0 if g else e == 0) else Verdict.NO
+
+
+HEREDITARY = (  # each row, with the arguments `separates` asks it about
+    (abundance, lambda p, q: (1, 2)),
+    (acyclicity, lambda p, q: [None] if all(e.seed.matrix.is_quiver for e in (p, q)) else []),
+    (divisibility, lambda p, q: {p.entry_gcd, q.entry_gcd}),
+)
+
+
+def separates(enum_p: ClassEnumeration, enum_q: ClassEnumeration) -> bool:
+    """Is a row YES for [Q] and NO for [P], so that [P] does not embed into
+    [Q]?  At equal rank (mutation equivalence) either way round will do."""
+    both_ways = enum_p.seed.matrix.size == enum_q.seed.matrix.size
+    for row, arguments in HEREDITARY:
+        for arg in arguments(enum_p, enum_q):
+            p, q = enum_p.verdict(row, arg), enum_q.verdict(row, arg)
+            if {p, q} == {Verdict.YES, Verdict.NO} and (both_ways or q is Verdict.YES):
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -314,9 +381,7 @@ class FinitenessVerdict:
 
 
 def is_mutation_finite(
-    B: ExchangeMatrix,
-    budget: Budget = DEFAULT_BUDGET,
-    store=None,
+    B: ExchangeMatrix, budget: Budget = DEFAULT_BUDGET, store=None
 ) -> FinitenessVerdict:
     """FINITE when the enumeration closes; INFINITE by classification; else UNKNOWN.
 
@@ -328,13 +393,7 @@ def is_mutation_finite(
     infinite, and the enumeration runs with ``max_entry=2``.  Outside that
     family the always-sound fallback is UNKNOWN.
     """
-    applies = (
-        B.m == 0
-        and B.n >= 3
-        and budget.max_entry >= 2
-        and B.is_skew_symmetric
-        and B.is_connected
-    )
+    applies = B.is_quiver and B.n >= 3 and budget.max_entry >= 2 and B.is_connected
     if applies and B.max_abs_entry > 2:
         return FinitenessVerdict(Finiteness.INFINITE, None, B, budget)
     effective = replace(budget, max_entry=2) if applies else budget

@@ -72,7 +72,7 @@ def _read_matrix(source: str) -> ExchangeMatrix:
 def _input(args) -> ExchangeMatrix:
     """The one matrix of a single-matrix verb: its file, or --matrix."""
     if args.matrix is not None:
-        return from_inline(args.matrix, args.frozen)
+        return from_inline(args.matrix, args.frozen or 0)
     return _read_matrix(args.input)
 
 
@@ -285,7 +285,7 @@ def _select_classes(args, u) -> list[str]:
     selected = [u.find(prefix).hash for prefix in args.cls or []]
     sources = [(source, _read_matrix(source)) for source in args.members]
     if args.matrix is not None:
-        sources.append(("--matrix", from_inline(args.matrix, args.frozen)))
+        sources.append(("--matrix", from_inline(args.matrix, args.frozen or 0)))
     if sources:
         with _open_store(args) as store:
             for source, B in sources:
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     one = single.add_mutually_exclusive_group(required=True)
     one.add_argument("input", nargs="?", help="matrix file (JSON or text), '-' for stdin")
     one.add_argument("--matrix", help="inline matrix, rows separated by ';', e.g. '0 1;-1 0'")
-    single.add_argument("--frozen", type=int, default=0, help="freeze the last K indices of an inline matrix")
+    single.add_argument("--frozen", type=int, help="freeze the last K indices of an inline matrix")
 
     parser = _Parser(
         prog="mutopo",
@@ -402,9 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the universe JSON here")
     p.set_defaults(func=_cmd_universe)
 
-    p = sub.add_parser("hasse", parents=[cache, json_flag], help="Hasse diagram of a universe file")
+    p = sub.add_parser("hasse", parents=[cache], help="Hasse diagram of a universe file")
     p.add_argument("universe")
-    p.add_argument("--dot", action="store_true")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true")
+    output.add_argument("--dot", action="store_true")
     p.add_argument("--partial", action="store_true",
                    help="emit unresolved pairs as dashed edges instead of failing")
     p.set_defaults(func=_cmd_hasse)
@@ -417,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--class", dest="cls", action="append",
                        help="class hash prefix (repeatable)")
         p.add_argument("--matrix", help="inline matrix selecting a class")
-        p.add_argument("--frozen", type=int, default=0)
+        p.add_argument("--frozen", type=int)
         p.set_defaults(func=_cmd_class_set, generate=generate)
 
     p = sub.add_parser("cache", help="cache maintenance")
@@ -431,6 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "frozen", None) is not None and args.matrix is None:
+        parser.error("--frozen applies to an inline --matrix only: a file declares its own")
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -2,10 +2,8 @@
 
 [P] embeds into [Q] when some member of [P] is isomorphic to a restriction
 of some member of [Q].  The verdict is tri-valued: YES carries a replayable
-witness, NO is asserted only on exhaustive grounds (a CLOSED enumeration
-of [Q], or at equal rank of either class) or a class invariant (the
-fingerprint, divisibility, a reflection orbit), and UNKNOWN reports that
-a budget tripped first.
+witness, NO rests on exhaustive grounds or a class invariant (see
+:func:`embeds`), and UNKNOWN reports that a budget tripped first.
 
 Witnesses are anchored at the canonical forms of the two inputs: replaying
 ``q_sequence`` from ``canonical_form(Q).matrix``, restricting to
@@ -17,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
-from math import gcd
 
 from .canonical import canonical_form, canonical_relabeling
 from .classes import (
@@ -27,7 +24,7 @@ from .classes import (
     Verdict,
     enumerate_class,
     mutation_fingerprint,
-    rank3_zero_pair_free,
+    separates,
 )
 from .matrix import ExchangeMatrix, apply_sequence, disjoint_union, restrict
 
@@ -106,21 +103,22 @@ def embeds(
 
     Rank (and per-pool) shape drops give an immediate exhaustive NO.  At
     equal rank embedding is mutation equivalence, resolved through either
-    enumeration and the class invariants, disjoint reflection orbits
-    (:attr:`ClassEnumeration.reflection_orbit`) among them.  Otherwise the
-    witness is the first restriction (members of [Q] in BFS order, their
-    subsets in colex order) that is a member of [P].  Each enumeration of [Q] keeps one scan
-    per shape, so a (member, subset) is restricted once across calls: a
-    call looks among the positions already walked, and resumes the walk
+    enumeration, the fingerprint and disjoint reflection orbits
+    (:attr:`ClassEnumeration.reflection_orbit`).  Otherwise the witness is
+    the first restriction (members of [Q] in BFS order, their subsets in
+    colex order) that is a member of [P].  Each enumeration of [Q] keeps one
+    scan per shape, so a (member, subset) is restricted once across calls:
+    a call looks among the positions already walked, and resumes the walk
     only when none of them is a member of [P].
 
     With no such restriction the answer is NO when [Q] is CLOSED (*closed
     upper class*), whatever the status of [P]: restriction to I commutes
     with mutation at a mutable index inside I, so the restrictions of a
     CLOSED [Q] are closed under mutation, and the full scan would have met
-    ``canonical_form(P)``, a member of its own enumeration.  A CLOSED [P]
-    also gives NO by divisibility, and the arrowless pair by the reflection
-    orbit of a rank-3 [Q] (:func:`~mutopo.classes.rank3_zero_pair_free`).
+    ``canonical_form(P)``, a member of its own enumeration.  Last, at any
+    rank, is the separation step: NO when a row of the table of hereditary
+    class properties separates the classes
+    (:func:`~mutopo.classes.separates`).
     """
     cf_p = canonical_form(P)
     cf_q = canonical_form(Q)
@@ -154,8 +152,9 @@ def _embeds_fresh(P, Q, cf_p, cf_q, budget, store) -> EmbedVerdict:
             return EmbedVerdict(Verdict.YES, EmbedWitness((), full, mem.witness), budget)
         if enum_q.status == CLOSED or enum_p.status == CLOSED:
             return EmbedVerdict(Verdict.NO, None, budget)
-        orbit_p, orbit_q = enum_p.reflection_orbit, enum_q.reflection_orbit
-        if orbit_p is not None and orbit_q is not None and orbit_p.keys().isdisjoint(orbit_q):
+        orbits = enum_p.reflection_orbit, enum_q.reflection_orbit
+        disjoint = None not in orbits and orbits[0].keys().isdisjoint(orbits[1])
+        if disjoint or separates(enum_p, enum_q):
             return EmbedVerdict(Verdict.NO, None, budget)
         return EmbedVerdict(Verdict.UNKNOWN, None, budget)
 
@@ -164,13 +163,8 @@ def _embeds_fresh(P, Q, cf_p, cf_q, budget, store) -> EmbedVerdict:
     witness = _first_restriction(enum_p, enum_q, P.n, P.m)
     if witness is not None:
         return EmbedVerdict(Verdict.YES, witness, budget)
-    if enum_q.status == CLOSED:
+    if enum_q.status == CLOSED or separates(enum_p, enum_q):
         return EmbedVerdict(Verdict.NO, None, budget)
-    if enum_p.status == CLOSED:
-        if _divisibility_obstruction(enum_p, Q):
-            return EmbedVerdict(Verdict.NO, None, budget)
-        if cf_p.matrix.b == ((0, 0), (0, 0)) and rank3_zero_pair_free(enum_q) is True:
-            return EmbedVerdict(Verdict.NO, None, budget)
     return EmbedVerdict(Verdict.UNKNOWN, None, budget)
 
 
@@ -187,19 +181,6 @@ def same_class(
     if (A.n, A.m) != (B.n, B.m):
         return Verdict.NO
     return embeds(A, B, budget, store=store).verdict
-
-
-def _divisibility_obstruction(enum_p, Q: ExchangeMatrix) -> bool:
-    """Exhaustive NO without closing [Q]: mutation preserves the entry gcd,
-    so when every member of a CLOSED [P] has an entry outside g(Q)*Z no
-    restriction of any member of [Q] can realize one."""
-    g = gcd(*(abs(v) for row in Q.b for v in row))
-    if g <= 1:
-        return False
-    return not any(
-        all(v % g == 0 for row in mem.form.matrix.b for v in row)
-        for mem in enum_p.members
-    )
 
 
 def replay_embedding(P: ExchangeMatrix, Q: ExchangeMatrix, ev: EmbedVerdict) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 
@@ -32,18 +33,22 @@ class EmptySubset(ValueError):
 
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """Validated integer exchange matrix with a normalized skew-symmetrizer.
+    """Validated integer exchange matrix.
 
     Do not call the constructor directly; go through :func:`build`, which
-    validates the matrix and derives ``d``, or one of the operations below,
-    which derive a valid result and its ``d`` from valid inputs.
-    Entries are plain Python ints, so they never overflow under mutation.
+    validates the matrix, or one of the operations below, which derive a
+    valid result from valid inputs.  Entries are plain Python ints, so they
+    never overflow under mutation.
     """
 
     n: int
     m: int
     b: tuple[tuple[int, ...], ...]
-    d: tuple[int, ...]
+
+    @cached_property
+    def d(self) -> tuple[int, ...]:
+        """The normalized skew-symmetrizer (see :func:`_symmetrizer`)."""
+        return _symmetrizer(self.b)
 
     @property
     def size(self) -> int:
@@ -60,6 +65,10 @@ class ExchangeMatrix:
             for i in range(self.size)
             for j in range(i, self.size)
         )
+
+    @property
+    def is_quiver(self) -> bool:
+        return not self.m and self.is_skew_symmetric
 
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components of the support graph, as 1-based index sets."""
@@ -134,7 +143,7 @@ def _symmetrizer(b: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 
 def build(n: int, m: int, rows) -> ExchangeMatrix:
-    """Validate an (n+m) x (n+m) integer matrix and attach its symmetrizer.
+    """Validate an (n+m) x (n+m) integer matrix.
 
     Raises ValueError for malformed input (shape, non-integers, n < 1,
     m < 0) and NotSkewSymmetrizable when the matrix has a nonzero diagonal
@@ -160,7 +169,8 @@ def build(n: int, m: int, rows) -> ExchangeMatrix:
                 raise NotSkewSymmetrizable(
                     f"sign coherence fails at pair ({i + 1},{j + 1})"
                 )
-    return ExchangeMatrix(n, m, b, _symmetrizer(b))
+    _symmetrizer(b)  # raises unless one exists
+    return ExchangeMatrix(n, m, b)
 
 
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -168,7 +178,6 @@ def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
 
     Row and column k flip sign; every other entry picks up the two-path
     contribution ``b[i][k]*max(b[k][j],0) + max(-b[i][k],0)*b[k][j]``.
-    The symmetrizer is unchanged.
     """
     k = operator.index(k)
     if not 1 <= k <= B.n:
@@ -195,7 +204,7 @@ def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
                 if j != kk and row_k[j] < 0:
                     row[j] -= bik * row_k[j]
         new_rows.append(tuple(row))
-    return ExchangeMatrix(B.n, B.m, tuple(new_rows), B.d)
+    return ExchangeMatrix(B.n, B.m, tuple(new_rows))
 
 
 def apply_sequence(B: ExchangeMatrix, sequence) -> ExchangeMatrix:
@@ -210,9 +219,7 @@ def restrict(B: ExchangeMatrix, indices) -> ExchangeMatrix:
 
     Retained indices keep their mutable/frozen status; mutable indices are
     placed first in the result.  A submatrix of a valid matrix is valid, so
-    nothing is re-validated: the symmetrizer is ``B.d`` restricted and
-    divided by its gcd on each support component of the submatrix, which
-    is exactly what :func:`build` would derive.
+    nothing is re-validated.
     """
     idx = [operator.index(i) for i in indices]
     if not idx:
@@ -228,12 +235,7 @@ def restrict(B: ExchangeMatrix, indices) -> ExchangeMatrix:
         raise EmptySubset("restriction retains no mutable index")
     order = [i - 1 for i in mutable + frozen]
     b = tuple(tuple(B.b[i][j] for j in order) for i in order)
-    d = [B.d[i] for i in order]
-    for comp in _support_components(b):
-        g = gcd(*(d[i] for i in comp))
-        for i in comp:
-            d[i] //= g
-    return ExchangeMatrix(len(mutable), len(frozen), b, tuple(d))
+    return ExchangeMatrix(len(mutable), len(frozen), b)
 
 
 def disjoint_union(P: ExchangeMatrix, Q: ExchangeMatrix) -> ExchangeMatrix:
@@ -255,8 +257,7 @@ def disjoint_union(P: ExchangeMatrix, Q: ExchangeMatrix) -> ExchangeMatrix:
         for src_j, oj in sources:
             row.append(src_i.b[oi][oj] if src_i is src_j else 0)
         rows.append(tuple(row))
-    d = tuple(src.d[oi] for src, oi in sources)
-    return ExchangeMatrix(P.n + Q.n, P.m + Q.m, tuple(rows), d)
+    return ExchangeMatrix(P.n + Q.n, P.m + Q.m, tuple(rows))
 
 
 def is_acyclic(B: ExchangeMatrix) -> bool:

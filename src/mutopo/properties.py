@@ -1,5 +1,6 @@
 """Budgeted checkers for the named mutation-class properties: avoidance,
-mutation-acyclicity, arrow abundance, isolated-quiver avoidance, and
+mutation-acyclicity and arrow abundance (rows of the table
+:data:`~mutopo.classes.HEREDITARY`), isolated-quiver avoidance, and
 bounded universality.  All verdicts are tri-valued; NO and YES are asserted
 only on evidence that survives the budget, UNKNOWN otherwise.
 """
@@ -8,24 +9,21 @@ from __future__ import annotations
 
 from .canonical import canonical_form
 from .classes import (
-    CLOSED,
     DEFAULT_BUDGET,
     Budget,
     Verdict,
+    abundance,
+    acyclicity,
     enumerate_class,
-    rank3_zero_pair_free,
 )
 from .embed import embeds
-from .matrix import ExchangeMatrix, build, is_acyclic
+from .matrix import ExchangeMatrix, build
 from .store import Store
 from .universe import collect_classes, iter_quiver_seeds
 
 
 def is_avoiding(
-    Q: ExchangeMatrix,
-    patterns,
-    budget: Budget = DEFAULT_BUDGET,
-    store=None,
+    Q: ExchangeMatrix, patterns, budget: Budget = DEFAULT_BUDGET, store=None
 ) -> Verdict:
     """Does [Q] avoid every class in `patterns` (none of them embeds)?
 
@@ -35,72 +33,43 @@ def is_avoiding(
     Without a store, the calls share an in-memory one, so [Q] is enumerated
     once.
     """
-    if store is None:
-        store = Store()
-    normalized = sorted(
-        patterns, key=lambda p: (p.size, p.n, canonical_form(p).key)
-    )
+    store = Store() if store is None else store
+    normalized = sorted(patterns, key=lambda p: (p.size, p.n, canonical_form(p).key))
+    return _every((embeds(p, Q, budget, store).verdict for p in normalized), Verdict.YES)
+
+
+def _every(verdicts, failing: Verdict) -> Verdict:
+    """NO at the first verdict that is `failing`, else UNKNOWN if any is, else YES."""
     unresolved = False
-    for pattern in normalized:
-        ev = embeds(pattern, Q, budget, store)
-        if ev.verdict is Verdict.YES:
+    for verdict in verdicts:
+        if verdict is failing:
             return Verdict.NO
-        if ev.verdict is Verdict.UNKNOWN:
-            unresolved = True
+        unresolved = unresolved or verdict is Verdict.UNKNOWN
     return Verdict.UNKNOWN if unresolved else Verdict.YES
 
 
-def is_mutation_acyclic(
-    B: ExchangeMatrix, budget: Budget = DEFAULT_BUDGET, store=None
-) -> Verdict:
-    """Does the class of B contain an acyclic member?"""
-    if is_acyclic(B):
-        return Verdict.YES
-    enum = enumerate_class(B, budget, store)
-    if any(is_acyclic(mem.form.matrix) for mem in enum.members):
-        return Verdict.YES
-    return Verdict.NO if enum.status == CLOSED else Verdict.UNKNOWN
+def _lookup(B: ExchangeMatrix, budget: Budget, store, row, arg=None) -> Verdict:
+    """A table row on [B], read on the seed alone first: that often settles it."""
+    verdict = enumerate_class(B, Budget(1, budget.max_entry, budget.max_depth)).verdict(row, arg)
+    if verdict is Verdict.UNKNOWN:
+        verdict = enumerate_class(B, budget, store).verdict(row, arg)
+    return verdict
 
 
-def _violates_abundance(B: ExchangeMatrix, min_arrows: int) -> bool:
-    for i in range(B.n):
-        for j in range(i + 1, B.n):
-            if min(abs(B.b[i][j]), abs(B.b[j][i])) < min_arrows:
-                return True
-    return False
+def is_mutation_acyclic(B: ExchangeMatrix, budget: Budget = DEFAULT_BUDGET, store=None) -> Verdict:
+    """Does the class of B contain an acyclic member?  The table's row
+    :func:`~mutopo.classes.acyclicity`."""
+    return _lookup(B, budget, store, acyclicity)
 
 
 def is_N_abundant(
-    B: ExchangeMatrix,
-    min_arrows: int,
-    budget: Budget = DEFAULT_BUDGET,
-    store=None,
+    B: ExchangeMatrix, min_arrows: int, budget: Budget = DEFAULT_BUDGET, store=None
 ) -> Verdict:
-    """Does every member carry at least `min_arrows` arrows between every
-    pair of mutable indices?
-
-    Only mutable pairs are consulted; on skew-symmetrizable input the pair
-    weight is taken conservatively as min(|b[i][j]|, |b[j][i]|).  A rank-1
-    matrix is trivially abundant for every bound.  For the bound 1 a
-    violation is exactly an arrowless pair, so on rank-3 quivers the
-    reflection orbit can assert YES even when the enumeration truncates
-    (the same query, and hence the same verdict, as avoiding the arrowless
-    pair).
-    """
+    """Has every member at least `min_arrows` arrows at each pair of mutable
+    indices?  The table's row :func:`~mutopo.classes.abundance`."""
     if min_arrows < 1:
         raise ValueError("the arrow bound must be at least 1")
-    if B.size == 1:
-        return Verdict.YES
-    if _violates_abundance(B, min_arrows):
-        return Verdict.NO
-    enum = enumerate_class(B, budget, store)
-    if any(_violates_abundance(mem.form.matrix, min_arrows) for mem in enum.members):
-        return Verdict.NO
-    if enum.status == CLOSED:
-        return Verdict.YES
-    if min_arrows == 1 and rank3_zero_pair_free(enum) is True:
-        return Verdict.YES
-    return Verdict.UNKNOWN
+    return _lookup(B, budget, store, abundance, min_arrows)
 
 
 def isolated_quiver(vertices: int) -> ExchangeMatrix:
@@ -109,10 +78,7 @@ def isolated_quiver(vertices: int) -> ExchangeMatrix:
 
 
 def in_E_N(
-    B: ExchangeMatrix,
-    bound: int,
-    budget: Budget = DEFAULT_BUDGET,
-    store=None,
+    B: ExchangeMatrix, bound: int, budget: Budget = DEFAULT_BUDGET, store=None
 ) -> Verdict:
     """Does [B] avoid the arrowless quiver on bound+1 vertices?"""
     if bound < 1:
@@ -121,11 +87,7 @@ def in_E_N(
 
 
 def is_k_universal_bounded(
-    Q: ExchangeMatrix,
-    k: int,
-    entry_cap: int,
-    budget: Budget = DEFAULT_BUDGET,
-    store=None,
+    Q: ExchangeMatrix, k: int, entry_cap: int, budget: Budget = DEFAULT_BUDGET, store=None
 ) -> Verdict:
     """Does every quiver class of rank <= k (seed entries <= entry_cap)
     embed into [Q]?
@@ -137,14 +99,6 @@ def is_k_universal_bounded(
     """
     if k < 2:
         raise ValueError("universality is defined for k >= 2")
-    if store is None:
-        store = Store()
+    store = Store() if store is None else store
     test_classes = collect_classes(iter_quiver_seeds(k, entry_cap), budget, store)
-    unresolved = False
-    for cls in test_classes:
-        ev = embeds(cls.seed, Q, budget, store)
-        if ev.verdict is Verdict.NO:
-            return Verdict.NO
-        if ev.verdict is Verdict.UNKNOWN:
-            unresolved = True
-    return Verdict.UNKNOWN if unresolved else Verdict.YES
+    return _every((embeds(cls.seed, Q, budget, store).verdict for cls in test_classes), Verdict.NO)

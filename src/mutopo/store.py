@@ -10,7 +10,7 @@ separators, each carrying a ``crc`` field: the CRC-32 of the line's bytes
 with its ``,"crc":N`` field cut out, so a line in any other encoding fails
 it.  The file is append-only; compaction is explicit and rewrites it
 atomically from the kept records: a record never decoded is verified and
-copied as its line.
+copied as its line, and an UNKNOWN embed verdict, which may be stale, goes.
 
 Keys are canonical-form hashes plus the exact budget, so isomorphic seeds
 share entries and differing budgets never collide; a re-put of a key is a
@@ -432,9 +432,9 @@ class Store:
     # -- maintenance --------------------------------------------------------
 
     def compact(self) -> dict:
-        """Drop records whose budget another record for the same key strictly
-        dominates, then rewrite the file atomically from the kept records;
-        a class line never served is checked first (and decoded for that only)."""
+        """Drop UNKNOWN embed verdicts and records whose budget another record for
+        the same key strictly dominates, then rewrite the file atomically from the
+        kept records; a class line never served is checked (and decoded) first."""
         records = self.stats()["records"]
         self._classes = {
             seed: {key: enum for key, enum in by_budget.items() if not _dominated(key, by_budget)}
@@ -446,7 +446,7 @@ class Store:
         self._embeds = {
             key: ev
             for key, ev in self._embeds.items()
-            if not _dominated(key[2], embed_budgets[key[:2]])
+            if ev.verdict is not Verdict.UNKNOWN and not _dominated(key[2], embed_budgets[key[:2]])
         }
         before = self._file_bytes()
         if self.path is not None and not self.readonly:

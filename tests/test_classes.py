@@ -254,14 +254,15 @@ class TestRank3Structure:
         assert checked > 20
 
     def test_zero_pair_free_examples(self, cycle321, w333, a3, a4):
-        from mutopo.classes import rank3_zero_pair_free
+        from mutopo.classes import abundance
 
-        assert rank3_zero_pair_free(enumerate_class(cycle321)) is True
+        # TRUNCATED, but its reflection orbit arrows every pair
+        assert abundance(enumerate_class(cycle321), 1) is Verdict.YES
         enum = enumerate_class(w333)
         assert enum.reflection_orbit is None  # no acyclic member found
-        assert rank3_zero_pair_free(enum) is None
-        assert rank3_zero_pair_free(enumerate_class(a3)) is False  # the path drops a pair
-        assert rank3_zero_pair_free(enumerate_class(a4)) is None  # rank 4
+        assert abundance(enum, 1) is Verdict.YES  # but a BBH member
+        assert abundance(enumerate_class(a3), 1) is Verdict.NO  # the path drops a pair
+        assert abundance(enumerate_class(a4), 1) is Verdict.NO  # CLOSED, drops a pair
 
 
 class TestFingerprint:

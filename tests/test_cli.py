@@ -153,6 +153,18 @@ class TestInput:
         assert exc.value.code == 1
         assert captured.out == "" and "usage:" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["mutate", "--at", "1", "a3", "--frozen", "2"],
+        ["acyclic", "NC", "a3", "--frozen", "1"],
+    ])
+    def test_frozen_without_matrix_is_a_usage_error(self, capsys, files, argv):
+        # a matrix file declares its own frozen count
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *(files.get(a, a) for a in argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == "" and "--frozen" in captured.err and "usage:" in captured.err
+
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_zero(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
@@ -305,6 +317,14 @@ def u31_file(tmp_path_factory):
     return str(path)
 
 
+def test_hasse_takes_one_output_format(capsys, u31_file):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "hasse", u31_file, "--dot", "--json", "NC")
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == "" and "not allowed with" in captured.err
+
+
 class TestClassSelection:
     def test_inline_matrix_selects_a_class(self, capsys, files, u31_file):
         by_file = run(capsys, "closure", u31_file, files["a3"], "NC")
@@ -321,6 +341,14 @@ class TestClassSelection:
                            "--json", "NC")
         assert code == 0
         assert set(json.loads(out)["classes"]) == {class_key(B).hash for B in (a2, i2, pt)}
+
+    @pytest.mark.parametrize("verb", ["closure", "open-set"])
+    def test_frozen_without_matrix_is_a_usage_error(self, capsys, files, u31_file, verb):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, verb, u31_file, files["a3"], "--frozen", "1", "NC")
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == "" and "--frozen" in captured.err and "usage:" in captured.err
 
     def test_class_outside_the_universe_names_its_source(self, capsys, files, u31_file):
         code, _, err = run(capsys, "closure", u31_file, "--matrix", "0 2;-2 0", "NC")

@@ -5,6 +5,7 @@ import pytest
 
 import mutopo.embed as embed_module
 import oracles
+from mutopo.classes import abundance, acyclicity, divisibility, separates
 from conftest import quiver, random_quiver, random_skew, weighted_pair
 from mutopo import (
     Budget,
@@ -12,6 +13,7 @@ from mutopo import (
     EmbedWitness,
     Store,
     Verdict,
+    apply_sequence,
     build,
     build_universe,
     canonical_form,
@@ -20,6 +22,7 @@ from mutopo import (
     embeds,
     enumerate_class,
     is_acyclic,
+    is_mutation_acyclic,
     iter_quiver_seeds,
     replay_embedding,
     restrict,
@@ -282,6 +285,69 @@ def test_reflection_orbit_is_sound(r4w2_classes):
     for (h1, (s1, o1)), (h2, (s2, o2)) in combinations(orbits.items(), 2):
         if "CLOSED" in (s1, s2):
             assert o1.isdisjoint(o2), (h1, h2)
+
+
+def test_no_class_has_an_orbit_and_a_bbh_member(r4w2_classes):
+    # an acyclic member and a mutation-cyclic BBH subquiver would contradict
+    # the theorems the table cites
+    _, _, classes, enums = r4w2_classes
+    bbh = [h for h, enum in enums.items() if enum.bbh_member]
+    assert bbh and all(enums[h].reflection_orbit is None for h in bbh)
+
+
+def test_table_rows_agree_with_exhaustive_answers_on_closed_classes(r4w2_classes):
+    budget, store, classes, enums = r4w2_classes
+    closed = [cls for cls in classes if cls.key.status == "CLOSED"]
+    for cls in closed:
+        enum, mats = enums[cls.hash], [mem.form.matrix for mem in enums[cls.hash].members]
+        for N in (1, 2, 3):
+            every = all(
+                min(abs(B.b[i][j]), abs(B.b[j][i])) >= N
+                for B in mats for i, j in combinations(range(B.n), 2)
+            )
+            assert abundance(enum, N) is (Verdict.YES if every else Verdict.NO)
+        some = any(is_acyclic(B) for B in mats)
+        assert acyclicity(enum) is (Verdict.YES if some else Verdict.NO)
+        for g in (1, 2, 3):
+            every = all(v % g == 0 for B in mats for row in B.b for v in row)
+            assert divisibility(enum, g) is (Verdict.YES if every else Verdict.NO)
+    separated = 0
+    for lo in closed:
+        for hi in closed:
+            if lo.hash == hi.hash or lo.rank > hi.rank:
+                continue
+            if separates(enums[lo.hash], enums[hi.hash]):
+                separated += 1
+                reached = _restriction_hashes(enums[hi.hash], lo.rank)
+                assert reached.isdisjoint(enums[lo.hash].hashes), (lo.hash, hi.hash)
+    assert separated > 0
+
+
+def _mutated(rng, B, steps):
+    return apply_sequence(B, [rng.randint(1, B.n) for _ in range(steps)])
+
+
+def test_no_rule_refutes_a_constructed_embedding():
+    # soundness by construction, at budgets small enough that most classes
+    # truncate: a mutated restriction of a mutated quiver embeds into it, and
+    # a mutated acyclic quiver is mutation-acyclic, so no rule may say NO
+    rng = random.Random(11)
+    budget = Budget(max_members=12, max_entry=12)
+    checked = 0
+    for _ in range(400):
+        size = rng.randint(3, 5)
+        Q = random_quiver(rng, size, 2)
+        kept = rng.sample(range(1, size + 1), rng.randint(2, size))
+        P = _mutated(rng, restrict(_mutated(rng, Q, rng.randint(0, 3)), kept), rng.randint(0, 3))
+        acyclic = quiver([[abs(v) if i < j else -abs(v) for j, v in enumerate(row)]
+                          for i, row in enumerate(Q.b)])
+        A = _mutated(rng, acyclic, rng.randint(1, 4))
+        if max(P.max_abs_entry, A.max_abs_entry) > budget.max_entry:
+            continue
+        assert embeds(P, Q, budget).verdict is not Verdict.NO, (P.b, Q.b)
+        assert is_mutation_acyclic(A, budget) is not Verdict.NO, A.b
+        checked += 1
+    assert checked > 300
 
 
 class TestDensityWitness:

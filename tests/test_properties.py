@@ -49,7 +49,14 @@ class TestMutationAcyclic:
         assert is_mutation_acyclic(markov) is Verdict.NO
 
     def test_wild_cyclic_class_is_unknown(self, w333):
-        assert is_mutation_acyclic(w333, Budget(max_members=200)) is Verdict.UNKNOWN
+        # w333 is cyclic with weights >= 2 and Markov constant 0 <= 4, so it
+        # is mutation-cyclic (Beineke, Brüstle & Hille) though TRUNCATED
+        assert is_mutation_acyclic(w333, Budget(max_members=200)) is Verdict.NO
+        # the double 4-cycle: no acyclic member found, and no such triangle
+        double_4_cycle = quiver(
+            [[0, -2, 0, 2], [2, 0, -2, 0], [0, 2, 0, -2], [-2, 0, 2, 0]]
+        )
+        assert is_mutation_acyclic(double_4_cycle, Budget(max_members=200)) is Verdict.UNKNOWN
 
 
 class TestAbundance:
@@ -72,8 +79,15 @@ class TestAbundance:
         assert is_N_abundant(cycle321, 1) is Verdict.YES
 
     def test_unknown_on_truncated_cyclic_class(self, w333):
-        # no acyclic member is ever discovered, so nothing can assert YES
-        assert is_N_abundant(w333, 1, Budget(max_members=200)) is Verdict.UNKNOWN
+        # no acyclic member is ever discovered, but every member of the
+        # class of w333 is cyclic with weights >= 2 (Beineke, Brüstle & Hille)
+        assert is_N_abundant(w333, 1, Budget(max_members=200)) is Verdict.YES
+        # a TRUNCATED rank-4 class: no member seen drops an arrow, and the
+        # rank-3 grounds for YES do not apply
+        double_tournament = quiver(
+            [[0, 2, 2, 2], [-2, 0, 2, 2], [-2, -2, 0, 2], [-2, -2, -2, 0]]
+        )
+        assert is_N_abundant(double_tournament, 1, Budget(max_members=200)) is Verdict.UNKNOWN
 
     def test_bound_must_be_positive(self, markov):
         with pytest.raises(ValueError):

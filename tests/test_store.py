@@ -11,7 +11,9 @@ from conftest import quiver, weighted_pair
 from mutopo import (
     Budget,
     CorruptRecord,
+    EmbedVerdict,
     Store,
+    Verdict,
     build_universe,
     canonical_form,
     embeds,
@@ -208,6 +210,23 @@ def test_compact_keeps_incomparable_budgets(tmp_path, w333):
         store.put_class(b)
         stats = store.compact()
     assert stats["dropped"] == 0 and stats["kept"] == 2
+
+
+def test_compact_drops_a_stale_unknown(tmp_path, i2, a2, w333):
+    # a cache written before a rule decided a cell keeps serving its UNKNOWN
+    # until compaction drops it; the Y/N records stay
+    budget = Budget(max_members=200)
+    p, q = canonical_form(i2).hash, canonical_form(w333).hash
+    with Store(tmp_path) as store:
+        store.put_embed(p, q, EmbedVerdict(Verdict.UNKNOWN, None, budget))
+        assert embeds(a2, w333, budget, store).verdict is Verdict.NO
+    with Store(tmp_path) as store:
+        assert embeds(i2, w333, budget, store).verdict is Verdict.UNKNOWN
+        stats = store.compact()
+    assert (stats["dropped"], stats["kept"]) == (1, stats["records"] - 1)
+    with Store(tmp_path) as store:
+        assert embeds(i2, w333, budget, store).verdict is Verdict.NO
+        assert embeds(i2, w333, budget).verdict is Verdict.NO
 
 
 def test_single_writer_lock(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -7,14 +8,17 @@ import mutopo.classes as classes_module
 from conftest import weighted_pair
 from mutopo import (
     Budget,
+    Store,
     UnresolvedRelation,
     Universe,
+    Verdict,
     build_hasse,
     build_universe,
     canonical_form,
     class_key,
     closure,
     dump_universe,
+    enumerate_class,
     hasse_to_dot,
     is_clopen,
     is_closed,
@@ -132,6 +136,31 @@ class TestOrderAxioms:
         # every class is comparable to the point, which is enough
         k = u32.index_of(khash(pt))
         assert all(u32.relation[k][j] == "Y" for j in range(len(u32)))
+
+
+@pytest.mark.parametrize("rank, weight, family", [(3, 3, "quiver"), (4, 1, "quiver"),
+                                                  (3, 2, "skew")])
+def test_order_axioms_hold_where_rules_say_no(rank, weight, family):
+    """The soundness gate for every NO rule: a wrong NO on a pair that
+    embeds shows up as a broken order axiom or a broken lower set."""
+    store = Store()
+    u = build_universe(rank, weight, family=family, store=store)
+    rel, size = u.relation, len(u)
+    assert all(rel[i][i] == "Y" for i in range(size))
+    for i, j in combinations(range(size), 2):
+        assert not (rel[i][j] == "Y" and rel[j][i] == "Y"), (i, j)
+    above = [[j for j in range(size) if rel[i][j] == "Y"] for i in range(size)]
+    for i in range(size):
+        for j in above[i]:
+            assert all(rel[i][k] != "N" for k in above[j]), (i, j)
+    # each row of the table is a lower set: a class below a YES class is not NO
+    enums = [enumerate_class(cls.seed, u.budget, store) for cls in u.classes]
+    for i in range(size):
+        for j in above[i]:
+            for row, arguments in classes_module.HEREDITARY:
+                for arg in arguments(enums[i], enums[j]):
+                    verdicts = row(enums[i], arg), row(enums[j], arg)
+                    assert verdicts != (Verdict.NO, Verdict.YES), (i, j, row.__name__, arg)
 
 
 class TestClosure:
