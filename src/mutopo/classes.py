@@ -11,10 +11,12 @@ behaviour a deterministic function of the seed and the budget alone.
 from __future__ import annotations
 
 import enum
+from collections.abc import KeysView
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
+from operator import itemgetter
 
 from .canonical import CanonicalForm, canonical_form
 from .matrix import ExchangeMatrix, is_acyclic, mutate
@@ -87,12 +89,25 @@ class ClassEnumeration:
             raise RuntimeError(f"canonical hash collision at {form.hash}")
         return mem
 
-    def __contains__(self, hash_: str) -> bool:
-        return hash_ in self._index
-
     @property
-    def hashes(self) -> frozenset[str]:
-        return frozenset(self._index)
+    def hashes(self) -> KeysView[str]:
+        """The members' canonical hashes, as a read-only set view."""
+        return self._index.keys()
+
+    @cached_property
+    def relabelings(self) -> frozenset:
+        """The raw entries (see :func:`entries_getter`) of every
+        partition-preserving relabeling of every member's canonical matrix,
+        n!·m! per member.  A matrix of this shape is isomorphic to a member
+        exactly when its raw entries are in the set."""
+        seed = self.seed.matrix
+        n, size = seed.n, seed.size
+        getters = [
+            entries_getter(mut + fro, size)
+            for mut in permutations(range(n))
+            for fro in permutations(range(n, size))
+        ]
+        return frozenset(get(mem.form.key) for mem in self.members for get in getters)
 
     @property
     def count(self) -> int:
@@ -177,6 +192,13 @@ class ClassKey:
     @property
     def hash(self) -> str:
         return self.form.hash
+
+
+def entries_getter(order, size: int) -> itemgetter:
+    """Reads the raw entries of the submatrix on ``order`` (0-based indices,
+    in that order), row-major, off the row-major entries of a size x size
+    matrix.  A single index reads the bare entry rather than a 1-tuple."""
+    return itemgetter(*(i * size + j for i in order for j in order))
 
 
 def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:

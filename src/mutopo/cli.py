@@ -427,6 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_cache)
 
+    for p in sub.choices.values():  # so main reports usage errors as the verb
+        p.set_defaults(verb_parser=p)
     return parser
 
 
@@ -434,7 +436,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "frozen", None) is not None and args.matrix is None:
-        parser.error("--frozen applies to an inline --matrix only: a file declares its own")
+        args.verb_parser.error("--frozen applies to an inline --matrix only: a file declares its own")
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -13,6 +13,27 @@ def weighted_pair(w):
     return quiver([[0, w], [-w, 0]])
 
 
+def tree_quiver(size, edges):
+    """Quiver of a tree with every edge (i, j) oriented i -> j, 1-based."""
+    rows = [[0] * size for _ in range(size)]
+    for i, j in edges:
+        rows[i - 1][j - 1] = 1
+        rows[j - 1][i - 1] = -1
+    return quiver(rows)
+
+
+def type_a(n):
+    return tree_quiver(n, [(i, i + 1) for i in range(1, n)])
+
+
+def type_d(n):
+    return tree_quiver(n, [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)])
+
+
+def type_e(n):
+    return tree_quiver(n, [(i, i + 1) for i in range(1, n - 1)] + [(3, n)])
+
+
 @pytest.fixture
 def pt():
     return quiver([[0]])

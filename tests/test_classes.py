@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from conftest import quiver, random_quiver, weighted_pair
+from conftest import quiver, random_quiver, type_a, type_d, type_e, weighted_pair
 from mutopo import (
     Budget,
     Finiteness,
@@ -320,42 +320,21 @@ class TestFiniteness:
         assert fv.kind in (Finiteness.FINITE, Finiteness.UNKNOWN)
 
 
-def _tree_quiver(size, edges):
-    """Quiver of a tree with every edge (i, j) oriented i -> j, 1-based."""
-    rows = [[0] * size for _ in range(size)]
-    for i, j in edges:
-        rows[i - 1][j - 1] = 1
-        rows[j - 1][i - 1] = -1
-    return quiver(rows)
-
-
-def _type_a(n):
-    return _tree_quiver(n, [(i, i + 1) for i in range(1, n)])
-
-
-def _type_d(n):
-    return _tree_quiver(n, [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)])
-
-
-def _type_e(n):
-    return _tree_quiver(n, [(i, i + 1) for i in range(1, n - 1)] + [(3, n)])
-
-
 @pytest.mark.parametrize(
     "B, members",
     [
-        (_type_a(3), 4),
-        (_type_a(4), 6),
-        (_type_a(5), 19),
-        (_type_a(6), 49),
-        (_type_a(7), 150),
-        (_type_a(8), 442),
-        (_type_d(5), 26),
-        (_type_d(6), 80),
-        (_type_d(7), 246),
-        (_type_e(6), 67),
-        (_type_e(7), 416),
-        (_type_e(8), 1574),
+        (type_a(3), 4),
+        (type_a(4), 6),
+        (type_a(5), 19),
+        (type_a(6), 49),
+        (type_a(7), 150),
+        (type_a(8), 442),
+        (type_d(5), 26),
+        (type_d(6), 80),
+        (type_d(7), 246),
+        (type_e(6), 67),
+        (type_e(7), 416),
+        (type_e(8), 1574),
     ],
     ids=["A3", "A4", "A5", "A6", "A7", "A8", "D5", "D6", "D7", "E6", "E7", "E8"],
 )

@@ -165,6 +165,14 @@ class TestInput:
         assert exc.value.code == 1
         assert captured.out == "" and "--frozen" in captured.err and "usage:" in captured.err
 
+    def test_frozen_usage_error_shows_the_verbs_usage(self, capsys, files):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "mutate", "--at", "1", files["a3"], "--frozen", "2")
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("usage: mutopo mutate ") and "[--at AT]" in err
+        assert "mutopo mutate: error: --frozen applies to an inline --matrix only" in err
+
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_zero(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import pytest
@@ -6,7 +8,7 @@ import pytest
 import mutopo.embed as embed_module
 import oracles
 from mutopo.classes import abundance, acyclicity, divisibility, separates
-from conftest import quiver, random_quiver, random_skew, weighted_pair
+from conftest import quiver, random_quiver, random_skew, type_a, type_d, type_e, weighted_pair
 from mutopo import (
     Budget,
     EmbedVerdict,
@@ -125,19 +127,38 @@ class TestEmbeds:
                     assert embeds(P, Q).verdict.value == oracle
 
 
+def _universe_case(r, w, family):
+    u = build_universe(r, w, family=family)
+    return [cls.seed for cls in u.classes], u.budget, u.relation
+
+
+def _dynkin_case():
+    # CLOSED classes of rank 3 to 6: restriction shapes of size 3 (keyed by
+    # raw entries), 4 and 5 (keyed by canonical hash)
+    types = (type_a(3), type_a(4), type_d(4), type_a(5), type_d(5), type_a(6), type_d(6), type_e(6))
+    return [canonical_form(B).matrix for B in types], Budget(), None
+
+
+# each case with the key its scans use at each restriction shape size
+SCAN_CASES = [
+    pytest.param(lambda: _universe_case(3, 2, "quiver"), {1: "raw", 2: "raw"}, id="3-2-quiver"),
+    pytest.param(lambda: _universe_case(3, 1, "skew"), {1: "raw", 2: "raw"}, id="3-1-skew"),
+    pytest.param(_dynkin_case, {3: "raw", 4: "hash", 5: "hash"}, id="dynkin-3-6"),
+]
+
+
 class TestRestrictionScan:
-    @pytest.mark.parametrize("r, w, family", [(3, 2, "quiver"), (3, 1, "skew")])
-    def test_witnesses_match_the_per_pair_loop(self, r, w, family):
-        u = build_universe(r, w, family=family)
-        budget = u.budget
-        seeds = [cls.seed for cls in u.classes]
+    @pytest.mark.parametrize("case, keys", SCAN_CASES)
+    def test_witnesses_match_the_per_pair_loop(self, case, keys):
+        seeds, budget, relation = case()
         pairs = [(i, j) for i in range(len(seeds)) for j in range(len(seeds))]
         reference_store = Store()
         expected = {}
         for i, j in pairs:
             P, Q = seeds[i], seeds[j]
             ev = embeds(P, Q, budget)  # alone: one uninterrupted walk
-            assert ev.verdict.value[0] == u.relation[i][j]
+            if relation is not None:
+                assert ev.verdict.value[0] == relation[i][j]
             if P.size < Q.size and P.n <= Q.n and P.m <= Q.m:
                 hit = oracles.first_restriction(P, Q, budget, reference_store)
                 if hit is None:
@@ -153,35 +174,60 @@ class TestRestrictionScan:
             store = Store()
             for i, j in order:
                 assert embeds(seeds[i], seeds[j], budget, store) == expected[i, j]
+        enums = [store.get_class(canonical_form(Q).hash, budget) for Q in seeds]
+        scans = [scan for enum in enums for scan in enum.scans.values()]
+        kinds = {len(scan.subsets[0]): "hash" if scan.getters is None else "raw" for scan in scans}
+        assert kinds == keys
 
     def test_each_restriction_is_walked_once(self, monkeypatch):
-        calls = {}
-        real = embed_module.restrict
+        visits = Counter()  # (scan, position) -> times the walk keyed it
+        restricted = Counter()  # (member matrix, subset) -> restrict calls
 
-        def counting(B, idx):
-            key = (id(B), tuple(idx))
-            calls[key] = calls.get(key, 0) + 1
-            return real(B, idx)
+        class CountingFirst(dict):
+            def setdefault(self, key, position):
+                visits[id(self), position] += 1
+                return super().setdefault(key, position)
 
-        monkeypatch.setattr(embed_module, "restrict", counting)
-        store = Store()
-        u = build_universe(3, 2, store=store)
-        assert calls
-        # a second call for a (member, subset) can only be the one that
-        # confirms a YES found among the walked positions
-        seeds = {cls.hash: cls.seed for cls in u.classes}
-        witnessed = set()
-        for P in seeds.values():
-            for Q in seeds.values():
-                ev = embeds(P, Q, u.budget, store)
-                if ev.verdict is Verdict.YES and P.size < Q.size:
-                    enum_q = store.get_class(canonical_form(Q).hash, u.budget)
-                    member = next(
-                        mem for mem in enum_q.members if mem.witness == ev.witness.q_sequence
-                    )
-                    witnessed.add((id(member.reached), ev.witness.subset))
-        assert max(calls.values()) <= 2
-        assert {key for key, count in calls.items() if count == 2} <= witnessed
+        @dataclass
+        class CountingScan(embed_module._Scan):
+            def __post_init__(self):
+                self.first = CountingFirst()
+
+        real_restrict = embed_module.restrict
+
+        def restrict(B, idx):
+            restricted[id(B), tuple(idx)] += 1
+            return real_restrict(B, idx)
+
+        # one universe walked by raw entries only, and the Dynkin classes,
+        # whose shapes of size 4 and 5 are walked by canonical hash
+        cases = [(param.values[0](), param.values[1]) for param in SCAN_CASES[::2]]
+        monkeypatch.setattr(embed_module, "_Scan", CountingScan)
+        monkeypatch.setattr(embed_module, "restrict", restrict)
+        for (seeds, budget, _), keys in cases:
+            visits.clear()
+            restricted.clear()
+            store = Store()
+            witnessed = set()
+            for P in seeds:
+                for Q in seeds:
+                    ev = embeds(P, Q, budget, store)
+                    if ev.verdict is Verdict.YES and P.size < Q.size:
+                        enum_q = store.get_class(canonical_form(Q).hash, budget)
+                        member = next(
+                            mem for mem in enum_q.members if mem.witness == ev.witness.q_sequence
+                        )
+                        witnessed.add((id(member.reached), ev.witness.subset))
+            assert visits and max(visits.values()) == 1
+            # a raw-keyed walk builds no matrix: only a witness position is
+            # restricted, to confirm it.  A hash-keyed walk restricts each
+            # position it visits, and a witness found among the walked
+            # positions is restricted once more
+            raw = {key for key in restricted if keys[len(key[1])] == "raw"}
+            assert raw and raw <= witnessed
+            assert ("hash" in keys.values()) == bool(restricted.keys() - raw)
+            assert max(restricted.values()) <= 2
+            assert {key for key, count in restricted.items() if count == 2} <= witnessed
 
     def test_closed_upper_class_answers_no(self, cycle321, a4):
         # [cycle321] is mutation-infinite, so its enumeration is TRUNCATED;

@@ -18,6 +18,7 @@ from mutopo import (
     class_key,
     closure,
     dump_universe,
+    embeds,
     enumerate_class,
     hasse_to_dot,
     is_clopen,
@@ -27,6 +28,7 @@ from mutopo import (
     iter_skew_seeds,
     load_universe,
     open_set_generated,
+    replay_embedding,
     restrict,
 )
 
@@ -161,6 +163,19 @@ def test_order_axioms_hold_where_rules_say_no(rank, weight, family):
                 for arg in arguments(enums[i], enums[j]):
                     verdicts = row(enums[i], arg), row(enums[j], arg)
                     assert verdicts != (Verdict.NO, Verdict.YES), (i, j, row.__name__, arg)
+
+
+@pytest.mark.parametrize("rank, weight, family", [(4, 1, "quiver"), (3, 2, "skew")])
+def test_every_yes_witness_replays(rank, weight, family):
+    """Each Y cell's witness, found by the restriction scan, replays end to
+    end through mutate, restrict and canonical_form."""
+    store = Store()
+    u = build_universe(rank, weight, family=family, store=store)
+    cells = [(i, j) for i in range(len(u)) for j in range(len(u)) if u.relation[i][j] == "Y"]
+    assert any(u.classes[i].rank < u.classes[j].rank for i, j in cells)
+    for i, j in cells:
+        P, Q = u.classes[i].seed, u.classes[j].seed
+        assert replay_embedding(P, Q, embeds(P, Q, u.budget, store)), (i, j)
 
 
 class TestClosure:
