@@ -6,6 +6,14 @@ up to isomorphism) or was TRUNCATED by a cap.  Enumeration is breadth
 first and level synchronous with candidates admitted in canonical order,
 which makes the member set, the stored witnesses, and the truncation
 behaviour a deterministic function of the seed and the budget alone.
+
+Mutation is an involution, so each edge of the exchange graph, taken up to
+isomorphism, is canonicalized from one end only.  When mutating a member at
+k canonicalizes to the class C, and k becomes C's canonical vertex c, then
+mutating C at c leads back into that member; the BFS records c in a bitmask
+kept for C.  Expanding C later skips every vertex whose canonical index is
+in the mask: that child is a relabeling of a member already found, so the
+skip changes no member, witness, or cap.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from itertools import combinations, permutations
 from math import gcd
 from operator import itemgetter
 
-from .canonical import CanonicalForm, canonical_form
+from .canonical import CanonicalForm, canonical_form, canonical_relabeling
 from .matrix import ExchangeMatrix, is_acyclic, mutate
 
 CLOSED = "CLOSED"
@@ -205,7 +213,12 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
     n = seed.matrix.n
     members: dict[str, Member] = {seed.hash: Member(seed, (), seed.matrix)}
     order: list[Member] = [members[seed.hash]]
-    frontier: list[Member] = [members[seed.hash]]
+    # each frontier member with its canonical relabeling (canonical_relabeling
+    # of its reached matrix); the seed's reached matrix is its canonical one
+    frontier = [(members[seed.hash], tuple(range(1, seed.matrix.size + 1)))]
+    # canonical hash -> bitmask of the canonical vertices whose mutation leads
+    # back into a member, kept for the hashes of the frontier and the next level
+    back: dict[str, int] = {}
     tripped: set[str] = set()
     entry_witness: ExchangeMatrix | None = None
     depth = 0
@@ -213,11 +226,11 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
         if budget.max_depth is not None and depth == budget.max_depth:
             tripped.add("depth")
             break
-        candidates: dict[str, tuple[CanonicalForm, tuple[int, ...], ExchangeMatrix]] = {}
-        for mem in frontier:
+        candidates: dict[str, tuple[CanonicalForm, tuple[int, ...], ExchangeMatrix, tuple]] = {}
+        for mem, relabeling in frontier:
             for k in range(1, n + 1):
-                if mem.witness and k == mem.witness[-1]:
-                    continue  # mutation is an involution: this child is mem's parent
+                if back.get(mem.form.hash, 0) >> relabeling.index(k) & 1:
+                    continue  # this edge was canonicalized from its other end
                 child = mutate(mem.reached, k)
                 if child.max_abs_entry > budget.max_entry:
                     tripped.add("entry")
@@ -225,6 +238,8 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
                         entry_witness = child
                     continue
                 form = canonical_form(child)
+                child_relabeling = canonical_relabeling(child)
+                back[form.hash] = back.get(form.hash, 0) | 1 << child_relabeling.index(k)
                 seen = members.get(form.hash)
                 if seen is not None:
                     if seen.form.matrix != form.matrix:
@@ -235,20 +250,20 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
                 if prev is not None and prev[0].matrix != form.matrix:
                     raise RuntimeError(f"canonical hash collision at {form.hash}")
                 if prev is None or witness < prev[1]:
-                    candidates[form.hash] = (form, witness, child)
-        new_members: list[Member] = []
+                    candidates[form.hash] = (form, witness, child, child_relabeling)
+        frontier = []
         for hash_ in sorted(candidates, key=lambda h: candidates[h][0].key):
             if len(members) >= budget.max_members:
                 tripped.add("members")
                 break
-            form, witness, child = candidates[hash_]
+            form, witness, child, relabeling = candidates[hash_]
             mem = Member(form, witness, child)
             members[hash_] = mem
             order.append(mem)
-            new_members.append(mem)
+            frontier.append((mem, relabeling))
         if "members" in tripped:
             break
-        frontier = new_members
+        back = {mem.form.hash: back[mem.form.hash] for mem, _ in frontier}
         depth += 1
     status = CLOSED if not tripped else TRUNCATED
     return ClassEnumeration(

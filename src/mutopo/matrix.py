@@ -56,7 +56,8 @@ class ExchangeMatrix:
 
     @property
     def max_abs_entry(self) -> int:
-        return max(abs(v) for row in self.b for v in row)
+        b = self.b
+        return max(max(map(max, b)), -min(map(min, b)))
 
     @property
     def is_skew_symmetric(self) -> bool:

@@ -6,9 +6,11 @@ rules, isomorphism by exhaustive permutation search, and class enumeration
 by BFS with pairwise isomorphism deduplication.  Slow, but independently
 trustworthy on small inputs.
 
-The one exception is :func:`first_restriction`, the per-pair embedding
-scan kept as the reference for *which* witness ``embeds`` returns; it
-uses the package's enumerations and canonical forms.
+Two exceptions use the package's canonical forms, as references for
+*which* answer the package's shortcuts must reproduce:
+:func:`first_restriction`, the per-pair embedding scan that fixes which
+witness ``embeds`` returns, and :func:`reference_bfs`, the class BFS that
+canonicalizes every child but the way back to its discovering parent.
 """
 
 from __future__ import annotations
@@ -215,3 +217,54 @@ def first_restriction(P, Q, budget, store=None):
             if p_mem is not None:
                 return q_mem.witness, idx, p_mem.witness
     return None
+
+
+def reference_bfs(B, budget):
+    """The class enumeration of B, field for field, by the plain BFS: every
+    child of every frontier member is canonicalized, except the child along
+    the edge back to the member's discovering parent (its witness's last
+    index), which mutation being an involution makes the parent itself."""
+    from mutopo import canonical_form, mutate
+    from mutopo.classes import CLOSED, TRUNCATED, ClassEnumeration, Member
+
+    seed = canonical_form(B)
+    n = seed.matrix.n
+    members = {seed.hash: Member(seed, (), seed.matrix)}
+    order = [members[seed.hash]]
+    frontier = list(order)
+    tripped, entry_witness, depth = set(), None, 0
+    while frontier:
+        if budget.max_depth is not None and depth == budget.max_depth:
+            tripped.add("depth")
+            break
+        candidates = {}
+        for mem in frontier:
+            for k in range(1, n + 1):
+                if mem.witness and k == mem.witness[-1]:
+                    continue
+                child = mutate(mem.reached, k)
+                if child.max_abs_entry > budget.max_entry:
+                    tripped.add("entry")
+                    entry_witness = entry_witness or child
+                    continue
+                form = canonical_form(child)
+                if form.hash in members:
+                    assert members[form.hash].form.matrix == form.matrix
+                    continue
+                witness = mem.witness + (k,)
+                prev = candidates.get(form.hash)
+                if prev is None or witness < prev[1]:
+                    candidates[form.hash] = (form, witness, child)
+        frontier = []
+        for hash_ in sorted(candidates, key=lambda h: candidates[h][0].key):
+            if len(members) >= budget.max_members:
+                tripped.add("members")
+                break
+            members[hash_] = Member(*candidates[hash_])
+            order.append(members[hash_])
+            frontier.append(members[hash_])
+        if "members" in tripped:
+            break
+        depth += 1
+    status = TRUNCATED if tripped else CLOSED
+    return ClassEnumeration(seed, tuple(order), status, frozenset(tripped), entry_witness, budget)

@@ -1,9 +1,20 @@
 import random
+from itertools import permutations
 
 import pytest
 
+import mutopo.classes as classes_module
 import oracles
-from conftest import quiver, random_quiver, type_a, type_d, type_e, weighted_pair
+from conftest import (
+    quiver,
+    random_quiver,
+    random_skew,
+    tree_quiver,
+    type_a,
+    type_d,
+    type_e,
+    weighted_pair,
+)
 from mutopo import (
     Budget,
     Finiteness,
@@ -135,6 +146,119 @@ class TestEnumerate:
             enum = enumerate_class(weighted_pair(w), Budget(max_entry=max(w, 1)))
             assert enum.status == "CLOSED"
             assert enum.count == 1
+
+
+def _automorphisms(B):
+    """Partition-preserving relabelings that carry B to itself."""
+    b, size = B.b, B.size
+    perms = (
+        mut + fro for mut in permutations(range(B.n)) for fro in permutations(range(B.n, size))
+    )
+    return sum(
+        all(b[p[i]][p[j]] == b[i][j] for i in range(size) for j in range(size)) for p in perms
+    )
+
+
+_BFS_CASES = {
+    "A8": (type_a(8), Budget(), set()),
+    "D7": (type_d(7), Budget(), set()),
+    "E7": (type_e(7), Budget(), set()),
+    "members-cap": (type_a(8), Budget(max_members=200), {"members"}),
+    "entry-cap": (
+        quiver([
+            [0, 2, 0, 0, 0],
+            [-2, 0, 1, 0, 0],
+            [0, -1, 0, 1, 0],
+            [0, 0, -1, 0, 1],
+            [0, 0, 0, -1, 0],
+        ]),
+        Budget(max_entry=4),
+        {"entry"},
+    ),
+    "depth-cap": (type_e(8), Budget(max_depth=4), {"depth"}),
+    "frozen": (
+        build(4, 2, [
+            [0, 1, 0, 0, 1, 0],
+            [-1, 0, 1, 0, 0, 1],
+            [0, -1, 0, 1, 0, 0],
+            [0, 0, -1, 0, 0, 0],
+            [-1, 0, 0, 0, 0, 0],
+            [0, -1, 0, 0, 0, 0],
+        ]),
+        Budget(),
+        set(),
+    ),
+    "B5-skew": (
+        build(5, 0, [
+            [0, 1, 0, 0, 0],
+            [-1, 0, 1, 0, 0],
+            [0, -1, 0, 1, 0],
+            [0, 0, -1, 0, 2],
+            [0, 0, 0, -1, 0],
+        ]),
+        Budget(),
+        set(),
+    ),
+    "D4-star": (tree_quiver(4, [(1, 4), (2, 4), (3, 4)]), Budget(), set()),
+    "affine-D4-star": (tree_quiver(5, [(1, 5), (2, 5), (3, 5), (4, 5)]), Budget(), set()),
+}
+
+
+class TestEdgeRule:
+    """The BFS canonicalizes each exchange-graph edge from one end only; the
+    plain BFS of :func:`oracles.reference_bfs` fixes what it must return."""
+
+    @staticmethod
+    def assert_matches_reference(B, budget):
+        enum = enumerate_class(B, budget)
+        ref = oracles.reference_bfs(B, budget)
+        assert enum.seed == ref.seed
+        assert [m.form for m in enum.members] == [m.form for m in ref.members]
+        assert [m.witness for m in enum.members] == [m.witness for m in ref.members]
+        assert [m.reached for m in enum.members] == [m.reached for m in ref.members]
+        assert enum.status == ref.status
+        assert enum.tripped == ref.tripped
+        assert enum.entry_witness == ref.entry_witness
+        assert enum.budget == ref.budget
+        return enum
+
+    @pytest.mark.parametrize("case", list(_BFS_CASES))
+    def test_matches_reference_bfs(self, case):
+        B, budget, tripped = _BFS_CASES[case]
+        enum = self.assert_matches_reference(B, budget)
+        assert enum.tripped == tripped
+        if case == "B5-skew":
+            assert not enum.seed.matrix.is_skew_symmetric
+        if case.endswith("star"):
+            # one relabeling stands for several at every member
+            assert all(_automorphisms(m.form.matrix) > 1 for m in enum.members)
+
+    def test_matches_reference_bfs_on_random_seeds(self):
+        rng = random.Random(13)
+        for trial in range(60):
+            size = rng.choice([3, 4, 5])
+            if trial % 3 == 0:
+                n = rng.randint(1, size)
+                B = random_skew(rng, n, size - n)
+            else:
+                B = random_quiver(rng, size, rng.choice([1, 2]))
+            budget = Budget(
+                max_members=rng.choice([20, 200, 2000]),
+                max_entry=max(B.max_abs_entry, rng.choice([2, 3, 8])),
+                max_depth=rng.choice([None, 3, 6]),
+            )
+            self.assert_matches_reference(B, budget)
+
+    def test_each_edge_is_canonicalized_from_one_end(self, monkeypatch):
+        calls = []
+        canonical = classes_module.canonical_form
+        monkeypatch.setattr(
+            classes_module, "canonical_form", lambda B: calls.append(B) or canonical(B)
+        )
+        enumerate_class(type_a(8))
+        # 1,769 calls; canonicalizing both ends of every edge but the one to
+        # the discovering parent takes 3,096
+        assert len(calls) < 2000
 
 
 class TestClassKey:
