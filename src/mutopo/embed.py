@@ -169,29 +169,31 @@ def embeds(
     rank, is the separation step: NO when a row of the table of hereditary
     class properties separates the classes
     (:func:`~mutopo.classes.separates`).
+
+    The shape drop, equal-rank identity and the fingerprint need no
+    enumeration: they answer before the store, which memoizes the rest.
     """
+    if P.n > Q.n or P.m > Q.m:
+        return EmbedVerdict(Verdict.NO, None, budget)
     cf_p = canonical_form(P)
     cf_q = canonical_form(Q)
-    if store is not None:
-        hit = store.get_embed(cf_p.hash, cf_q.hash, budget)
-        if hit is not None:
-            return hit
-    verdict = _embeds_fresh(P, Q, cf_p, cf_q, budget, store)
-    if store is not None:
-        store.put_embed(cf_p.hash, cf_q.hash, verdict)
+    if P.size == Q.size:
+        if cf_p == cf_q:
+            full = tuple(range(1, Q.size + 1))
+            return EmbedVerdict(Verdict.YES, EmbedWitness((), full, ()), budget)
+        if mutation_fingerprint(P) != mutation_fingerprint(Q):
+            return EmbedVerdict(Verdict.NO, None, budget)
+    verdict = None if store is None else store.get_embed(cf_p.hash, cf_q.hash, budget)
+    if verdict is None:
+        verdict = _embeds_fresh(P, Q, cf_p, cf_q, budget, store)
+        if store is not None:
+            store.put_embed(cf_p.hash, cf_q.hash, verdict)
     return verdict
 
 
 def _embeds_fresh(P, Q, cf_p, cf_q, budget, store) -> EmbedVerdict:
-    if P.n > Q.n or P.m > Q.m:
-        return EmbedVerdict(Verdict.NO, None, budget)
-
     if P.size == Q.size:
         full = tuple(range(1, Q.size + 1))
-        if cf_p == cf_q:
-            return EmbedVerdict(Verdict.YES, EmbedWitness((), full, ()), budget)
-        if mutation_fingerprint(P) != mutation_fingerprint(Q):
-            return EmbedVerdict(Verdict.NO, None, budget)
         enum_q = enumerate_class(cf_q.matrix, budget, store)
         mem = enum_q.member_for(cf_p)
         if mem is not None:

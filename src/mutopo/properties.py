@@ -7,7 +7,6 @@ only on evidence that survives the budget, UNKNOWN otherwise.
 
 from __future__ import annotations
 
-from .canonical import canonical_form
 from .classes import (
     DEFAULT_BUDGET,
     Budget,
@@ -28,14 +27,11 @@ def is_avoiding(
     """Does [Q] avoid every class in `patterns` (none of them embeds)?
 
     NO as soon as one pattern embeds; YES when every embedding test is an
-    exhaustive NO; UNKNOWN otherwise.  Patterns are normalized to a sorted
-    canonical order first, so the verdict does not depend on input order.
-    Without a store, the calls share an in-memory one, so [Q] is enumerated
-    once.
+    exhaustive NO; UNKNOWN otherwise.  Without a store, the calls share an
+    in-memory one, so [Q] is enumerated once.
     """
     store = Store() if store is None else store
-    normalized = sorted(patterns, key=lambda p: (p.size, p.n, canonical_form(p).key))
-    return _every((embeds(p, Q, budget, store).verdict for p in normalized), Verdict.YES)
+    return _every((embeds(p, Q, budget, store).verdict for p in patterns), Verdict.YES)
 
 
 def _every(verdicts, failing: Verdict) -> Verdict:
@@ -99,6 +95,8 @@ def is_k_universal_bounded(
     """
     if k < 2:
         raise ValueError("universality is defined for k >= 2")
+    if entry_cap < 0:
+        raise ValueError("entry cap must be non-negative")
     store = Store() if store is None else store
     test_classes = collect_classes(iter_quiver_seeds(k, entry_cap), budget, store)
     return _every((embeds(cls.seed, Q, budget, store).verdict for cls in test_classes), Verdict.NO)

@@ -1,16 +1,21 @@
 """The one memo of class enumerations and embedding verdicts.
 
 A :class:`Store` keeps one index per record kind: seed hash -> budget ->
-enumeration, and (P hash, Q hash, budget) -> verdict.  ``Store()`` lives in
-memory only; ``Store(directory)`` also persists every record to
+enumeration, and (P hash, Q hash) -> budget -> verdict.  ``Store()`` lives
+in memory only; ``Store(directory)`` also persists every record to
 ``cache.jsonl`` in that directory.
+
+It keeps only facts that took an enumeration: class enumerations, and the
+YES and NO embedding verdicts that read one.  An UNKNOWN records only which
+budget tripped first under the rules of its day: it is never kept, and the
+UNKNOWN lines an older file holds are skipped at open.
 
 Format: one JSON object per line, serialized with sorted keys and compact
 separators, each carrying a ``crc`` field: the CRC-32 of the line's bytes
 with its ``,"crc":N`` field cut out, so a line in any other encoding fails
 it.  The file is append-only; compaction is explicit and rewrites it
 atomically from the kept records: a record never decoded is verified and
-copied as its line, and an UNKNOWN embed verdict, which may be stale, goes.
+copied as its line.
 
 Keys are canonical-form hashes plus the exact budget, so isomorphic seeds
 share entries and differing budgets never collide; a re-put of a key is a
@@ -282,8 +287,8 @@ class Store:
         self._classes: dict[str, dict[tuple, ClassEnumeration | _Indexed]] = {}
         # (seed hash, budget key) -> a CLOSED record served to a wider budget
         self._widened: dict[tuple[str, tuple], ClassEnumeration] = {}
-        # (P hash, Q hash, budget key) -> verdict
-        self._embeds: dict[tuple[str, str, tuple], EmbedVerdict] = {}
+        # (P hash, Q hash) -> budget key -> verdict
+        self._embeds: dict[tuple[str, str], dict[tuple, EmbedVerdict]] = {}
         if self.directory is None:
             return
         if not readonly:
@@ -355,8 +360,9 @@ class Store:
                 self._classes.setdefault(entry.seed, {}).setdefault(budget, entry)
             elif kind == "embed":
                 _check_crc(line[:-1], line_no)
-                key = (obj["p"], obj["q"], tuple(obj["budget"]))
-                self._embeds.setdefault(key, _embed_from_record(obj))
+                ev = _embed_from_record(obj)
+                if ev.verdict is not Verdict.UNKNOWN:  # an older file's: never served
+                    self._embeds.setdefault((obj["p"], obj["q"]), {}).setdefault(ev.budget.key(), ev)
             else:
                 raise CorruptRecord(line_no, f"unknown record kind {kind!r}")
 
@@ -412,12 +418,14 @@ class Store:
     # -- embed records ------------------------------------------------------
 
     def get_embed(self, p_hash: str, q_hash: str, budget: Budget) -> EmbedVerdict | None:
-        return self._embeds.get((p_hash, q_hash, budget.key()))
+        return self._embeds.get((p_hash, q_hash), {}).get(budget.key())
 
     def put_embed(self, p_hash: str, q_hash: str, ev: EmbedVerdict):
-        key = (p_hash, q_hash, ev.budget.key())
-        if key not in self._embeds:  # a re-put is idempotent
-            self._embeds[key] = ev
+        if ev.verdict is Verdict.UNKNOWN:  # which budget tripped first is no fact
+            return
+        by_budget = self._embeds.setdefault((p_hash, q_hash), {})
+        if ev.budget.key() not in by_budget:  # a re-put is idempotent
+            by_budget[ev.budget.key()] = ev
             self._append(_embed_record(p_hash, q_hash, ev))
 
     def _append(self, record: dict):
@@ -432,22 +440,15 @@ class Store:
     # -- maintenance --------------------------------------------------------
 
     def compact(self) -> dict:
-        """Drop UNKNOWN embed verdicts and records whose budget another record for
-        the same key strictly dominates, then rewrite the file atomically from the
-        kept records; a class line never served is checked (and decoded) first."""
+        """Drop records whose budget another record for the same key strictly
+        dominates, then rewrite the file atomically from the index, which holds
+        no UNKNOWN; a class line never served is checked (and decoded) first."""
         records = self.stats()["records"]
-        self._classes = {
-            seed: {key: enum for key, enum in by_budget.items() if not _dominated(key, by_budget)}
-            for seed, by_budget in self._classes.items()
-        }
-        embed_budgets: dict[tuple[str, str], list[tuple]] = {}
-        for p, q, key in self._embeds:
-            embed_budgets.setdefault((p, q), []).append(key)
-        self._embeds = {
-            key: ev
-            for key, ev in self._embeds.items()
-            if ev.verdict is not Verdict.UNKNOWN and not _dominated(key[2], embed_budgets[key[:2]])
-        }
+        self._classes, self._embeds = (
+            {at: {key: rec for key, rec in by_budget.items() if not _dominated(key, by_budget)}
+             for at, by_budget in index.items()}
+            for index in (self._classes, self._embeds)
+        )
         before = self._file_bytes()
         if self.path is not None and not self.readonly:
             tmp = self.path.with_suffix(".jsonl.tmp")
@@ -460,7 +461,8 @@ class Store:
                     else:
                         lines.append(_with_crc(_class_record(enum)))
             lines.extend(
-                _with_crc(_embed_record(p, q, ev)) for (p, q, _), ev in self._embeds.items()
+                _with_crc(_embed_record(p, q, ev))
+                for (p, q), by_budget in self._embeds.items() for ev in by_budget.values()
             )
             tmp.write_bytes(b"".join(line + b"\n" for line in lines))
             os.replace(tmp, self.path)
@@ -478,10 +480,10 @@ class Store:
         return self.path.stat().st_size if self.path is not None and self.path.exists() else 0
 
     def stats(self) -> dict:
-        classes = sum(len(by_budget) for by_budget in self._classes.values())
+        classes, embeds = (sum(map(len, index.values())) for index in (self._classes, self._embeds))
         return {
-            "records": classes + len(self._embeds),
+            "records": classes + embeds,
             "classes": classes,
-            "embeds": len(self._embeds),
+            "embeds": embeds,
             "path": str(self.path),
         }

@@ -223,35 +223,31 @@ def _as_index_set(u: Universe, selection) -> set[int]:
     return out
 
 
+def _generated(u: Universe, selection, rows, name: str) -> frozenset[str]:
+    """Every class k with a Y cell ``rows[k][a]`` at a selected a; U cells alone raise."""
+    chosen = _as_index_set(u, selection)
+    out = set()
+    for cls, row in zip(u.classes, rows):
+        cells = {row[a] for a in chosen}
+        if "Y" in cells:
+            out.add(cls.hash)
+        elif "U" in cells:
+            raise UnresolvedRelation(
+                f"membership of class {cls.hash[:12]} in the {name} is unresolved"
+            )
+    return frozenset(out)
+
+
 def closure(u: Universe, selection) -> frozenset[str]:
     """Smallest lower set of the universe containing the given classes:
     every class that embeds into some member of the selection."""
-    chosen = _as_index_set(u, selection)
-    out = set()
-    for k, cls in enumerate(u.classes):
-        row = u.relation[k]
-        if any(row[a] == "Y" for a in chosen):
-            out.add(cls.hash)
-        elif any(row[a] == "U" for a in chosen):
-            raise UnresolvedRelation(
-                f"membership of class {cls.hash[:12]} in the closure is unresolved"
-            )
-    return frozenset(out)
+    return _generated(u, selection, u.relation, "closure")
 
 
 def open_set_generated(u: Universe, selection) -> frozenset[str]:
     """Upper set generated by the selection: every class some member of the
     selection embeds into.  Its complement is the selection-avoiding set."""
-    chosen = _as_index_set(u, selection)
-    out = set()
-    for k, cls in enumerate(u.classes):
-        if any(u.relation[a][k] == "Y" for a in chosen):
-            out.add(cls.hash)
-        elif any(u.relation[a][k] == "U" for a in chosen):
-            raise UnresolvedRelation(
-                f"membership of class {cls.hash[:12]} in the generated open set is unresolved"
-            )
-    return frozenset(out)
+    return _generated(u, selection, zip(*u.relation), "generated open set")
 
 
 def _as_hash_set(u: Universe, selection) -> frozenset[str]:
@@ -392,6 +388,8 @@ def universe_from_json(obj: dict) -> Universe:
         for j, cell in enumerate(row):
             if cell not in ("Y", "N", "U"):
                 raise ValueError(f"universe relation[{i}][{j}] is {cell!r}, not 'Y', 'N' or 'U'")
+        if row[i] != "Y":  # every class embeds into itself
+            raise ValueError(f"universe relation[{i}][{i}] is {row[i]!r}, not 'Y'")
     return Universe(
         params["r"], params["w"], budget, params.get("family", "quiver"),
         tuple(classes), relation,

@@ -232,6 +232,12 @@ class TestPropertyVerbs:
         code, out, _ = run(capsys, "universal", "NC", "-k", "2", "-w", "2", files["a3"])
         assert (code, out.strip()) == (0, "NO")
 
+    def test_universal_rejects_a_negative_entry_cap(self, capsys):
+        code, out, err = run(capsys, "universal", "NC", "-k", "2", "-w", "-1",
+                             "--matrix", "0 1 0;-1 0 1;0 -1 0")
+        assert (code, out) == (1, "")
+        assert "entry cap must be non-negative" in err
+
     def test_density_witness(self, capsys, files):
         code, out, _ = run(capsys, "density-witness", files["markov"], files["a3"])
         assert code == 0

@@ -132,3 +132,8 @@ class TestBoundedUniversality:
     def test_k_must_exceed_one(self, markov):
         with pytest.raises(ValueError):
             is_k_universal_bounded(markov, 1, 1)
+
+    def test_entry_cap_must_be_non_negative(self, a3):
+        # with no cap check the test set holds only the rank-1 class: YES
+        with pytest.raises(ValueError, match="entry cap must be non-negative"):
+            is_k_universal_bounded(a3, 2, -1)

@@ -212,21 +212,63 @@ def test_compact_keeps_incomparable_budgets(tmp_path, w333):
     assert stats["dropped"] == 0 and stats["kept"] == 2
 
 
-def test_compact_drops_a_stale_unknown(tmp_path, i2, a2, w333):
-    # a cache written before a rule decided a cell keeps serving its UNKNOWN
-    # until compaction drops it; the Y/N records stay
+def test_a_stale_unknown_is_never_served(tmp_path, i2, a2, w333):
+    # a cache written before a rule decided a cell holds its UNKNOWN; opening
+    # the file skips that line, so the first call answers under today's rules
     budget = Budget(max_members=200)
     p, q = canonical_form(i2).hash, canonical_form(w333).hash
     with Store(tmp_path) as store:
-        store.put_embed(p, q, EmbedVerdict(Verdict.UNKNOWN, None, budget))
         assert embeds(a2, w333, budget, store).verdict is Verdict.NO
+    path = tmp_path / "cache.jsonl"
+    stale = _with_crc(_embed_record(p, q, EmbedVerdict(Verdict.UNKNOWN, None, budget)))
+    path.write_bytes(path.read_bytes() + stale + b"\n")
     with Store(tmp_path) as store:
-        assert embeds(i2, w333, budget, store).verdict is Verdict.UNKNOWN
-        stats = store.compact()
-    assert (stats["dropped"], stats["kept"]) == (1, stats["records"] - 1)
-    with Store(tmp_path) as store:
+        assert store.get_embed(p, q, budget) is None
         assert embeds(i2, w333, budget, store).verdict is Verdict.NO
-        assert embeds(i2, w333, budget).verdict is Verdict.NO
+    with Store(tmp_path, readonly=True) as store:
+        assert store.get_embed(p, q, budget).verdict is Verdict.NO
+    assert embeds(i2, w333, budget).verdict is Verdict.NO
+
+
+def test_verdicts_that_need_no_enumeration_are_not_stored(tmp_path, monkeypatch, i2, a2, a3):
+    lookups = []
+    get_embed = Store.get_embed
+    monkeypatch.setattr(Store, "get_embed", lambda *a: lookups.append(a[1:]) or get_embed(*a))
+    pairs = {"shape": (a3, a2), "identity": (a3, a3), "fingerprint": (i2, a2)}
+    with Store(tmp_path) as store:
+        verdicts = {rule: embeds(p, q, store=store).verdict for rule, (p, q) in pairs.items()}
+        assert store.stats()["records"] == 0
+    assert verdicts == {"shape": Verdict.NO, "identity": Verdict.YES, "fingerprint": Verdict.NO}
+    assert lookups == [] and not (tmp_path / "cache.jsonl").exists()
+    with Store(tmp_path) as store:  # a verdict that reads an enumeration is kept
+        assert embeds(a2, a3, store=store).verdict is Verdict.YES
+        assert store.stats()["embeds"] == 1 and len(lookups) == 1
+
+
+@pytest.mark.parametrize("directory", [True, False], ids=["file", "memory"])
+def test_put_embed_ignores_an_unknown(tmp_path, a2, a3, directory):
+    p, q = canonical_form(a2).hash, canonical_form(a3).hash
+    budget = Budget(max_members=7)
+    with Store(tmp_path if directory else None) as store:
+        embeds(a2, a3, store=store)
+        before = store.stats(), store._file_bytes()
+        store.put_embed(p, q, EmbedVerdict(Verdict.UNKNOWN, None, budget))
+        assert (store.stats(), store._file_bytes()) == before
+        assert store.get_embed(p, q, budget) is None
+
+
+def test_an_older_unknown_line_is_skipped_and_compacted_away(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    lines, _ = _golden_records()
+    obj = next(obj for _, obj in lines if obj["kind"] == "embed")
+    budget = Budget(max_members=200, max_entry=100)  # no golden budget dominates it
+    stale = _with_crc(_embed_record(obj["p"], obj["q"], EmbedVerdict(Verdict.UNKNOWN, None, budget)))
+    path.write_bytes(GOLDEN.read_bytes() + stale + b"\n")
+    with Store(tmp_path, readonly=True) as store:
+        assert store.stats()["records"] == len(lines)
+        assert store.get_embed(obj["p"], obj["q"], budget) is None
+    assert main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 0
+    assert path.read_bytes() == GOLDEN.read_bytes()
 
 
 def test_single_writer_lock(tmp_path):

@@ -235,6 +235,29 @@ class TestClosure:
         with pytest.raises(UnresolvedRelation):
             closure(broken, [broken.classes[2].hash])
 
+    def test_open_set_is_the_closure_under_the_transposed_relation(self, u32):
+        transposed = Universe(
+            u32.rank_cap, u32.entry_cap, u32.budget, u32.family,
+            u32.classes, tuple(zip(*u32.relation)),
+        )
+        for a, b in combinations(u32.hashes, 2):
+            assert open_set_generated(u32, [a, b]) == closure(transposed, [a, b])
+            assert closure(u32, [a, b]) == open_set_generated(transposed, [a, b])
+
+    @pytest.mark.parametrize(
+        "name, op", [("closure", closure), ("generated open set", open_set_generated)], ids=["closure", "open-set"]
+    )
+    def test_unresolved_names_the_operation(self, u23, name, op):
+        rows = [list(row) for row in u23.relation]
+        rows[1][2] = rows[2][1] = "U"
+        broken = Universe(
+            u23.rank_cap, u23.entry_cap, u23.budget, u23.family,
+            u23.classes, tuple(tuple(r) for r in rows),
+        )
+        cls = broken.classes[1]
+        with pytest.raises(UnresolvedRelation, match=f"class {cls.hash[:12]} in the {name} is"):
+            op(broken, [broken.classes[2].hash])
+
     def test_unknown_member_of_selection_is_fine_when_dominated(self, u23):
         # a U entry cannot change membership once another Y includes the class
         rows = [list(row) for row in u23.relation]
@@ -361,6 +384,15 @@ class TestSerialization:
         obj = json.loads(dump_universe(u23))
         obj["relation"][1][3] = cell
         with pytest.raises(ValueError, match=r"relation\[1\]\[3\]"):
+            load_universe(json.dumps(obj))
+
+    @pytest.mark.parametrize("cell", ["N", "U"])
+    def test_diagonal_cell_other_than_Y_rejected(self, cell):
+        # a class embeds into itself: an N would give a closure that misses
+        # its own argument
+        obj = json.loads(dump_universe(build_universe(2, 1)))
+        obj["relation"][0][0] = cell
+        with pytest.raises(ValueError, match=r"relation\[0\]\[0\]"):
             load_universe(json.dumps(obj))
 
     def test_find_by_prefix(self, u23, pt):
