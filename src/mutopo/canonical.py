@@ -16,6 +16,21 @@ found one row at a time, over ordered partitions of the unplaced indices:
   each unplaced index toward the placed positions have the same futures,
   so only one of them is kept.
 
+Each frontier entry is one ordering of all indices, the placed prefix and
+then the cells in order.  Surviving candidates have equal row bounds, so
+they split their cells alike: one list of (start, end) positions gives the
+cells of every entry.  A candidate v is scored by its row read through the
+ordering, with each cell of two or more positions sorted in place.  That
+leaves v's own diagonal 0 sorted into the first cell rather than at t; but
+the same 0 joins every candidate's sorted first cell, which keeps both the
+order of the candidates and their ties, so the scores rank them as the
+bounds do, and the winning row is the best score with one 0 moved to t.
+The cells split by a stable sort on ``b[v][.]``, which keeps each value's
+indices in the cell's order, so the permutation returned, the first least
+one the search reaches, depends only on that order.  Once every cell is a
+single index, the rest of the matrix is read straight off each ordering,
+and the first least ordering in frontier order wins.
+
 The cells follow row-major order only; a degree-based or equitable
 refinement would order indices differently and change the form.  This is
 exact, not heuristic; it is meant for the small ranks this package works
@@ -27,6 +42,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .matrix import ExchangeMatrix
 
@@ -53,53 +69,85 @@ class CanonicalForm:
 def _lex_min(B: ExchangeMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Return (flattened minimal matrix, one minimizing permutation new->old, 0-based)."""
     n, size, b = B.n, B.size, B.b
-    # each frontier entry is (placed prefix, ordered cells of the unplaced)
-    start = [cell for cell in (list(range(n)), list(range(n, size))) if cell]
-    frontier = [((), start)]
+    # each frontier entry is one ordering: the placed prefix, then the cells
+    # of the unplaced indices; every entry has the same cells, kept as
+    # (start, end) positions
+    frontier = [list(range(size))]
+    cells = [cell for cell in ((0, n), (n, size)) if cell[0] < cell[1]]
     flat: list[int] = []
-    for _ in range(size):
+    t = 0  # positions placed
+    while len(cells) < size - t:  # some cell holds two or more indices
+        lo0, hi0 = cells[0]
+        wide = [(lo, hi) for lo, hi in cells if hi - lo > 1]
         best = None
         level = []
-        for prefix, cells in frontier:
-            first = cells[0]
-            for v in first:
-                row = b[v]
-                score = [row[p] for p in prefix]
-                score.append(0)
-                score += sorted([row[u] for u in first if u != v])
-                for cell in cells[1:]:
-                    score += sorted([row[u] for u in cell])
+        for order in frontier:
+            read = itemgetter(*order)
+            for v in order[lo0:hi0]:
+                score = list(read(b[v]))
+                for lo, hi in wide:
+                    score[lo:hi] = sorted(score[lo:hi])
                 if best is None or score < best:
-                    best, level = score, [(prefix, cells, v)]
+                    best, level = score, [(order, v)]
                 elif score == best:
-                    level.append((prefix, cells, v))
+                    level.append((order, v))
+        # the row: v's own 0 moves from its sorted place in the first cell to t
+        first = best[lo0:hi0]
+        first.remove(0)
+        best[lo0 + 1 : hi0] = first
+        best[lo0] = 0
         flat += best
+        t += 1
+        # split each cell into runs of equal entries of the row
+        refined, splits = [], []
+        for lo, hi in ((t, hi0), *cells[1:]):
+            start = lo
+            for j in range(lo + 1, hi):
+                if best[j] != best[j - 1]:
+                    refined.append((start, j))
+                    start = j
+            if start < hi:
+                if start > lo:
+                    splits.append((lo, hi))
+                refined.append((start, hi))
+        cells = refined
         frontier = []
         seen = set()
-        for prefix, cells, v in level:
-            row = b[v]
-            prefix += (v,)
-            refined = []
-            for cell in [[u for u in cells[0] if u != v], *cells[1:]]:
-                for value in sorted({row[u] for u in cell}):
-                    refined.append([u for u in cell if row[u] == value])
+        for order, v in level:
+            order = order.copy()
+            i = order.index(v, lo0, hi0)
+            order[lo0 + 1 : i + 1] = order[lo0:i]
+            order[lo0] = v
+            # a stable sort keeps each run in its cell's order
+            key = b[v].__getitem__
+            for lo, hi in splits:
+                order[lo:hi] = sorted(order[lo:hi], key=key)
             if len(level) > 1:
-                unplaced = [u for cell in refined for u in cell]
-                # cell sizes agree across the level, so this flat key pins
                 # the cells and every entry of the unplaced rows toward the
-                # prefix
-                key = (*unplaced, *(b[u][p] for u in unplaced for p in prefix))
-                if key in seen:
+                # prefix pin the future, so one ordering of each is kept
+                place = itemgetter(*order[:t])
+                unplaced = order[t:]
+                pinned = (*unplaced, *[place(b[u]) for u in unplaced])
+                if pinned in seen:
                     continue
-                seen.add(key)
-            frontier.append((prefix, refined))
-    return tuple(flat), frontier[0][0]
+                seen.add(pinned)
+            frontier.append(order)
+    # every cell is one index: the rest of the matrix is read off each
+    # ordering, and the first least one wins
+    best = None
+    for order in frontier:
+        rest = [b[u][w] for u in order[t:] for w in order]
+        if best is None or rest < best:
+            best, perm = rest, order
+    flat += best
+    return tuple(flat), tuple(perm)
 
 
 # small on purpose: the repeats are restrictions to a few small shapes, the
-# class BFS asking canonical_relabeling right after canonical_form, and, for
+# class BFS reading the permutation right after canonical_form, and, for
 # 31% of the BFS's canonical_form calls on A7, D7, E6, E7 and A8 (25% on E8),
-# a matrix met a moment before, as mu_i mu_j = mu_j mu_i when b_ij = 0
+# a matrix met a moment before, as mu_i mu_j = mu_j mu_i when b_ij = 0.  One
+# E8 enumeration still evicts: 4,733 distinct matrices, 4,814 _lex_min runs
 @lru_cache(maxsize=1 << 10)
 def _canonical(B: ExchangeMatrix) -> tuple[CanonicalForm, tuple[int, ...]]:
     # a relabeling of a valid matrix is valid: nothing is re-validated

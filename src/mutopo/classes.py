@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 from math import gcd
 from operator import itemgetter
 
-from .canonical import CanonicalForm, canonical_form, canonical_relabeling
+from .canonical import CanonicalForm, _canonical, canonical_form
 from .matrix import ExchangeMatrix, is_acyclic, mutate
 
 CLOSED = "CLOSED"
@@ -213,9 +213,10 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
     n = seed.matrix.n
     members: dict[str, Member] = {seed.hash: Member(seed, (), seed.matrix)}
     order: list[Member] = [members[seed.hash]]
-    # each frontier member with its canonical relabeling (canonical_relabeling
-    # of its reached matrix); the seed's reached matrix is its canonical one
-    frontier = [(members[seed.hash], tuple(range(1, seed.matrix.size + 1)))]
+    # each frontier member with its canonical relabeling (the permutation
+    # _canonical finds for its reached matrix, 0-based); the seed's reached
+    # matrix is its canonical one
+    frontier = [(members[seed.hash], tuple(range(seed.matrix.size)))]
     # canonical hash -> bitmask of the canonical vertices whose mutation leads
     # back into a member, kept for the hashes of the frontier and the next level
     back: dict[str, int] = {}
@@ -228,8 +229,10 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
             break
         candidates: dict[str, tuple[CanonicalForm, tuple[int, ...], ExchangeMatrix, tuple]] = {}
         for mem, relabeling in frontier:
+            own = mem.form.hash
+            mask = back.get(own, 0)
             for k in range(1, n + 1):
-                if back.get(mem.form.hash, 0) >> relabeling.index(k) & 1:
+                if mask >> relabeling.index(k - 1) & 1:
                     continue  # this edge was canonicalized from its other end
                 child = mutate(mem.reached, k)
                 if child.max_abs_entry > budget.max_entry:
@@ -238,8 +241,11 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
                         entry_witness = child
                     continue
                 form = canonical_form(child)
-                child_relabeling = canonical_relabeling(child)
-                back[form.hash] = back.get(form.hash, 0) | 1 << child_relabeling.index(k)
+                # the permutation found with the form: a cache hit, 0-based
+                child_relabeling = _canonical(child)[1]
+                back[form.hash] = back.get(form.hash, 0) | 1 << child_relabeling.index(k - 1)
+                if form.hash == own:  # mutation at k relabels the member itself
+                    mask = back[own]
                 seen = members.get(form.hash)
                 if seen is not None:
                     if seen.form.matrix != form.matrix:

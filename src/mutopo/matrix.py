@@ -185,26 +185,24 @@ def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
         raise FrozenMutation(f"index {k} is not mutable (mutable indices are 1..{B.n})")
     kk = k - 1
     b = B.b
-    size = B.size
     row_k = b[kk]
+    # the positive and negative parts of row k, as (j, b_kj); b_kk = 0
+    pos = [(j, v) for j, v in enumerate(row_k) if v > 0]
+    neg = [(j, v) for j, v in enumerate(row_k) if v < 0]
     new_rows = []
-    for i in range(size):
-        bi = b[i]
-        if i == kk:
-            new_rows.append(tuple(-v for v in bi))
-            continue
+    for i, bi in enumerate(b):
         bik = bi[kk]
-        row = list(bi)
-        row[kk] = -bik
-        if bik > 0:
-            for j in range(size):
-                if j != kk and row_k[j] > 0:
-                    row[j] += bik * row_k[j]
-        elif bik < 0:
-            for j in range(size):
-                if j != kk and row_k[j] < 0:
-                    row[j] -= bik * row_k[j]
-        new_rows.append(tuple(row))
+        if i == kk:
+            new_rows.append(tuple(map(operator.neg, bi)))
+        elif bik == 0:
+            new_rows.append(bi)  # no two-path runs through k from i
+        else:
+            part, w = (pos, bik) if bik > 0 else (neg, -bik)
+            row = list(bi)
+            row[kk] = -bik
+            for j, v in part:
+                row[j] += w * v
+            new_rows.append(tuple(row))
     return ExchangeMatrix(B.n, B.m, tuple(new_rows))
 
 

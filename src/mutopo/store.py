@@ -289,6 +289,9 @@ class Store:
         self._widened: dict[tuple[str, tuple], ClassEnumeration] = {}
         # (P hash, Q hash) -> budget key -> verdict
         self._embeds: dict[tuple[str, str], dict[tuple, EmbedVerdict]] = {}
+        # lines open read but left out of the indexes: an older file's
+        # UNKNOWN verdicts and the later lines of a repeated key
+        self._skipped = 0
         if self.directory is None:
             return
         if not readonly:
@@ -357,14 +360,22 @@ class Store:
                 budget = Budget(*obj["budget"]).key()
                 stats = map(operator.index, obj["stats"])
                 entry = _Indexed(offset, line_no, obj["seed"], budget, obj["status"], *stats)
-                self._classes.setdefault(entry.seed, {}).setdefault(budget, entry)
+                by_budget = self._classes.setdefault(entry.seed, {})
             elif kind == "embed":
                 _check_crc(line[:-1], line_no)
-                ev = _embed_from_record(obj)
-                if ev.verdict is not Verdict.UNKNOWN:  # an older file's: never served
-                    self._embeds.setdefault((obj["p"], obj["q"]), {}).setdefault(ev.budget.key(), ev)
+                entry = _embed_from_record(obj)
+                budget = entry.budget.key()
+                by_budget = (
+                    None  # an older file's UNKNOWN: never served
+                    if entry.verdict is Verdict.UNKNOWN
+                    else self._embeds.setdefault((obj["p"], obj["q"]), {})
+                )
             else:
                 raise CorruptRecord(line_no, f"unknown record kind {kind!r}")
+            if by_budget is None or budget in by_budget:
+                self._skipped += 1
+            else:
+                by_budget[budget] = entry
 
     # -- class records -----------------------------------------------------
 
@@ -442,8 +453,9 @@ class Store:
     def compact(self) -> dict:
         """Drop records whose budget another record for the same key strictly
         dominates, then rewrite the file atomically from the index, which holds
-        no UNKNOWN; a class line never served is checked (and decoded) first."""
-        records = self.stats()["records"]
+        no UNKNOWN; a class line never served is checked (and decoded) first.
+        The lines open skipped count among the records and the dropped."""
+        records = self.stats()["records"] + self._skipped
         self._classes, self._embeds = (
             {at: {key: rec for key, rec in by_budget.items() if not _dominated(key, by_budget)}
              for at, by_budget in index.items()}
@@ -467,6 +479,7 @@ class Store:
             tmp.write_bytes(b"".join(line + b"\n" for line in lines))
             os.replace(tmp, self.path)
             self._torn_at = None
+            self._skipped = 0
         kept = self.stats()["records"]
         return {
             "records": records,

@@ -11,6 +11,8 @@ Two exceptions use the package's canonical forms, as references for
 :func:`first_restriction`, the per-pair embedding scan that fixes which
 witness ``embeds`` returns, and :func:`reference_bfs`, the class BFS that
 canonicalizes every child but the way back to its discovering parent.
+Likewise :func:`reference_lex_min` fixes which minimizing permutation the
+canonical search returns, among the many that a symmetric matrix has.
 """
 
 from __future__ import annotations
@@ -268,3 +270,52 @@ def reference_bfs(B, budget):
         depth += 1
     status = TRUNCATED if tripped else CLOSED
     return ClassEnumeration(seed, tuple(order), status, frozenset(tripped), entry_witness, budget)
+
+
+def reference_lex_min(B):
+    """The canonical search with each frontier entry kept as a placed prefix
+    and a list of cell lists: (flattened minimal matrix, one minimizing
+    permutation new->old, 0-based).  ``canonical._lex_min`` must return
+    exactly this pair, the permutation included."""
+    n, size, b = B.n, B.size, B.b
+    # each frontier entry is (placed prefix, ordered cells of the unplaced)
+    start = [cell for cell in (list(range(n)), list(range(n, size))) if cell]
+    frontier = [((), start)]
+    flat: list[int] = []
+    for _ in range(size):
+        best = None
+        level = []
+        for prefix, cells in frontier:
+            first = cells[0]
+            for v in first:
+                row = b[v]
+                score = [row[p] for p in prefix]
+                score.append(0)
+                score += sorted([row[u] for u in first if u != v])
+                for cell in cells[1:]:
+                    score += sorted([row[u] for u in cell])
+                if best is None or score < best:
+                    best, level = score, [(prefix, cells, v)]
+                elif score == best:
+                    level.append((prefix, cells, v))
+        flat += best
+        frontier = []
+        seen = set()
+        for prefix, cells, v in level:
+            row = b[v]
+            prefix += (v,)
+            refined = []
+            for cell in [[u for u in cells[0] if u != v], *cells[1:]]:
+                for value in sorted({row[u] for u in cell}):
+                    refined.append([u for u in cell if row[u] == value])
+            if len(level) > 1:
+                unplaced = [u for cell in refined for u in cell]
+                # cell sizes agree across the level, so this flat key pins
+                # the cells and every entry of the unplaced rows toward the
+                # prefix
+                key = (*unplaced, *(b[u][p] for u in unplaced for p in prefix))
+                if key in seen:
+                    continue
+                seen.add(key)
+            frontier.append((prefix, refined))
+    return tuple(flat), frontier[0][0]

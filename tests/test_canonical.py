@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mutopo.classes
 import oracles
-from conftest import quiver, random_quiver, random_skew
+from conftest import quiver, random_quiver, random_skew, type_a, type_d, type_e
 from mutopo import (
     build,
     canonical_form,
@@ -14,6 +15,7 @@ from mutopo import (
     is_isomorphic,
     mutate,
 )
+from mutopo.canonical import _lex_min
 
 
 def test_arrow_reversal_is_a_relabeling():
@@ -225,3 +227,66 @@ def test_hash_format(pt):
     assert len(form.hash) == 64
     assert form.hash == form.hash.lower()
     int(form.hash, 16)  # valid hex
+
+
+# --- _lex_min returns the reference search's pair, permutation included ---
+
+
+def _relabeled(rng, B):
+    perm = rng.sample(range(B.n), B.n) + rng.sample(range(B.n, B.size), B.m)
+    return build(B.n, B.m, [[B.b[i][j] for j in perm] for i in perm])
+
+
+def _assert_same_as_reference(matrices):
+    for B in matrices:
+        assert _lex_min(B) == oracles.reference_lex_min(B), B
+
+
+def test_lex_min_matches_reference_on_dynkin_enumerations(monkeypatch):
+    # every matrix the class BFS canonicalizes, a superset of the inputs
+    # _lex_min sees whatever the canonical-form cache holds
+    inputs = set()
+
+    def recording(B):
+        inputs.add(B)
+        return canonical_form(B)
+
+    monkeypatch.setattr(mutopo.classes, "canonical_form", recording)
+    for B in (type_a(7), type_d(7), type_e(6), type_e(7), type_a(8)):
+        mutopo.classes.enumerate_class(B)
+    assert len(inputs) > 3000
+    _assert_same_as_reference(inputs)
+
+
+def test_lex_min_matches_reference_on_random_matrices_with_frozen_indices():
+    rng = random.Random(83)
+    matrices = []
+    for _ in range(1700):
+        size = rng.randint(1, 9)
+        n = rng.randint(1, size)
+        B = random_skew(
+            rng, n, size - n, max_ratio=rng.choice((1, 3)), max_weight=rng.randint(0, 2)
+        )
+        matrices += [B, _relabeled(rng, B)]
+    _assert_same_as_reference(matrices)
+
+
+def test_lex_min_matches_reference_on_zero_matrices_and_tournaments():
+    # the most ties: every candidate row of a zero matrix scores the same, and
+    # a regular tournament's rows all have one entry multiset
+    rng = random.Random(89)
+    matrices = [
+        build(n, size - n, _oriented(size, [])) for size in range(1, 10) for n in range(1, size + 1)
+    ]
+    for _ in range(400):
+        size = rng.randint(2, 8)
+        arrows = [
+            (i, j) if rng.random() < 0.5 else (j, i) for i in range(size) for j in range(i + 1, size)
+        ]
+        n = rng.randint(1, size)
+        B = build(n, size - n, _oriented(size, arrows))
+        matrices += [B, _relabeled(rng, B)]
+    for size in (3, 5, 7, 9):  # i -> i + 1, ..., i + (size - 1) / 2, mod size
+        arrows = [(i, (i + d) % size) for i in range(size) for d in range(1, (size + 1) // 2)]
+        matrices += [build(n, size - n, _oriented(size, arrows)) for n in range(1, size + 1)]
+    _assert_same_as_reference(matrices)

@@ -141,6 +141,14 @@ def square_integer_matrices(draw):
 
 class TestMutationProperties:
     @given(B=skew_matrices(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_formula(self, B, data):
+        # frozen and skew-symmetrizable, where the graph rules do not apply
+        k = data.draw(st.integers(min_value=1, max_value=B.n))
+        expected = oracles.matrix_mutate([list(r) for r in B.b], k)
+        assert [list(r) for r in mutate(B, k).b] == expected
+
+    @given(B=skew_matrices(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_involution(self, B, data):
         k = data.draw(st.integers(min_value=1, max_value=B.n))

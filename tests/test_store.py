@@ -257,18 +257,39 @@ def test_put_embed_ignores_an_unknown(tmp_path, a2, a3, directory):
         assert store.get_embed(p, q, budget) is None
 
 
+def _stale_unknown_line(lines):
+    """An UNKNOWN embed line, as an older file holds, for a golden pair, and
+    its budget, which no golden budget dominates."""
+    obj = next(obj for _, obj in lines if obj["kind"] == "embed")
+    budget = Budget(max_members=200, max_entry=100)
+    ev = EmbedVerdict(Verdict.UNKNOWN, None, budget)
+    return _with_crc(_embed_record(obj["p"], obj["q"], ev)), obj, budget
+
+
 def test_an_older_unknown_line_is_skipped_and_compacted_away(tmp_path):
     path = tmp_path / "cache.jsonl"
     lines, _ = _golden_records()
-    obj = next(obj for _, obj in lines if obj["kind"] == "embed")
-    budget = Budget(max_members=200, max_entry=100)  # no golden budget dominates it
-    stale = _with_crc(_embed_record(obj["p"], obj["q"], EmbedVerdict(Verdict.UNKNOWN, None, budget)))
+    stale, obj, budget = _stale_unknown_line(lines)
     path.write_bytes(GOLDEN.read_bytes() + stale + b"\n")
     with Store(tmp_path, readonly=True) as store:
         assert store.stats()["records"] == len(lines)
         assert store.get_embed(obj["p"], obj["q"], budget) is None
     assert main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 0
     assert path.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_compact_counts_the_lines_open_skipped(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    lines, _ = _golden_records()
+    stale, _, _ = _stale_unknown_line(lines)
+    repeats = [lines[0][0], lines[-1][0]]  # a class key's line and an embed key's, again
+    for tail, counts in (([stale], (57, 56, 1)), ([stale, *repeats], (59, 56, 3))):
+        path.write_bytes(GOLDEN.read_bytes() + b"".join(line + b"\n" for line in tail))
+        with Store(tmp_path) as store:
+            stats = store.compact()
+            assert (stats["records"], stats["kept"], stats["dropped"]) == counts
+            assert store.compact()["dropped"] == 0  # the rewritten file skips nothing
+        assert path.read_bytes() == GOLDEN.read_bytes()
 
 
 def test_single_writer_lock(tmp_path):
