@@ -2,8 +2,12 @@
 
 Two matrices are isomorphic when a permutation of indices that keeps the
 mutable/frozen partition carries one to the other.  The canonical form is
-the exact row-major lexicographic minimum over all such relabelings.  It is
-found one row at a time, over ordered partitions of the unplaced indices:
+the exact row-major lexicographic minimum over all such relabelings: a
+:class:`CanonicalForm` is its shape and entries, and is compared as such.
+Its SHA-256 (:func:`content_hash`) is only its external name, which the
+store, universe files and the CLI use, computed when first read.  The
+minimum is found one row at a time, over ordered partitions of the
+unplaced indices:
 
 - the cells start as the mutable indices, then the frozen ones;
 - position t takes an index v from the first cell.  Row t is then at least
@@ -40,7 +44,6 @@ at (roughly n+m <= 9).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
@@ -53,17 +56,45 @@ def content_hash(n: int, m: int, flat_entries) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-@dataclass(frozen=True)
 class CanonicalForm:
-    """The lex-minimal relabeling of a matrix plus its content hash."""
+    """The shape (n, m) and ``key``, the row-major entries of the lex-minimal
+    relabeling: equal exactly for isomorphic matrices, and ordered by ``key``
+    within a shape.  ``matrix`` and ``hash`` (the SHA-256 name, see
+    :func:`content_hash`) are computed on first read and kept."""
 
-    matrix: ExchangeMatrix
-    hash: str
+    __slots__ = ("n", "m", "key", "_hash_value", "_matrix", "_hash")
+
+    def __init__(self, n: int, m: int, key: tuple[int, ...]):
+        self.n, self.m, self.key = n, m, key
+        self._hash_value = hash((n, m, key))  # forms key the class BFS's dicts
+        self._matrix = self._hash = None
+
+    def __eq__(self, other):
+        if not isinstance(other, CanonicalForm):
+            return NotImplemented
+        return self.key == other.key and self.n == other.n and self.m == other.m
+
+    def __hash__(self) -> int:
+        return self._hash_value
+
+    def __repr__(self) -> str:
+        return f"CanonicalForm({self.n}, {self.m}, {self.key})"
+
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        key, size = self.key, self.n + self.m
+        return tuple(key[i : i + size] for i in range(0, len(key), size))
 
     @property
-    def key(self) -> tuple[int, ...]:
-        """Row-major entries of the canonical matrix; a total order on forms of one shape."""
-        return tuple(v for row in self.matrix.b for v in row)
+    def matrix(self) -> ExchangeMatrix:
+        if self._matrix is None:  # a relabeling of a valid matrix is valid
+            self._matrix = ExchangeMatrix(self.n, self.m, self.rows())
+        return self._matrix
+
+    @property
+    def hash(self) -> str:
+        if self._hash is None:
+            self._hash = content_hash(self.n, self.m, self.key)
+        return self._hash
 
 
 def _lex_min(B: ExchangeMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -150,12 +181,8 @@ def _lex_min(B: ExchangeMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # E8 enumeration still evicts: 4,733 distinct matrices, 4,814 _lex_min runs
 @lru_cache(maxsize=1 << 10)
 def _canonical(B: ExchangeMatrix) -> tuple[CanonicalForm, tuple[int, ...]]:
-    # a relabeling of a valid matrix is valid: nothing is re-validated
     flat, perm = _lex_min(B)
-    size = B.size
-    rows = tuple(flat[i * size : (i + 1) * size] for i in range(size))
-    matrix = ExchangeMatrix(B.n, B.m, rows)
-    return CanonicalForm(matrix, content_hash(B.n, B.m, flat)), perm
+    return CanonicalForm(B.n, B.m, flat), perm
 
 
 def canonical_form(B: ExchangeMatrix) -> CanonicalForm:
@@ -170,4 +197,4 @@ def canonical_relabeling(B: ExchangeMatrix) -> tuple[int, ...]:
 
 def is_isomorphic(A: ExchangeMatrix, B: ExchangeMatrix) -> bool:
     """True iff some partition-preserving permutation carries A to B."""
-    return canonical_form(A).matrix == canonical_form(B).matrix
+    return canonical_form(A) == canonical_form(B)

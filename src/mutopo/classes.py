@@ -19,12 +19,13 @@ skip changes no member, witness, or cap.
 from __future__ import annotations
 
 import enum
+import operator
 from collections.abc import KeysView
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .canonical import CanonicalForm, _canonical, canonical_form
 from .matrix import ExchangeMatrix, is_acyclic, mutate
@@ -54,8 +55,12 @@ class Budget:
     max_depth: int | None = None
 
     def __post_init__(self):
-        if any(cap is not None and cap < 1 for cap in self.key()):
-            raise ValueError("budget caps must be positive")
+        caps = ("max_members", "max_entry") + (() if self.max_depth is None else ("max_depth",))
+        for name in caps:
+            cap = operator.index(getattr(self, name))  # a TypeError unless an integer
+            if cap < 1:
+                raise ValueError(f"budget cap {name} must be at least 1, not {cap}")
+            object.__setattr__(self, name, cap)
 
     def key(self) -> tuple:
         return (self.max_members, self.max_entry, self.max_depth)
@@ -84,23 +89,25 @@ class ClassEnumeration:
     budget: Budget
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {mem.form.hash: mem for mem in self.members})
+        object.__setattr__(self, "_index", {mem.form: mem for mem in self.members})
         # restriction scans by target shape, filled lazily by embed.embeds
         object.__setattr__(self, "scans", {})
         object.__setattr__(self, "verdicts", {})  # see verdict()
 
     def member_for(self, form: CanonicalForm) -> Member | None:
-        """Hash-indexed lookup with full-matrix confirmation; the hash is an
-        index, never a proof of membership."""
-        mem = self._index.get(form.hash)
-        if mem is not None and mem.form.matrix != form.matrix:
-            raise RuntimeError(f"canonical hash collision at {form.hash}")
-        return mem
+        """The member whose canonical form equals ``form`` (same shape, same
+        entries), or None: the lookup is exact."""
+        return self._index.get(form)
 
     @property
-    def hashes(self) -> KeysView[str]:
-        """The members' canonical hashes, as a read-only set view."""
+    def forms(self) -> KeysView[CanonicalForm]:
+        """The members' canonical forms, as a read-only set view."""
         return self._index.keys()
+
+    @cached_property
+    def hashes(self) -> frozenset[str]:
+        """The members' canonical hashes, their external names."""
+        return frozenset(mem.form.hash for mem in self.members)
 
     @cached_property
     def relabelings(self) -> frozenset:
@@ -121,21 +128,26 @@ class ClassEnumeration:
     def count(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def max_abs_entry(self) -> int:
-        return max(mem.form.matrix.max_abs_entry for mem in self.members)
+        return max(max(max(mem.form.key), -min(mem.form.key)) for mem in self.members)
 
-    @property
+    @cached_property
     def depth(self) -> int:
         return max(len(mem.witness) for mem in self.members)
 
     def least(self) -> Member:
+        """The member with the least canonical key, found once."""
+        return self._least
+
+    @cached_property
+    def _least(self) -> Member:
         return min(self.members, key=lambda mem: mem.form.key)
 
     @cached_property
-    def reflection_orbit(self) -> dict[str, ExchangeMatrix] | None:
-        """The sink/source reflection orbit of the first acyclic member, as
-        {canonical hash: canonical matrix}.
+    def reflection_orbit(self) -> frozenset[CanonicalForm] | None:
+        """The canonical forms of the sink/source reflection orbit of the
+        first acyclic member.
 
         Mutation-equivalent acyclic quivers are related by sink/source
         reflections (Caldero & Keller, "From triangulated categories to
@@ -149,20 +161,21 @@ class ClassEnumeration:
         """
         if not self.seed.matrix.is_quiver:
             return None
-        start = next((mem.form for mem in self.members if is_acyclic(mem.form.matrix)), None)
+        start = next((mem for mem in self.members if is_acyclic(mem.reached)), None)
         if start is None:
             return None
-        orbit = {start.hash: start.matrix}
-        frontier = [start.matrix]
+        orbit = {start.form}
+        frontier = [start.reached]
         while frontier:
             mat = frontier.pop()
             for k, row in enumerate(mat.b, start=1):
                 if min(row) >= 0 or max(row) <= 0:  # a source or a sink
-                    form = canonical_form(mutate(mat, k))
-                    if form.hash not in orbit:
-                        orbit[form.hash] = form.matrix
-                        frontier.append(form.matrix)
-        return orbit
+                    child = mutate(mat, k)
+                    form = canonical_form(child)
+                    if form not in orbit:
+                        orbit.add(form)
+                        frontier.append(child)
+        return frozenset(orbit)
 
     def verdict(self, row, arg=None) -> Verdict:
         """The verdict of a row of :data:`HEREDITARY` on this class, cached."""
@@ -182,10 +195,10 @@ class ClassEnumeration:
         and every quiver in its class is cyclic with every weight >= 2 (Beineke,
         Brüstle & Hille, Algebr. Represent. Theory 14, 2011)."""
         for mem in self.members:
-            b = mem.form.matrix.b
-            for i, j, k in combinations(range(self.seed.matrix.n), 3):
+            b = mem.reached.b
+            for i, j, k in combinations(range(self.seed.n), 3):
                 heavy = min(abs(b[i][j]), abs(b[j][k]), abs(b[k][i])) >= 2
-                if heavy and _rank3_weight_invariant(mem.form.matrix, i, j, k) <= 4:
+                if heavy and _rank3_weight_invariant(mem.reached, i, j, k) <= 4:
                     return True
         return False
 
@@ -210,16 +223,15 @@ def entries_getter(order, size: int) -> itemgetter:
 
 
 def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
-    n = seed.matrix.n
-    members: dict[str, Member] = {seed.hash: Member(seed, (), seed.matrix)}
-    order: list[Member] = [members[seed.hash]]
+    n, cap = seed.n, budget.max_entry
+    members: dict[CanonicalForm, Member] = {seed: Member(seed, (), seed.matrix)}
     # each frontier member with its canonical relabeling (the permutation
     # _canonical finds for its reached matrix, 0-based); the seed's reached
     # matrix is its canonical one
-    frontier = [(members[seed.hash], tuple(range(seed.matrix.size)))]
-    # canonical hash -> bitmask of the canonical vertices whose mutation leads
-    # back into a member, kept for the hashes of the frontier and the next level
-    back: dict[str, int] = {}
+    frontier = [(members[seed], tuple(range(seed.n + seed.m)))]
+    # canonical form -> bitmask of the canonical vertices whose mutation leads
+    # back into a member, kept for the forms of the frontier and the next level
+    back: dict[CanonicalForm, int] = {}
     tripped: set[str] = set()
     entry_witness: ExchangeMatrix | None = None
     depth = 0
@@ -227,15 +239,17 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
         if budget.max_depth is not None and depth == budget.max_depth:
             tripped.add("depth")
             break
-        candidates: dict[str, tuple[CanonicalForm, tuple[int, ...], ExchangeMatrix, tuple]] = {}
+        candidates: dict[CanonicalForm, tuple[tuple[int, ...], ExchangeMatrix, tuple]] = {}
         for mem, relabeling in frontier:
-            own = mem.form.hash
+            own, rows = mem.form, mem.reached.b
             mask = back.get(own, 0)
             for k in range(1, n + 1):
                 if mask >> relabeling.index(k - 1) & 1:
                     continue  # this edge was canonicalized from its other end
                 child = mutate(mem.reached, k)
-                if child.max_abs_entry > budget.max_entry:
+                # mutate shares the rows it leaves alone with the member, within the cap
+                rebuilt = [row for row, old in zip(child.b, rows) if row is not old]
+                if max(map(max, rebuilt)) > cap or -min(map(min, rebuilt)) > cap:
                     tripped.add("entry")
                     if entry_witness is None:
                         entry_witness = child
@@ -243,37 +257,30 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
                 form = canonical_form(child)
                 # the permutation found with the form: a cache hit, 0-based
                 child_relabeling = _canonical(child)[1]
-                back[form.hash] = back.get(form.hash, 0) | 1 << child_relabeling.index(k - 1)
-                if form.hash == own:  # mutation at k relabels the member itself
+                back[form] = back.get(form, 0) | 1 << child_relabeling.index(k - 1)
+                if form == own:  # mutation at k relabels the member itself
                     mask = back[own]
-                seen = members.get(form.hash)
-                if seen is not None:
-                    if seen.form.matrix != form.matrix:
-                        raise RuntimeError(f"canonical hash collision at {form.hash}")
+                if form in members:
                     continue
                 witness = mem.witness + (k,)
-                prev = candidates.get(form.hash)
-                if prev is not None and prev[0].matrix != form.matrix:
-                    raise RuntimeError(f"canonical hash collision at {form.hash}")
-                if prev is None or witness < prev[1]:
-                    candidates[form.hash] = (form, witness, child, child_relabeling)
+                prev = candidates.get(form)
+                if prev is None or witness < prev[0]:
+                    candidates[form] = (witness, child, child_relabeling)
         frontier = []
-        for hash_ in sorted(candidates, key=lambda h: candidates[h][0].key):
+        for form in sorted(candidates, key=attrgetter("key")):
             if len(members) >= budget.max_members:
                 tripped.add("members")
                 break
-            form, witness, child, relabeling = candidates[hash_]
-            mem = Member(form, witness, child)
-            members[hash_] = mem
-            order.append(mem)
+            witness, child, relabeling = candidates[form]
+            mem = members[form] = Member(form, witness, child)
             frontier.append((mem, relabeling))
         if "members" in tripped:
             break
-        back = {mem.form.hash: back[mem.form.hash] for mem, _ in frontier}
+        back = {mem.form: back[mem.form] for mem, _ in frontier}
         depth += 1
     status = CLOSED if not tripped else TRUNCATED
     return ClassEnumeration(
-        seed, tuple(order), status, frozenset(tripped), entry_witness, budget
+        seed, tuple(members.values()), status, frozenset(tripped), entry_witness, budget
     )
 
 
@@ -361,11 +368,11 @@ def abundance(enum: ClassEnumeration, N: int) -> Verdict:
     members are cyclic with weights >= 2 (Beineke, Brüstle & Hille 2011)."""
     def thin(B: ExchangeMatrix) -> bool:
         return any(min(abs(B.b[i][j]), abs(B.b[j][i])) < N for i, j in combinations(range(B.n), 2))
-    if any(thin(mem.form.matrix) for mem in enum.members):
+    if any(thin(mem.reached) for mem in enum.members):
         return Verdict.NO
     rank3 = enum.seed.matrix.is_quiver and enum.seed.matrix.n == 3
     orbit = enum.reflection_orbit if rank3 and N == 1 else None
-    arrowed = orbit is not None and not any(map(thin, orbit.values()))
+    arrowed = orbit is not None and not any(thin(form.matrix) for form in orbit)
     if enum.status == CLOSED or arrowed or rank3 and N <= 2 and enum.bbh_member:
         return Verdict.YES
     return Verdict.UNKNOWN
@@ -377,7 +384,7 @@ def acyclicity(enum: ClassEnumeration, _=None) -> Verdict:
     Marsh & Reiten, Comment. Math. Helv. 83, 2008).  YES on a discovered
     acyclic member; NO when CLOSED without one, or on a quiver class with a
     BBH member, as its BBH subquiver is mutation-cyclic (Beineke et al.)."""
-    if any(is_acyclic(mem.form.matrix) for mem in enum.members):
+    if any(is_acyclic(mem.reached) for mem in enum.members):
         return Verdict.YES
     if enum.status == CLOSED or enum.seed.matrix.is_quiver and enum.bbh_member:
         return Verdict.NO

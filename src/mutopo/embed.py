@@ -66,14 +66,14 @@ class _Scan:
     ``restrict``), read off the member by ``getters`` without building a
     matrix.  A restriction lies in [P] exactly when its raw entries are a
     relabeling of a member of [P]: a key in ``enum_p.relabelings``, which
-    holds at most 6 tuples of 9 entries a member.  Larger shapes keep the
-    canonical hash as key (``getters`` is None): at size 4 each member of
-    [P] would hold 24 relabelings, a cost no workload has measured, and at
-    size 6 (720) building them costs more than the few positions such a
-    scan walks (A6 into E7: 0.3 ms by hash, 137 ms by relabelings).
-    Keying by hash with a memo from raw entries to hash instead would
-    canonicalize every distinct restriction, and a cold r4 w1 universe
-    meets 8,438 distinct ones of size 3 in 14,640 positions."""
+    holds at most 6 tuples of 9 entries a member.  Larger shapes key by the
+    canonical form (``getters`` is None): at size 4 each member of [P]
+    would hold 24 relabelings, a cost no workload has measured, and at size
+    6 (720) building them costs more than the few positions such a scan
+    walks (A6 into E7: 0.3 ms by form, 137 ms by relabelings).  Keying by
+    form with a memo from raw entries to form instead would canonicalize
+    every distinct restriction, and a cold r4 w1 universe meets 8,438
+    distinct ones of size 3 in 14,640 positions."""
 
     subsets: list[tuple[int, ...]]
     getters: list[itemgetter] | None
@@ -88,7 +88,7 @@ class _Scan:
             reached, start = members[k].reached, t % width
             if self.getters is None:
                 forms = map(canonical_form, map(restrict, repeat(reached), self.subsets[start:]))
-                keyed = ((form.hash, form) for form in forms)
+                keyed = ((form, form) for form in forms)
             else:
                 entries = tuple(chain.from_iterable(reached.b))
                 keyed = zip([get(entries) for get in self.getters[start:]], repeat(None))
@@ -117,7 +117,7 @@ def _first_restriction(enum_p, enum_q, p_n: int, p_m: int) -> EmbedWitness | Non
             getters = [entries_getter([i - 1 for i in idx], q.size) for idx in subsets]
         scan = enum_q.scans[p_n, p_m] = _Scan(subsets, getters)
     first = scan.first
-    keys_p = enum_p.hashes if scan.getters is None else enum_p.relabelings
+    keys_p = enum_p.forms if scan.getters is None else enum_p.relabelings
     if len(keys_p) <= len(first):
         t = min((first[key] for key in keys_p if key in first), default=None)
     else:
@@ -130,7 +130,7 @@ def _first_restriction(enum_p, enum_q, p_n: int, p_m: int) -> EmbedWitness | Non
         t, form = found
     width = len(scan.subsets)
     q_mem, idx = enum_q.members[t // width], scan.subsets[t % width]
-    if form is None:  # a key is an index, never a proof: confirm on the full matrix
+    if form is None:  # raw entries are some relabeling: the form names the member
         form = canonical_form(restrict(q_mem.reached, idx))
     p_mem = enum_p.member_for(form)
     if p_mem is None:
@@ -157,7 +157,7 @@ def embeds(
     only when none of them is a member of [P].  Up to three indices a
     position's key is the restriction's raw entries, tested against every
     relabeling of every member of [P], and only the witness position builds
-    a matrix and a canonical form; larger shapes key by canonical hash,
+    a matrix and a canonical form; larger shapes key by canonical form,
     since their relabelings outweigh the positions walked (see
     :class:`_Scan`).
 
@@ -205,7 +205,7 @@ def _embeds_fresh(P, Q, cf_p, cf_q, budget, store) -> EmbedVerdict:
         if enum_q.status == CLOSED or enum_p.status == CLOSED:
             return EmbedVerdict(Verdict.NO, None, budget)
         orbits = enum_p.reflection_orbit, enum_q.reflection_orbit
-        disjoint = None not in orbits and orbits[0].keys().isdisjoint(orbits[1])
+        disjoint = None not in orbits and orbits[0].isdisjoint(orbits[1])
         if disjoint or separates(enum_p, enum_q):
             return EmbedVerdict(Verdict.NO, None, budget)
         return EmbedVerdict(Verdict.UNKNOWN, None, budget)
@@ -243,7 +243,7 @@ def replay_embedding(P: ExchangeMatrix, Q: ExchangeMatrix, ev: EmbedVerdict) -> 
     reached = apply_sequence(canonical_form(Q).matrix, w.q_sequence)
     sub = restrict(reached, w.subset)
     target = apply_sequence(canonical_form(P).matrix, w.p_sequence)
-    return canonical_form(sub).hash == canonical_form(target).hash
+    return canonical_form(sub) == canonical_form(target)
 
 
 def density_witness(

@@ -50,7 +50,7 @@ from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
-from .canonical import canonical_form
+from .canonical import CanonicalForm, canonical_form
 from .classes import CLOSED, Budget, ClassEnumeration, Member, Verdict
 from .embed import EmbedVerdict, EmbedWitness, witness_json
 from .matrix import ExchangeMatrix, from_json_dict, mutate, to_json_dict
@@ -147,6 +147,11 @@ def _budget_list(budget: Budget) -> list:
     return [budget.max_members, budget.max_entry, budget.max_depth]
 
 
+def _form_json(form: CanonicalForm) -> dict:
+    """``to_json_dict(form.matrix)``, keeping no matrix on a stored member's form."""
+    return to_json_dict(ExchangeMatrix(form.n, form.m, form.rows()))
+
+
 def _class_record(enum: ClassEnumeration) -> dict:
     return {
         "kind": "class",
@@ -157,7 +162,7 @@ def _class_record(enum: ClassEnumeration) -> dict:
         "class_key": enum.least().form.hash,
         "stats": [enum.count, enum.max_abs_entry, enum.depth],
         "members": [
-            [mem.form.hash, to_json_dict(mem.form.matrix), mem.witness]
+            [mem.form.hash, _form_json(mem.form), mem.witness]
             for mem in enum.members
         ],
         "entry_witness": (
@@ -203,7 +208,7 @@ def _class_from_record(record: dict, line_no: int) -> ClassEnumeration:
         # the stored hash and matrix must both be the canonical form of
         # what the witness reaches from the seed
         form = canonical_form(reached)
-        if form.hash != hash_ or to_json_dict(form.matrix) != matrix_obj:
+        if form.hash != hash_ or _form_json(form) != matrix_obj:
             raise CorruptRecord(line_no, f"member {hash_[:12]} fails witness replay")
         members.append(Member(form, witness, reached))
     entry_witness = record.get("entry_witness")
@@ -424,7 +429,7 @@ class Store:
         by_budget = self._classes.setdefault(enum.seed.hash, {})
         if enum.budget.key() not in by_budget:  # a re-put is idempotent
             by_budget[enum.budget.key()] = enum
-            self._append(_class_record(enum))
+            self._append(_class_record, enum)
 
     # -- embed records ------------------------------------------------------
 
@@ -437,16 +442,17 @@ class Store:
         by_budget = self._embeds.setdefault((p_hash, q_hash), {})
         if ev.budget.key() not in by_budget:  # a re-put is idempotent
             by_budget[ev.budget.key()] = ev
-            self._append(_embed_record(p_hash, q_hash, ev))
+            self._append(_embed_record, p_hash, q_hash, ev)
 
-    def _append(self, record: dict):
-        if self.path is None or self.readonly:
+    def _append(self, record_of, *args):
+        if self.path is None or self.readonly:  # nothing to encode the record for
             return
+        line = _with_crc(record_of(*args)) + b"\n"
         with open(self.path, "ab") as f:
             if self._torn_at is not None:
                 f.truncate(self._torn_at)
                 self._torn_at = None
-            f.write(_with_crc(record) + b"\n")
+            f.write(line)
 
     # -- maintenance --------------------------------------------------------
 

@@ -16,7 +16,7 @@ import json
 from dataclasses import asdict, dataclass
 from itertools import combinations, product
 
-from .canonical import canonical_form
+from .canonical import CanonicalForm, canonical_form
 from .classes import (
     Budget,
     ClassKey,
@@ -144,28 +144,21 @@ def collect_classes(seeds, budget: Budget, store=None) -> list[UniverseClass]:
 
     Seeds are first deduplicated by canonical form and sorted, so the sweep
     (and hence the result) does not depend on the order seeds arrive in.
-    Each unclassified canonical seed is enumerated once; every member hash
+    Each unclassified canonical seed is enumerated once; every member form
     it discovers is marked classified.
     """
-    by_hash = {}
-    for seed in seeds:
-        form = canonical_form(seed)
-        if form.hash not in by_hash:
-            by_hash[form.hash] = form
-    order = sorted(
-        by_hash.values(), key=lambda f: (f.matrix.size, f.matrix.n, f.key)
-    )
-    classified: set[str] = set()
+    order = sorted(set(map(canonical_form, seeds)), key=lambda f: (f.n + f.m, f.n, f.key))
+    classified: set[CanonicalForm] = set()
     out: list[UniverseClass] = []
     for form in order:
-        if form.hash in classified:
+        if form in classified:
             continue
         enum = enumerate_class(form.matrix, budget, store)
         least = enum.least()
         out.append(
             UniverseClass(ClassKey(least.form, enum.status), form.matrix)
         )
-        classified.update(enum.hashes)
+        classified.update(enum.forms)
     out.sort(key=lambda cls: (cls.rank, cls.key.form.matrix.n, cls.key.form.key))
     return out
 

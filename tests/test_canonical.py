@@ -183,6 +183,14 @@ def test_partition_is_respected():
     assert plain.size == iced.size
     assert not is_isomorphic(plain, iced)
     assert canonical_form(plain).hash != canonical_form(iced).hash
+    # equal canonical entries, different shapes: unequal forms, and neither
+    # class's enumeration finds the other's form among its members
+    plain_form = canonical_form(plain)
+    iced_form = canonical_form(build(1, 1, [[0, -1], [1, 0]]))
+    assert plain_form.key == iced_form.key
+    assert plain_form != iced_form
+    assert mutopo.classes.enumerate_class(plain).member_for(iced_form) is None
+    assert mutopo.classes.enumerate_class(iced_form.matrix).member_for(plain_form) is None
 
 
 def test_restriction_commutes_with_relabeling():
@@ -256,6 +264,16 @@ def test_lex_min_matches_reference_on_dynkin_enumerations(monkeypatch):
         mutopo.classes.enumerate_class(B)
     assert len(inputs) > 3000
     _assert_same_as_reference(inputs)
+
+
+def test_form_hash_is_the_content_hash_of_its_entries():
+    for B in (type_a(7), type_d(7), type_e(6), type_e(7), type_a(8)):
+        for mem in mutopo.classes.enumerate_class(B).members:
+            form = mem.form
+            assert form.hash == content_hash(form.n, form.m, form.key)
+            matrix = form.matrix
+            assert (matrix.n, matrix.m) == (form.n, form.m)
+            assert tuple(v for row in matrix.b for v in row) == form.key
 
 
 def test_lex_min_matches_reference_on_random_matrices_with_frozen_indices():

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+import mutopo.canonical as canonical_module
 import mutopo.classes as classes_module
 import oracles
 from conftest import (
@@ -29,6 +30,7 @@ from mutopo import (
     mutation_fingerprint,
     same_class,
 )
+from mutopo.store import Store
 
 
 class TestBudget:
@@ -43,6 +45,14 @@ class TestBudget:
             Budget(max_entry=0)
         with pytest.raises(ValueError):
             Budget(max_depth=0)
+
+    def test_caps_must_be_integers(self):
+        # refused where the budget is built, not where the BFS first reads a cap
+        for caps in ({"max_entry": None}, {"max_members": None}, {"max_entry": 2.5},
+                     {"max_members": 10.0}, {"max_depth": 1.5}, {"max_entry": "8"}):
+            with pytest.raises(TypeError):
+                Budget(**caps)
+        assert Budget(max_depth=None).max_depth is None
 
     def test_seed_must_fit(self, w333):
         with pytest.raises(ValueError):
@@ -261,6 +271,21 @@ class TestEdgeRule:
         assert len(calls) < 2000
 
 
+def test_an_enumeration_hashes_only_the_name_it_is_stored_under(monkeypatch):
+    # members are keyed by their exact canonical entries; the SHA-256 name is
+    # computed where one is read, here the in-memory store's key for the seed
+    calls = []
+    real = canonical_module.content_hash
+    monkeypatch.setattr(
+        canonical_module, "content_hash", lambda *args: calls.append(args) or real(*args)
+    )
+    canonical_module._canonical.cache_clear()  # no cached form has its name read
+    enumerate_class(type_a(7))
+    assert calls == []
+    enumerate_class(type_a(7), store=Store())
+    assert len(calls) == 1
+
+
 class TestClassKey:
     def test_isomorphic_seeds_share_key(self):
         fwd = quiver([[0, 1], [-1, 0]])
@@ -367,12 +392,12 @@ class TestRank3Structure:
             if orbit is None:
                 continue
             checked += 1
-            assert all(is_acyclic(mat) for mat in orbit.values())
+            assert all(is_acyclic(form.matrix) for form in orbit)
             for mem in enum.members:
                 mat = mem.form.matrix
                 if not is_acyclic(mat):
                     continue
-                assert orbit[mem.form.hash] == mat
+                assert mem.form in orbit
                 singleton = enumerate_class(mat, Budget(max_members=1))
                 assert singleton.reflection_orbit == orbit
         assert checked > 20

@@ -318,14 +318,14 @@ def test_reflection_orbit_is_sound(r4w2_classes):
     orbits = {}
     for cls in classes:
         enum = enums[cls.hash]
-        acyclic = {mem.form.hash for mem in enum.members if is_acyclic(mem.form.matrix)}
+        acyclic = {mem.form for mem in enum.members if is_acyclic(mem.form.matrix)}
         orbit = enum.reflection_orbit
         if enum.status == "CLOSED":
             assert set(orbit or ()) == acyclic
         else:
             assert acyclic <= set(orbit or ())
         if orbit is not None:
-            orbits[cls.hash] = (enum.status, orbit.keys())
+            orbits[cls.hash] = (enum.status, orbit)
     assert len(orbits) == 127
     # distinct classes, one of them CLOSED, never share an acyclic member
     for (h1, (s1, o1)), (h2, (s2, o2)) in combinations(orbits.items(), 2):
