@@ -150,17 +150,18 @@ def build(n: int, m: int, rows) -> ExchangeMatrix:
     m < 0) and NotSkewSymmetrizable when the matrix has a nonzero diagonal
     entry, fails sign-coherence, or admits no positive integer symmetrizer.
     """
-    n = operator.index(n)
-    m = operator.index(m)
+    try:
+        n, m = operator.index(n), operator.index(m)
+        b = tuple(tuple(operator.index(v) for v in row) for row in rows)
+    except TypeError as exc:  # a count, the rows, a row or an entry
+        raise ValueError(f"index counts and entries must be integers ({exc})") from None
     if n < 1:
         raise ValueError("at least one mutable index is required (n >= 1)")
     if m < 0:
         raise ValueError("frozen index count must be non-negative")
     size = n + m
-    rows = list(rows)
-    if len(rows) != size or any(len(row) != size for row in rows):
+    if len(b) != size or any(len(row) != size for row in b):
         raise ValueError(f"matrix must be {size}x{size}")
-    b = tuple(tuple(operator.index(v) for v in row) for row in rows)
     for i in range(size):
         if b[i][i] != 0:
             raise NotSkewSymmetrizable(f"nonzero diagonal entry at index {i + 1}")

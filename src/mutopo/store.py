@@ -10,12 +10,19 @@ YES and NO embedding verdicts that read one.  An UNKNOWN records only which
 budget tripped first under the rules of its day: it is never kept, and the
 UNKNOWN lines an older file holds are skipped at open.
 
-Format: one JSON object per line, serialized with sorted keys and compact
-separators, each carrying a ``crc`` field: the CRC-32 of the line's bytes
-with its ``,"crc":N`` field cut out, so a line in any other encoding fails
-it.  The file is append-only; compaction is explicit and rewrites it
-atomically from the kept records: a record never decoded is verified and
-copied as its line.
+Format: one record per line, ``CRC<TAB>HEADER[<TAB>MEMBERS]``.  CRC is the
+decimal CRC-32 of the bytes after the first tab; compact JSON holds no raw
+tab, so the tabs split a line exactly.  HEADER is a JSON object with sorted
+keys and compact separators.  A class record's header holds the fields it
+is indexed by: its seed hash, ``shape`` [n, m], budget, status, tripped
+caps, ``stats`` (member count, largest entry, depth) and entry witness; its
+MEMBERS is the JSON list of ``[canonical entries, witness]`` of each member
+in BFS order, the seed first with witness ``[]``.  An embed record has no
+MEMBERS: its header holds the P and Q hashes, budget, verdict and witness.
+A line that begins with ``{`` is of an older format: open skips it and
+compaction drops it.  The file is append-only; compaction is explicit and
+rewrites it atomically from the kept records: a record never decoded is
+verified and copied as its line.
 
 Keys are canonical-form hashes plus the exact budget, so isomorphic seeds
 share entries and differing budgets never collide; a re-put of a key is a
@@ -24,15 +31,16 @@ budget its recorded usage fits inside, because an untripped run is a
 function of the seed alone; a TRUNCATED record is served only on an exact
 budget match, which keeps warm and cold results bit-identical.
 
-Opening a store reads every line but parses a class record without its
-member array, which it never decodes there: the record is indexed by the
-seed, budget, status and figures it claims, and kept as its place in the
-file, which the store holds open.  Embed records, which are small, are
-checked against their CRC and decoded.  Serving a class record the first
-time checks the CRC of its line, replays each member's witness from the
-seed (one mutation and one canonical form per member) against the stored
-hash and matrix, and checks its figures; so does compaction.  A failure
-raises :class:`CorruptRecord` with the line number.
+Opening a store reads every line but decodes only its header: a class
+record is indexed by the seed, budget, status and figures it claims, and
+kept as its place in the file, which the store holds open.  Embed records,
+which are small, are checked against their CRC and decoded.  Serving a
+class record the first time checks the CRC of its line, builds the seed
+from the first member's entries and checks its hash, replays each member's
+witness from the seed (one mutation and one canonical form per member),
+whose canonical entries must equal the stored ones, and checks its
+figures; so does compaction.  A failure raises :class:`CorruptRecord` with
+the line number.
 
 Concurrency: single writer (guarded by an advisory lock file), any number
 of readers.  A trailing partial line is a torn write and reads as absent;
@@ -44,16 +52,15 @@ from __future__ import annotations
 import json
 import operator
 import os
-import re
 import zlib
 from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
-from .canonical import CanonicalForm, canonical_form
+from .canonical import canonical_form
 from .classes import CLOSED, Budget, ClassEnumeration, Member, Verdict
 from .embed import EmbedVerdict, EmbedWitness, witness_json
-from .matrix import ExchangeMatrix, from_json_dict, mutate, to_json_dict
+from .matrix import ExchangeMatrix, build, from_json_dict, mutate, to_json_dict
 
 try:
     import fcntl
@@ -74,53 +81,23 @@ class CorruptRecord(ValueError):
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _canonical_line(record: dict) -> str:
-    """``json.dumps(record, sort_keys=True, separators=(",", ":"))``, with
-    the members of a class record encoded one at a time: the encoder keeps
-    every token of its input until it returns, many times the line's size."""
-    return "{" + ",".join(
-        _encode(key) + ":"
-        + (
-            "[" + ",".join(map(_encode, value)) + "]"
-            if key == "members" and isinstance(value, list)
-            else _encode(value)
-        )
-        for key, value in sorted(record.items())
-    ) + "}"
+def _record_line(header: dict, members=None) -> bytes:
+    """``CRC<TAB>HEADER[<TAB>MEMBERS]`` and its newline.  The members are
+    encoded one at a time: the encoder keeps every token of its input until
+    it returns, many times the line's size."""
+    body = _encode(header)
+    if members is not None:
+        body += "\t[" + ",".join(map(_encode, members)) + "]"
+    body = body.encode("ascii")  # the encoder escapes every non-ASCII character
+    return b"%d\t%s\n" % (zlib.crc32(body), body)
 
 
-_CRC_FIELD = re.compile(rb',"crc":(\d+)')
-
-
-def _cut_crc(line: bytes):
-    """``(rest, at, crc)``: the line without its ``,"crc":N`` field, the
-    offset the field was cut at, and N; None for a line without one."""
-    field = _CRC_FIELD.search(line)
-    if field is not None:
-        return line[: field.start()] + line[field.end():], field.start(), int(field[1])
-
-
-def _with_crc(record: dict) -> bytes:
-    """The record's line, encoded once: a placeholder ``crc`` field lands in
-    its sorted-key place and is replaced by the CRC-32 of the rest."""
-    rest, at, _ = _cut_crc(_canonical_line({**record, "crc": 0}).encode("utf-8"))
-    return b'%s,"crc":%d%s' % (rest[:at], zlib.crc32(rest), rest[at:])
-
-
-def _check_crc(line: bytes, line_no: int) -> bytes:
-    """The line, checked: cut of its ``,"crc":N`` field, its CRC-32 is N."""
-    cut = _cut_crc(line)
-    if cut is None or zlib.crc32(cut[0]) != cut[2]:
+def _body(line: bytes, line_no: int) -> bytes:
+    """``HEADER[<TAB>MEMBERS]`` of a line, once its CRC matches them."""
+    crc, _, body = line.rstrip(b"\n").partition(b"\t")
+    if crc != b"%d" % zlib.crc32(body):
         raise CorruptRecord(line_no, "checksum mismatch")
-    return line
-
-
-def _index_fields(line: bytes) -> bytes:
-    """The line with a class record's member array cut out, which leaves
-    the fields open indexes it by; any other line as it is."""
-    head = line.find(b',"members":[')
-    tail = line.rfind(b'],"seed":')
-    return line[:head] + line[tail + 1:] if 0 <= head < tail else line
+    return body
 
 
 class _malformed_is_corrupt:
@@ -143,32 +120,20 @@ class _malformed_is_corrupt:
             ) from None
 
 
-def _budget_list(budget: Budget) -> list:
-    return [budget.max_members, budget.max_entry, budget.max_depth]
-
-
-def _form_json(form: CanonicalForm) -> dict:
-    """``to_json_dict(form.matrix)``, keeping no matrix on a stored member's form."""
-    return to_json_dict(ExchangeMatrix(form.n, form.m, form.rows()))
-
-
-def _class_record(enum: ClassEnumeration) -> dict:
-    return {
+def _class_line(enum: ClassEnumeration) -> bytes:
+    header = {
         "kind": "class",
         "seed": enum.seed.hash,
-        "budget": _budget_list(enum.budget),
+        "shape": [enum.seed.n, enum.seed.m],
+        "budget": list(enum.budget.key()),
         "status": enum.status,
         "tripped": sorted(enum.tripped),
-        "class_key": enum.least().form.hash,
         "stats": [enum.count, enum.max_abs_entry, enum.depth],
-        "members": [
-            [mem.form.hash, _form_json(mem.form), mem.witness]
-            for mem in enum.members
-        ],
         "entry_witness": (
             to_json_dict(enum.entry_witness) if enum.entry_witness is not None else None
         ),
     }
+    return _record_line(header, [(mem.form.key, mem.witness) for mem in enum.members])
 
 
 def _replay(seed_matrix: ExchangeMatrix, witnesses: list[tuple]) -> list[ExchangeMatrix]:
@@ -191,47 +156,46 @@ def _replay(seed_matrix: ExchangeMatrix, witnesses: list[tuple]) -> list[Exchang
     return out
 
 
-def _class_from_record(record: dict, line_no: int) -> ClassEnumeration:
-    seed_hash = record["seed"]
-    seed_matrix = None
-    for hash_, matrix_obj, _ in record["members"]:
-        if hash_ == seed_hash:
-            seed_matrix = from_json_dict(matrix_obj)
-            break
-    if seed_matrix is None:
-        raise CorruptRecord(line_no, "seed hash is not among the members")
-    witnesses = [tuple(witness) for _, _, witness in record["members"]]
-    members = []
-    for (hash_, matrix_obj, _), witness, reached in zip(
-        record["members"], witnesses, _replay(seed_matrix, witnesses)
-    ):
-        # the stored hash and matrix must both be the canonical form of
-        # what the witness reaches from the seed
+def _class_from_record(header: dict, members: list, line_no: int) -> ClassEnumeration:
+    # the file is a boundary: the seed is built, not trusted
+    n, m = header["shape"]
+    seed_entries, seed_witness = members[0]
+    size = n + m
+    rows = [seed_entries[i : i + size] for i in range(0, len(seed_entries), size)]
+    seed_matrix = build(n, m, rows)
+    seed = canonical_form(seed_matrix)
+    if seed_witness != [] or seed.hash != header["seed"]:
+        raise CorruptRecord(line_no, "the first member is not the seed")
+    witnesses = [tuple(witness) for _, witness in members]
+    replayed = _replay(seed_matrix, witnesses)
+    out = []
+    for (entries, _), witness, reached in zip(members, witnesses, replayed):
+        # the stored entries must be the canonical form of what the witness
+        # reaches from the seed
         form = canonical_form(reached)
-        if form.hash != hash_ or _form_json(form) != matrix_obj:
-            raise CorruptRecord(line_no, f"member {hash_[:12]} fails witness replay")
-        members.append(Member(form, witness, reached))
-    entry_witness = record.get("entry_witness")
-    entry_witness = None if entry_witness is None else from_json_dict(entry_witness)
+        if list(form.key) != entries:
+            raise CorruptRecord(line_no, f"member {len(out) + 1} fails witness replay")
+        out.append(Member(form, witness, reached))
+    entry_witness = header["entry_witness"]
     return ClassEnumeration(
-        seed=canonical_form(seed_matrix),
-        members=tuple(members),
-        status=record["status"],
-        tripped=frozenset(record["tripped"]),
-        entry_witness=entry_witness,
-        budget=Budget(*record["budget"]),
+        seed=seed,
+        members=tuple(out),
+        status=header["status"],
+        tripped=frozenset(header["tripped"]),
+        entry_witness=None if entry_witness is None else from_json_dict(entry_witness),
+        budget=Budget(*header["budget"]),
     )
 
 
-def _embed_record(p_hash: str, q_hash: str, ev: EmbedVerdict) -> dict:
-    return {
+def _embed_line(p_hash: str, q_hash: str, ev: EmbedVerdict) -> bytes:
+    return _record_line({
         "kind": "embed",
         "p": p_hash,
         "q": q_hash,
-        "budget": _budget_list(ev.budget),
+        "budget": list(ev.budget.key()),
         "verdict": ev.verdict.value,
         "witness": witness_json(ev.witness),
-    }
+    })
 
 
 def _embed_from_record(record: dict) -> EmbedVerdict:
@@ -294,8 +258,9 @@ class Store:
         self._widened: dict[tuple[str, tuple], ClassEnumeration] = {}
         # (P hash, Q hash) -> budget key -> verdict
         self._embeds: dict[tuple[str, str], dict[tuple, EmbedVerdict]] = {}
-        # lines open read but left out of the indexes: an older file's
-        # UNKNOWN verdicts and the later lines of a repeated key
+        # lines open read but left out of the indexes: lines of an older
+        # format, an older file's UNKNOWN verdicts and the later lines of a
+        # repeated key
         self._skipped = 0
         if self.directory is None:
             return
@@ -353,12 +318,17 @@ class Store:
             offset += len(line)
 
     def _ingest(self, line: bytes, line_no: int, offset: int):
+        if line.startswith(b"{"):  # an older format's line: compaction drops it
+            self._skipped += 1
+            return
+        header = line.partition(b"\t")[2].partition(b"\t")[0].rstrip(b"\n")
         try:
-            obj = json.loads(_index_fields(line).decode("utf-8"))
+            obj = json.loads(header)
         except ValueError as exc:  # also a UnicodeDecodeError
-            raise CorruptRecord(line_no, f"not valid JSON ({getattr(exc, 'msg', exc)})") from None
-        if not isinstance(obj, dict) or "crc" not in obj:
-            raise CorruptRecord(line_no, "missing crc field")
+            reason = f"header is not valid JSON ({getattr(exc, 'msg', exc)})"
+            raise CorruptRecord(line_no, reason) from None
+        if not isinstance(obj, dict):
+            raise CorruptRecord(line_no, "header is not a JSON object")
         kind = obj.get("kind")
         with _malformed_is_corrupt(line_no, kind):
             if kind == "class":  # indexed only: checked when first served
@@ -367,7 +337,7 @@ class Store:
                 entry = _Indexed(offset, line_no, obj["seed"], budget, obj["status"], *stats)
                 by_budget = self._classes.setdefault(entry.seed, {})
             elif kind == "embed":
-                _check_crc(line[:-1], line_no)
+                _body(line, line_no)
                 entry = _embed_from_record(obj)
                 budget = entry.budget.key()
                 by_budget = (
@@ -406,7 +376,7 @@ class Store:
 
     def _line(self, entry: _Indexed) -> bytes:
         self._file.seek(entry.offset)
-        return self._file.readline().rstrip(b"\n")
+        return self._file.readline()
 
     def _decoded(self, by_budget: dict, key: tuple) -> ClassEnumeration:
         enum = by_budget[key]
@@ -415,10 +385,12 @@ class Store:
         return enum
 
     def _verified(self, entry: _Indexed) -> ClassEnumeration:
-        """Decode a record through its CRC, member replay and figures checks."""
-        line = _check_crc(self._line(entry), entry.line_no)
+        """Decode a record through its CRC, seed, member replay and figures checks."""
+        header, _, members = _body(self._line(entry), entry.line_no).partition(b"\t")
         with _malformed_is_corrupt(entry.line_no, "class"):
-            enum = _class_from_record(json.loads(line), entry.line_no)
+            # MEMBERS holds integers only, and int() refuses the text of a float
+            members = json.loads(members, parse_float=int)
+            enum = _class_from_record(json.loads(header), members, entry.line_no)
         figures = (enum.seed.hash, enum.budget.key(), enum.status, enum.count,
                    enum.max_abs_entry, enum.depth)
         if figures != entry[2:]:
@@ -429,7 +401,7 @@ class Store:
         by_budget = self._classes.setdefault(enum.seed.hash, {})
         if enum.budget.key() not in by_budget:  # a re-put is idempotent
             by_budget[enum.budget.key()] = enum
-            self._append(_class_record, enum)
+            self._append(_class_line, enum)
 
     # -- embed records ------------------------------------------------------
 
@@ -442,12 +414,12 @@ class Store:
         by_budget = self._embeds.setdefault((p_hash, q_hash), {})
         if ev.budget.key() not in by_budget:  # a re-put is idempotent
             by_budget[ev.budget.key()] = ev
-            self._append(_embed_record, p_hash, q_hash, ev)
+            self._append(_embed_line, p_hash, q_hash, ev)
 
-    def _append(self, record_of, *args):
+    def _append(self, line_of, *args):
         if self.path is None or self.readonly:  # nothing to encode the record for
             return
-        line = _with_crc(record_of(*args)) + b"\n"
+        line = line_of(*args)
         with open(self.path, "ab") as f:
             if self._torn_at is not None:
                 f.truncate(self._torn_at)
@@ -477,12 +449,12 @@ class Store:
                         self._verified(enum)  # then dropped: memory stays flat
                         lines.append(self._line(enum))
                     else:
-                        lines.append(_with_crc(_class_record(enum)))
+                        lines.append(_class_line(enum))
             lines.extend(
-                _with_crc(_embed_record(p, q, ev))
+                _embed_line(p, q, ev)
                 for (p, q), by_budget in self._embeds.items() for ev in by_budget.values()
             )
-            tmp.write_bytes(b"".join(line + b"\n" for line in lines))
+            tmp.write_bytes(b"".join(lines))
             os.replace(tmp, self.path)
             self._torn_at = None
             self._skipped = 0
@@ -504,5 +476,6 @@ class Store:
             "records": classes + embeds,
             "classes": classes,
             "embeds": embeds,
+            "skipped": self._skipped,
             "path": str(self.path),
         }

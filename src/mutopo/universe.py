@@ -357,24 +357,29 @@ def universe_to_json(u: Universe) -> dict:
 
 
 def universe_from_json(obj: dict) -> Universe:
-    params = obj["params"]
-    budget = Budget(
-        params["budget"]["max_members"],
-        params["budget"]["max_entry"],
-        params["budget"]["max_depth"],
-    )
-    classes = []
-    for entry in obj["classes"]:
-        matrix = from_json_dict(entry["matrix"])
-        form = canonical_form(matrix)
-        if form.hash != entry["hash"] or form.matrix != matrix:
-            raise ValueError(
-                f"universe class {entry['hash'][:12]} does not match its matrix"
-            )
-        classes.append(
-            UniverseClass(ClassKey(form, entry["status"]), from_json_dict(entry["seed"]))
+    """The universe a :func:`universe_to_json` object describes.  Raises
+    KeyError for a missing field and ValueError for any other malformed one."""
+    try:
+        params = obj["params"]
+        budget = Budget(
+            params["budget"]["max_members"],
+            params["budget"]["max_entry"],
+            params["budget"]["max_depth"],
         )
-    relation = tuple(tuple(row) for row in obj["relation"])
+        classes = []
+        for entry in obj["classes"]:
+            matrix = from_json_dict(entry["matrix"])
+            form = canonical_form(matrix)
+            if form.hash != entry["hash"] or form.matrix != matrix:
+                raise ValueError(
+                    f"universe class {entry['hash'][:12]} does not match its matrix"
+                )
+            classes.append(
+                UniverseClass(ClassKey(form, entry["status"]), from_json_dict(entry["seed"]))
+            )
+        relation = tuple(tuple(row) for row in obj["relation"])
+    except TypeError as exc:  # a field of the wrong type, such as a float cap
+        raise ValueError(f"malformed universe ({exc})") from None
     if len(relation) != len(classes) or any(len(row) != len(classes) for row in relation):
         raise ValueError("universe relation shape does not match the class list")
     for i, row in enumerate(relation):

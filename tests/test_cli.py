@@ -339,6 +339,36 @@ def test_hasse_takes_one_output_format(capsys, u31_file):
     assert captured.out == "" and "not allowed with" in captured.err
 
 
+@pytest.mark.parametrize(
+    "b",
+    [[[0, 1.5], [-1.5, 0]], [[0, "1"], ["-1", 0]], 5, [0, 0], "01"],
+    ids=["float-entry", "string-entry", "int-b", "int-rows", "string-b"],
+)
+def test_a_matrix_file_of_non_integers_is_an_error(capsys, tmp_path, b):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"mutable": 2, "frozen": 0, "b": b}))
+    code, out, err = run(capsys, "class", str(bad), "NC")
+    assert (code, out) == (1, "") and err.startswith("error:")
+
+
+def _float_cap(obj):
+    obj["params"]["budget"]["max_members"] = 1.5
+
+
+def _float_entry(obj):
+    obj["classes"][-1]["matrix"]["b"][0][1] = 1.5
+
+
+@pytest.mark.parametrize("edit", [_float_cap, _float_entry], ids=["budget", "class-matrix"])
+def test_a_universe_file_with_a_float_is_an_error(capsys, tmp_path, u31_file, edit):
+    obj = json.loads(Path(u31_file).read_text())
+    edit(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "hasse", str(bad), "NC")
+    assert (code, out) == (1, "") and err.startswith("error:")
+
+
 class TestClassSelection:
     def test_inline_matrix_selects_a_class(self, capsys, files, u31_file):
         by_file = run(capsys, "closure", u31_file, files["a3"], "NC")
@@ -372,14 +402,16 @@ class TestClassSelection:
 
 
 def _break_checksum(path, seed_hash):
-    """Edit the class record of seed_hash without updating its CRC; return
-    its line number."""
+    """Edit the header of the class record of seed_hash without updating its
+    CRC; return its line number."""
     lines = path.read_text().splitlines()
     for k, line in enumerate(lines, start=1):
-        obj = json.loads(line)
+        crc, header, *members = line.split("\t")
+        obj = json.loads(header)
         if obj["kind"] == "class" and obj["seed"] == seed_hash:
-            obj["class_key"] = "0" * 64
-            lines[k - 1] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            obj["tripped"] = ["entry"]
+            header = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            lines[k - 1] = "\t".join([crc, header, *members])
             path.write_text("\n".join(lines) + "\n")
             return k
     raise AssertionError("no class record for that seed")
@@ -406,6 +438,18 @@ class TestCache:
         code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(missing))
         assert code == 0 and "records=0" in out
         assert not missing.exists()
+
+    def test_stats_counts_the_lines_compact_drops(self, capsys, files):
+        cache_dir = files["dir"] / "cache8"
+        cache_dir.mkdir()
+        older = Path(__file__).parent / "data" / "cache_r3w1_v1.jsonl"
+        (cache_dir / "cache.jsonl").write_bytes(older.read_bytes())  # an older format
+        code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(cache_dir))
+        assert code == 0 and "records=0 classes=0 embeds=0 skipped=56" in out
+        code, out, _ = run(capsys, "cache", "compact", "--cache-dir", str(cache_dir))
+        assert code == 0 and "records=56 kept=0 dropped=56" in out
+        code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(cache_dir))
+        assert code == 0 and "records=0 classes=0 embeds=0 skipped=0" in out
 
     def test_warm_cache_repeats_output(self, capsys, files):
         cache_dir = str(files["dir"] / "cache3")

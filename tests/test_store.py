@@ -21,12 +21,34 @@ from mutopo import (
     is_avoiding,
     is_k_universal_bounded,
 )
+from mutopo.canonical import CanonicalForm
 from mutopo.cli import main
-from mutopo.matrix import from_json_dict
-from mutopo.store import _canonical_line, _class_record, _embed_record, _with_crc
+from mutopo.store import _class_line, _embed_line, _record_line
 
-# the cache.jsonl of `mutopo universe -r 3 -w 1`: 7 class and 49 embed records
-GOLDEN = Path(__file__).parent / "data" / "cache_r3w1.jsonl"
+DATA = Path(__file__).parent / "data"
+# the cache.jsonl of `mutopo universe -r 3 -w 1`: 7 class and 14 embed
+# records.  Regenerate it with `mutopo universe -r 3 -w 1 --cache-dir DIR`
+# and copy DIR/cache.jsonl here.
+GOLDEN = DATA / "cache_r3w1.jsonl"
+# the same command's cache in an older format, one JSON object a line with
+# its CRC inside and each member as a hash and a matrix: 7 class and 49
+# embed records, from before verdicts that need no enumeration went unstored
+GOLDEN_V1 = DATA / "cache_r3w1_v1.jsonl"
+
+
+def _parse(line: bytes) -> dict:
+    """A cache line's header fields, with its members under "members"."""
+    _, header, *members = line.rstrip(b"\n").split(b"\t")
+    record = json.loads(header)
+    if members:
+        record["members"] = json.loads(members[0])
+    return record
+
+
+def _unparse(record: dict) -> bytes:
+    """The line of a record as :func:`_parse` returns it, with a fresh CRC."""
+    header = {key: value for key, value in record.items() if key != "members"}
+    return _record_line(header, record.get("members"))
 
 
 def test_get_on_empty_cache_is_absent(tmp_path, a3):
@@ -91,9 +113,8 @@ def test_corrupt_crc_reported_with_line_number(tmp_path, a2, a3):
         store.put_class(enumerate_class(a3))
     path = tmp_path / "cache.jsonl"
     lines = path.read_text().splitlines()
-    obj = json.loads(lines[0])
-    obj["status"] = "TRUNCATED"  # content no longer matches the checksum
-    lines[0] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # content no longer matches the checksum
+    lines[0] = lines[0].replace('"status":"CLOSED"', '"status":"TRUNCATED"')
     path.write_text("\n".join(lines) + "\n")
     with Store(tmp_path) as store:  # open indexes class records unchecked
         assert store.get_class(canonical_form(a3).hash, Budget()) == enumerate_class(a3)
@@ -106,13 +127,7 @@ def test_corrupt_crc_reported_with_line_number(tmp_path, a2, a3):
 def test_tampered_member_fails_replay_validation(tmp_path, a3):
     with Store(tmp_path) as store:
         store.put_class(enumerate_class(a3))
-    path = tmp_path / "cache.jsonl"
-    obj = json.loads(path.read_text())
-    obj.pop("crc")
-    obj["members"][1][2] = [1, 1]  # witness that replays to the wrong member
-    line = _canonical_line(obj)
-    crc = zlib.crc32(line.encode())
-    path.write_text(_canonical_line({**obj, "crc": crc}) + "\n")
+    _rewrite_record(tmp_path / "cache.jsonl", 0, _witness_to_seed)
     with Store(tmp_path) as store:
         with pytest.raises(CorruptRecord) as err:
             store.get_class(canonical_form(a3).hash, Budget())
@@ -162,9 +177,9 @@ def test_class_records_decode_when_first_requested(tmp_path, monkeypatch, a2, a3
     decodes = []
     decode = mutopo.store._class_from_record
 
-    def counted(record, line_no):
+    def counted(header, members, line_no):
         decodes.append(line_no)
-        return decode(record, line_no)
+        return decode(header, members, line_no)
 
     monkeypatch.setattr(mutopo.store, "_class_from_record", counted)
     with Store(tmp_path, readonly=True) as store:
@@ -194,12 +209,18 @@ def test_compact_keeps_lines_of_records_never_decoded(tmp_path, a3):
     assert (tmp_path / "cache.jsonl").read_text().splitlines() == original[1:]
 
 
-def test_canonical_line_is_sorted_compact_json(a3, w333):
+def test_class_line_is_crc_header_and_members(a3, w333):
     for enum in (enumerate_class(a3), enumerate_class(w333, Budget(max_entry=6))):
-        record = _class_record(enum)
-        assert _canonical_line(record) == json.dumps(
-            record, sort_keys=True, separators=(",", ":")
-        )
+        line = _class_line(enum)
+        crc, header, members = line.removesuffix(b"\n").split(b"\t")
+        assert int(crc) == zlib.crc32(header + b"\t" + members)
+        obj = json.loads(header)
+        assert header == json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+        assert (obj["seed"], obj["shape"]) == (enum.seed.hash, [enum.seed.n, enum.seed.m])
+        assert members == json.dumps(
+            [[list(mem.form.key), list(mem.witness)] for mem in enum.members],
+            separators=(",", ":"),
+        ).encode()
 
 
 def test_compact_keeps_incomparable_budgets(tmp_path, w333):
@@ -220,8 +241,8 @@ def test_a_stale_unknown_is_never_served(tmp_path, i2, a2, w333):
     with Store(tmp_path) as store:
         assert embeds(a2, w333, budget, store).verdict is Verdict.NO
     path = tmp_path / "cache.jsonl"
-    stale = _with_crc(_embed_record(p, q, EmbedVerdict(Verdict.UNKNOWN, None, budget)))
-    path.write_bytes(path.read_bytes() + stale + b"\n")
+    stale = _embed_line(p, q, EmbedVerdict(Verdict.UNKNOWN, None, budget))
+    path.write_bytes(path.read_bytes() + stale)
     with Store(tmp_path) as store:
         assert store.get_embed(p, q, budget) is None
         assert embeds(i2, w333, budget, store).verdict is Verdict.NO
@@ -263,14 +284,14 @@ def _stale_unknown_line(lines):
     obj = next(obj for _, obj in lines if obj["kind"] == "embed")
     budget = Budget(max_members=200, max_entry=100)
     ev = EmbedVerdict(Verdict.UNKNOWN, None, budget)
-    return _with_crc(_embed_record(obj["p"], obj["q"], ev)), obj, budget
+    return _embed_line(obj["p"], obj["q"], ev), obj, budget
 
 
 def test_an_older_unknown_line_is_skipped_and_compacted_away(tmp_path):
     path = tmp_path / "cache.jsonl"
     lines, _ = _golden_records()
     stale, obj, budget = _stale_unknown_line(lines)
-    path.write_bytes(GOLDEN.read_bytes() + stale + b"\n")
+    path.write_bytes(GOLDEN.read_bytes() + stale)
     with Store(tmp_path, readonly=True) as store:
         assert store.stats()["records"] == len(lines)
         assert store.get_embed(obj["p"], obj["q"], budget) is None
@@ -283,8 +304,8 @@ def test_compact_counts_the_lines_open_skipped(tmp_path):
     lines, _ = _golden_records()
     stale, _, _ = _stale_unknown_line(lines)
     repeats = [lines[0][0], lines[-1][0]]  # a class key's line and an embed key's, again
-    for tail, counts in (([stale], (57, 56, 1)), ([stale, *repeats], (59, 56, 3))):
-        path.write_bytes(GOLDEN.read_bytes() + b"".join(line + b"\n" for line in tail))
+    for tail, counts in (([stale], (22, 21, 1)), ([stale, *repeats], (24, 21, 3))):
+        path.write_bytes(GOLDEN.read_bytes() + b"".join(tail))
         with Store(tmp_path) as store:
             stats = store.compact()
             assert (stats["records"], stats["kept"], stats["dropped"]) == counts
@@ -311,17 +332,11 @@ def test_enumerate_class_uses_the_store(tmp_path, a3):
 
 def _rewrite_record(path, line_index, edit):
     """Apply `edit` to one record of the cache file and recompute its CRC."""
-    lines = path.read_text().splitlines()
-    obj = json.loads(lines[line_index])
-    obj.pop("crc")
+    lines = path.read_bytes().splitlines(keepends=True)
+    obj = _parse(lines[line_index])
     edit(obj)
-    crc = zlib.crc32(_canonical_line(obj).encode())
-    lines[line_index] = _canonical_line({**obj, "crc": crc})
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _seed_member(obj):
-    return next(mem for mem in obj["members"] if mem[0] == obj["seed"])
+    lines[line_index] = _unparse(obj)
+    path.write_bytes(b"".join(lines))
 
 
 def _drop_status(obj):
@@ -329,17 +344,28 @@ def _drop_status(obj):
 
 
 def _witness_out_of_range(obj):
-    obj["members"][1][2] = [99]
+    obj["members"][1][1] = [99]
+
+
+def _float_entries(obj):
+    obj["members"][1][0] = [float(v) for v in obj["members"][1][0]]  # equal, but not integers
 
 
 def _invalid_seed_matrix(obj):
-    _seed_member(obj)[1] = {"mutable": 2, "frozen": 0, "b": [[0, 1], [1, 0]]}
+    n, m = obj["shape"]
+    entries = obj["members"][0][0]
+    entries[1] = entries[n + m] = 1  # b12 = b21 = 1 fails sign coherence
 
 
 @pytest.mark.parametrize(
     "edit, at_open",
-    [(_drop_status, True), (_witness_out_of_range, False), (_invalid_seed_matrix, False)],
-    ids=["missing-field", "witness-out-of-range", "invalid-matrix"],
+    [
+        (_drop_status, True),
+        (_witness_out_of_range, False),
+        (_invalid_seed_matrix, False),
+        (_float_entries, False),
+    ],
+    ids=["missing-field", "witness-out-of-range", "invalid-matrix", "float-entries"],
 )
 def test_malformed_record_reported_with_line_number(tmp_path, a2, a3, edit, at_open):
     with Store(tmp_path) as store:
@@ -369,15 +395,13 @@ def test_relabelled_member_matrix_fails_validation(tmp_path, a3):
     path = tmp_path / "cache.jsonl"
 
     def relabel(obj):
-        # reverse the index order of a non-seed member that is not
-        # symmetric under it; its hash still replays, its matrix does not
-        for mem in obj["members"]:
-            rows = mem[1]["b"]
-            if mem[0] == obj["seed"]:
-                continue
-            flipped = [row[::-1] for row in rows[::-1]]
-            if flipped != rows:
-                mem[1]["b"] = flipped
+        # reverse the index order of a non-seed member that is not symmetric
+        # under it, which reverses its row-major entries: its witness still
+        # reaches an isomorphic matrix, but not these entries
+        for mem in obj["members"][1:]:
+            flipped = mem[0][::-1]
+            if flipped != mem[0]:
+                mem[0] = flipped
                 return
         raise AssertionError("every member is invariant under reversal")
 
@@ -386,6 +410,29 @@ def test_relabelled_member_matrix_fails_validation(tmp_path, a3):
         with pytest.raises(CorruptRecord) as err:
             store.get_class(canonical_form(a3).hash, Budget())
     assert err.value.line_no == 1
+
+
+def _seed_second(obj):
+    obj["members"][:2] = obj["members"][1::-1]
+
+
+def _seed_with_a_witness(obj):
+    obj["members"][0][1] = [1]
+
+
+@pytest.mark.parametrize(
+    "edit", [_seed_second, _seed_with_a_witness], ids=["another-member", "seed-witness"]
+)
+def test_first_member_that_is_not_the_seed_fails_when_served(tmp_path, a2, a3, edit):
+    with Store(tmp_path) as store:
+        store.put_class(enumerate_class(a2))
+        store.put_class(enumerate_class(a3))
+    _rewrite_record(tmp_path / "cache.jsonl", 1, edit)
+    with Store(tmp_path) as store:
+        assert store.get_class(canonical_form(a2).hash, Budget()) == enumerate_class(a2)
+        with pytest.raises(CorruptRecord) as err:
+            store.get_class(canonical_form(a3).hash, Budget())
+    assert err.value.line_no == 2 and "not the seed" in str(err.value)
 
 
 def test_in_memory_store_round_trips_without_a_file(tmp_path, monkeypatch, a2, a3):
@@ -443,17 +490,17 @@ def r3w2_cache(tmp_path_factory):
 
 def _class_lines(directory):
     """(line number, record) of every class record in a cache file."""
-    lines = (directory / "cache.jsonl").read_text().splitlines()
+    lines = (directory / "cache.jsonl").read_bytes().splitlines()
     return [
         (k, obj)
-        for k, obj in enumerate(map(json.loads, lines), start=1)
+        for k, obj in enumerate(map(_parse, lines), start=1)
         if obj["kind"] == "class"
     ]
 
 
 def test_open_replays_nothing(monkeypatch, r3w2_cache):
     calls = []
-    for name in ("canonical_form", "mutate", "from_json_dict"):
+    for name in ("canonical_form", "mutate", "build"):
         real = getattr(mutopo.store, name)
         monkeypatch.setattr(
             mutopo.store, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
@@ -463,11 +510,11 @@ def test_open_replays_nothing(monkeypatch, r3w2_cache):
         assert calls == []
         for _, obj in _class_lines(r3w2_cache):  # serving replays and checks
             assert store.get_class(obj["seed"], Budget(*obj["budget"])) is not None
-    assert {"canonical_form", "mutate", "from_json_dict"} <= set(calls)
+    assert {"canonical_form", "mutate", "build"} <= set(calls)
 
 
 def _witness_to_seed(obj):
-    obj["members"][1][2] = [1, 1]
+    obj["members"][1][1] = [1, 1]  # a witness that replays to the wrong member
 
 
 def _three_members(obj):
@@ -545,10 +592,10 @@ def test_torn_final_line_is_cut_before_the_first_append(tmp_path, a2, a3):
 def _golden_records():
     """(line, record) of every line of the golden cache, and the seed
     matrix of every class in it by seed hash."""
-    lines = GOLDEN.read_bytes().splitlines()
-    records = [json.loads(line) for line in lines]
+    lines = GOLDEN.read_bytes().splitlines(keepends=True)
+    records = [_parse(line) for line in lines]
     seeds = {
-        obj["seed"]: from_json_dict(next(m[1] for m in obj["members"] if m[0] == obj["seed"]))
+        obj["seed"]: CanonicalForm(*obj["shape"], tuple(obj["members"][0][0])).matrix
         for obj in records
         if obj["kind"] == "class"
     }
@@ -559,7 +606,7 @@ def test_golden_cache_serves_fresh_results(tmp_path):
     shutil.copy(GOLDEN, tmp_path / "cache.jsonl")
     lines, seeds = _golden_records()
     kinds = [obj["kind"] for _, obj in lines]
-    assert (kinds.count("class"), kinds.count("embed")) == (7, 49)
+    assert (kinds.count("class"), kinds.count("embed")) == (7, 14)
     with Store(tmp_path, readonly=True) as store:
         for _, obj in lines:
             budget = Budget(*obj["budget"])
@@ -578,13 +625,40 @@ def test_golden_cache_lines_are_written_byte_for_byte(tmp_path):
         for line, obj in lines:
             budget = Budget(*obj["budget"])
             if obj["kind"] == "class":
-                record = _class_record(store.get_class(obj["seed"], budget))
+                written = _class_line(store.get_class(obj["seed"], budget))
             else:
-                record = _embed_record(obj["p"], obj["q"], store.get_embed(obj["p"], obj["q"], budget))
-            assert _with_crc(record) == line
+                written = _embed_line(obj["p"], obj["q"], store.get_embed(obj["p"], obj["q"], budget))
+            assert written == line
     with Store(tmp_path) as store:  # and so does compaction
         assert store.compact()["dropped"] == 0
     assert (tmp_path / "cache.jsonl").read_bytes() == GOLDEN.read_bytes()
+
+
+def test_an_older_format_file_serves_nothing(tmp_path):
+    shutil.copy(GOLDEN_V1, tmp_path / "cache.jsonl")
+    lines, _ = _golden_records()  # the same universe, so the same keys
+    with Store(tmp_path, readonly=True) as store:
+        stats = store.stats()
+        assert (stats["records"], stats["skipped"]) == (0, 56)
+        for _, obj in lines:
+            budget = Budget(*obj["budget"])
+            if obj["kind"] == "class":
+                assert store.get_class(obj["seed"], budget) is None
+            else:
+                assert store.get_embed(obj["p"], obj["q"], budget) is None
+
+
+def test_a_universe_over_an_older_file_matches_a_cold_build(tmp_path):
+    older, cold = tmp_path / "older", tmp_path / "cold"
+    older.mkdir()
+    shutil.copy(GOLDEN_V1, older / "cache.jsonl")
+    for directory in (older, cold):
+        argv = ["universe", "-r", "3", "-w", "1", "--cache-dir", str(directory)]
+        assert main([*argv, "-o", str(directory / "u.json")]) == 0
+    assert (older / "u.json").read_bytes() == (cold / "u.json").read_bytes()
+    assert main(["cache", "compact", "--cache-dir", str(older)]) == 0
+    # the older lines are gone, and the new ones are the golden's
+    assert (older / "cache.jsonl").read_bytes() == GOLDEN.read_bytes()
 
 
 def test_open_parses_no_member_array(tmp_path, monkeypatch, w333):
@@ -595,14 +669,15 @@ def test_open_parses_no_member_array(tmp_path, monkeypatch, w333):
     loads = json.loads
     monkeypatch.setattr(mutopo.store.json, "loads", lambda s: texts.append(s) or loads(s))
     with Store(tmp_path, readonly=True) as store:
-        assert store.stats()["records"] == 57
-    assert len(texts) == 57
-    assert not any('"members":' in text for text in texts)
+        assert store.stats()["records"] == 22
+    assert len(texts) == 22
+    lines = (tmp_path / "cache.jsonl").read_bytes().splitlines()
+    assert texts == [line.split(b"\t")[1] for line in lines]  # HEADER fields only
 
 
 def _garble_members(line: bytes) -> bytes:
     """The line with bytes in the middle of its member array overwritten."""
-    head, tail = line.index(b',"members":['), line.rindex(b'],"seed":')
+    head, tail = line.rindex(b"\t") + 1, len(line.rstrip(b"\n"))
     middle = (head + tail) // 2
     return line[:middle] + b'#"{' + line[middle + 3:]
 
@@ -610,14 +685,14 @@ def _garble_members(line: bytes) -> bytes:
 def test_garbled_member_list_fails_when_served_and_compacted(tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     lines = GOLDEN.read_bytes().splitlines(keepends=True)
-    records = [json.loads(line) for line in lines]
+    records = [_parse(line) for line in lines]
     k, obj = next(
         (k, obj) for k, obj in enumerate(records, start=1)
         if obj["kind"] == "class" and obj["stats"][0] == 4
     )
     lines[k - 1] = _garble_members(lines[k - 1])
     with pytest.raises(ValueError):
-        json.loads(lines[k - 1])
+        _parse(lines[k - 1])
     path.write_bytes(b"".join(lines))
     before = path.read_bytes()
     with Store(tmp_path, readonly=True) as store:  # the index fields are intact
@@ -633,9 +708,11 @@ def test_garbled_member_list_fails_when_served_and_compacted(tmp_path, capsys):
 def test_record_in_another_encoding_fails_its_checksum(tmp_path, kind):
     path = tmp_path / "cache.jsonl"
     lines = GOLDEN.read_text().splitlines()
-    k = next(k for k, line in enumerate(lines, start=1) if json.loads(line)["kind"] == kind)
-    obj = json.loads(lines[k - 1])  # its crc field is still the right CRC-32
-    lines[k - 1] = json.dumps(obj, sort_keys=True, separators=(", ", ":"))
+    k = next(k for k, line in enumerate(lines, start=1) if _parse(line.encode())["kind"] == kind)
+    # the header is re-encoded; the CRC is still the CRC-32 of the record's fields
+    crc, header, *members = lines[k - 1].split("\t")
+    obj = json.loads(header)
+    lines[k - 1] = "\t".join([crc, json.dumps(obj, sort_keys=True, separators=(", ", ":")), *members])
     path.write_text("\n".join(lines) + "\n")
     if kind == "embed":  # embed records are checked at open
         with pytest.raises(CorruptRecord) as err:
