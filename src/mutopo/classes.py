@@ -57,7 +57,10 @@ class Budget:
     def __post_init__(self):
         caps = ("max_members", "max_entry") + (() if self.max_depth is None else ("max_depth",))
         for name in caps:
-            cap = operator.index(getattr(self, name))  # a TypeError unless an integer
+            cap = getattr(self, name)
+            if isinstance(cap, bool):  # a JSON true or false, which operator.index takes
+                raise TypeError(f"budget cap {name} must be an integer, not {cap}")
+            cap = operator.index(cap)  # a TypeError unless an integer
             if cap < 1:
                 raise ValueError(f"budget cap {name} must be at least 1, not {cap}")
             object.__setattr__(self, name, cap)
@@ -90,8 +93,6 @@ class ClassEnumeration:
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {mem.form: mem for mem in self.members})
-        # restriction scans by target shape, filled lazily by embed.embeds
-        object.__setattr__(self, "scans", {})
         object.__setattr__(self, "verdicts", {})  # see verdict()
 
     def member_for(self, form: CanonicalForm) -> Member | None:

@@ -13,11 +13,10 @@ Witnesses are anchored at the canonical forms of the two inputs: replaying
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from itertools import chain, combinations, repeat
-from operator import itemgetter
+from dataclasses import asdict, dataclass
+from itertools import chain, combinations
 
-from .canonical import CanonicalForm, canonical_form, canonical_relabeling
+from .canonical import canonical_form, canonical_relabeling
 from .classes import (
     CLOSED,
     DEFAULT_BUDGET,
@@ -50,92 +49,47 @@ class EmbedVerdict:
     budget: Budget
 
 
-# the largest restriction shape n_p + m_p whose scan is keyed by raw entries
+# The largest restriction shape n_p + m_p whose scan is keyed by raw
+# entries, row-major over the subset (mutable indices first, the order of
+# ``restrict``), read off a member without building a matrix and tested
+# against ``enum_p.relabelings`` (at most 6 tuples of 9 entries a member).
+# Larger shapes key by canonical form: at size 4 each member of [P] would
+# hold 24 relabelings, a cost no workload has measured, and at size 6 (720)
+# building them costs more than the few members such a scan visits (A6 into
+# E7: 0.3 ms by form, 137 ms by relabelings).
 RAW_SCAN_LIMIT = 3
 
 
-@dataclass
-class _Scan:
-    """One class's restrictions to one shape (n_p, m_p): position t is member
-    ``t // len(subsets)`` (BFS order) restricted to ``subsets[t %
-    len(subsets)]`` (colex order).  ``first`` maps each key met in the
-    ``walked`` positions to the first position it appeared at.
-
-    Up to :data:`RAW_SCAN_LIMIT` indices, a restriction's key is its raw
-    entries, row-major over the subset (mutable indices first, the order of
-    ``restrict``), read off the member by ``getters`` without building a
-    matrix.  A restriction lies in [P] exactly when its raw entries are a
-    relabeling of a member of [P]: a key in ``enum_p.relabelings``, which
-    holds at most 6 tuples of 9 entries a member.  Larger shapes key by the
-    canonical form (``getters`` is None): at size 4 each member of [P]
-    would hold 24 relabelings, a cost no workload has measured, and at size
-    6 (720) building them costs more than the few positions such a scan
-    walks (A6 into E7: 0.3 ms by form, 137 ms by relabelings).  Keying by
-    form with a memo from raw entries to form instead would canonicalize
-    every distinct restriction, and a cold r4 w1 universe meets 8,438
-    distinct ones of size 3 in 14,640 positions."""
-
-    subsets: list[tuple[int, ...]]
-    getters: list[itemgetter] | None
-    first: dict = field(default_factory=dict)
-    walked: int = 0
-
-    def walk(self, members, keys_p) -> tuple[int, CanonicalForm | None] | None:
-        """Resume the walk up to the first position whose key is in keys_p:
-        that position, and its canonical form if the walk took one."""
-        width, first, t = len(self.subsets), self.first, self.walked
-        for k in range(t // width, len(members)):
-            reached, start = members[k].reached, t % width
-            if self.getters is None:
-                forms = map(canonical_form, map(restrict, repeat(reached), self.subsets[start:]))
-                keyed = ((form, form) for form in forms)
-            else:
-                entries = tuple(chain.from_iterable(reached.b))
-                keyed = zip([get(entries) for get in self.getters[start:]], repeat(None))
-            for key, form in keyed:
-                first.setdefault(key, t)
-                t += 1
-                if key in keys_p:
-                    self.walked = t
-                    return t - 1, form
-        self.walked = t
-        return None
-
-
 def _first_restriction(enum_p, enum_q, p_n: int, p_m: int) -> EmbedWitness | None:
-    """The witness at the first scan position whose restriction is a member
-    of [P]: looked up among the positions already walked, else found by
-    resuming the walk; None when the walk ends without one."""
-    scan = enum_q.scans.get((p_n, p_m))
-    if scan is None:  # partition-compatible subsets, in colex order
-        q = enum_q.seed.matrix
-        subsets = sorted((mut + fro for mut in combinations(range(1, q.n + 1), p_n)
-                          for fro in combinations(range(q.n + 1, q.size + 1), p_m)),
-                         key=lambda idx: idx[::-1])
-        getters = None
-        if p_n + p_m <= RAW_SCAN_LIMIT:
-            getters = [entries_getter([i - 1 for i in idx], q.size) for idx in subsets]
-        scan = enum_q.scans[p_n, p_m] = _Scan(subsets, getters)
-    first = scan.first
-    keys_p = enum_p.forms if scan.getters is None else enum_p.relabelings
-    if len(keys_p) <= len(first):
-        t = min((first[key] for key in keys_p if key in first), default=None)
+    """The witness at the first member of [Q] (BFS order) and subset (colex
+    order) whose restriction is a member of [P]; None when there is none."""
+    q = enum_q.seed.matrix
+    subsets = sorted((mut + fro for mut in combinations(range(1, q.n + 1), p_n)
+                      for fro in combinations(range(q.n + 1, q.size + 1), p_m)),
+                     key=lambda idx: idx[::-1])
+    raw = p_n + p_m <= RAW_SCAN_LIMIT
+    if raw:
+        keys_p = enum_p.relabelings
+        getters = [entries_getter([i - 1 for i in idx], q.size) for idx in subsets]
     else:
-        t = min((pos for key, pos in first.items() if key in keys_p), default=None)
-    form = None
-    if t is None:
-        found = scan.walk(enum_q.members, keys_p)
-        if found is None:
-            return None
-        t, form = found
-    width = len(scan.subsets)
-    q_mem, idx = enum_q.members[t // width], scan.subsets[t % width]
-    if form is None:  # raw entries are some relabeling: the form names the member
-        form = canonical_form(restrict(q_mem.reached, idx))
-    p_mem = enum_p.member_for(form)
-    if p_mem is None:
-        raise RuntimeError(f"the scan key of subset {idx} matches no member of [P]")
-    return EmbedWitness(q_mem.witness, idx, p_mem.witness)
+        keys_p = enum_p.forms
+    for q_mem in enum_q.members:
+        reached = q_mem.reached
+        if raw:
+            entries = tuple(chain.from_iterable(reached.b))
+            keys = [get(entries) for get in getters]
+        else:
+            keys = [canonical_form(restrict(reached, idx)) for idx in subsets]
+        if keys_p.isdisjoint(keys):
+            continue
+        idx, key = next((idx, key) for idx, key in zip(subsets, keys) if key in keys_p)
+        # raw entries are some relabeling: the form names the member
+        form = canonical_form(restrict(reached, idx)) if raw else key
+        p_mem = enum_p.member_for(form)
+        if p_mem is None:
+            raise RuntimeError(f"the scan key of subset {idx} matches no member of [P]")
+        return EmbedWitness(q_mem.witness, idx, p_mem.witness)
+    return None
 
 
 def embeds(
@@ -151,15 +105,12 @@ def embeds(
     enumeration, the fingerprint and disjoint reflection orbits
     (:attr:`ClassEnumeration.reflection_orbit`).  Otherwise the witness is
     the first restriction (members of [Q] in BFS order, their subsets in
-    colex order) that is a member of [P].  Each enumeration of [Q] keeps one
-    scan per shape, so a (member, subset) is walked once across calls: a
-    call looks among the positions already walked, and resumes the walk
-    only when none of them is a member of [P].  Up to three indices a
-    position's key is the restriction's raw entries, tested against every
-    relabeling of every member of [P], and only the witness position builds
-    a matrix and a canonical form; larger shapes key by canonical form,
-    since their relabelings outweigh the positions walked (see
-    :class:`_Scan`).
+    colex order) that is a member of [P].  Each call walks [Q] from its
+    first member and keeps nothing.  Up to three indices a restriction's
+    key is its raw entries, tested against every relabeling of every member
+    of [P], and only the witness builds a matrix and a canonical form;
+    larger shapes key by canonical form, since their relabelings outweigh
+    the members walked (see :data:`RAW_SCAN_LIMIT`).
 
     With no such restriction the answer is NO when [Q] is CLOSED (*closed
     upper class*), whatever the status of [P]: restriction to I commutes

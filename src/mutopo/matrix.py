@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -286,9 +287,14 @@ def to_json_dict(B: ExchangeMatrix) -> dict:
 
 def from_json_dict(obj: dict) -> ExchangeMatrix:
     try:
-        return build(obj["mutable"], obj["frozen"], obj["b"])
+        counts, rows = (obj["mutable"], obj["frozen"]), obj["b"]
     except KeyError as exc:
         raise ValueError(f"matrix object is missing key {exc}") from None
+    B = build(*counts, rows)
+    # JSON true and false pass build's operator.index as 1 and 0
+    if any(isinstance(v, bool) for v in chain(counts, *rows)):
+        raise ValueError("index counts and entries must be integers, not booleans")
+    return B
 
 
 def to_text(B: ExchangeMatrix) -> str:

@@ -181,8 +181,8 @@ def build_universe(
     frozen indices, the default) or "skew" (all skew-symmetrizable splits).
     The relation is anchored at each class's ``seed``, the canonical seed
     :func:`collect_classes` enumerated, so every class is enumerated once
-    and its restriction scans are shared by all the pairs it is the upper
-    class of.  Without a store, the build memoizes in an in-memory one.
+    and its enumeration serves every pair it is a side of.  Without a
+    store, the build memoizes in an in-memory one.
     """
     if rank_cap < 1:
         raise ValueError("rank cap must be at least 1")

@@ -49,7 +49,8 @@ class TestBudget:
     def test_caps_must_be_integers(self):
         # refused where the budget is built, not where the BFS first reads a cap
         for caps in ({"max_entry": None}, {"max_members": None}, {"max_entry": 2.5},
-                     {"max_members": 10.0}, {"max_depth": 1.5}, {"max_entry": "8"}):
+                     {"max_members": 10.0}, {"max_depth": 1.5}, {"max_entry": "8"},
+                     {"max_entry": True}, {"max_depth": False}):
             with pytest.raises(TypeError):
                 Budget(**caps)
         assert Budget(max_depth=None).max_depth is None

@@ -340,13 +340,22 @@ def test_hasse_takes_one_output_format(capsys, u31_file):
 
 
 @pytest.mark.parametrize(
-    "b",
-    [[[0, 1.5], [-1.5, 0]], [[0, "1"], ["-1", 0]], 5, [0, 0], "01"],
-    ids=["float-entry", "string-entry", "int-b", "int-rows", "string-b"],
+    "fields",
+    [
+        {"b": [[0, 1.5], [-1.5, 0]]},
+        {"b": [[0, "1"], ["-1", 0]]},
+        {"b": 5},
+        {"b": [0, 0]},
+        {"b": "01"},
+        {"b": [[0, True], [-1, 0]]},  # JSON true, which operator.index reads as 1
+        {"mutable": True, "frozen": 1},
+    ],
+    ids=["float-entry", "string-entry", "int-b", "int-rows", "string-b", "bool-entry",
+         "bool-count"],
 )
-def test_a_matrix_file_of_non_integers_is_an_error(capsys, tmp_path, b):
+def test_a_matrix_file_of_non_integers_is_an_error(capsys, tmp_path, fields):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"mutable": 2, "frozen": 0, "b": b}))
+    bad.write_text(json.dumps({"mutable": 2, "frozen": 0, "b": [[0, 1], [-1, 0]], **fields}))
     code, out, err = run(capsys, "class", str(bad), "NC")
     assert (code, out) == (1, "") and err.startswith("error:")
 
@@ -359,7 +368,19 @@ def _float_entry(obj):
     obj["classes"][-1]["matrix"]["b"][0][1] = 1.5
 
 
-@pytest.mark.parametrize("edit", [_float_cap, _float_entry], ids=["budget", "class-matrix"])
+def _bool_cap(obj):
+    obj["params"]["budget"]["max_entry"] = True  # would read as cap 1
+
+
+def _bool_entry(obj):
+    obj["classes"][1]["seed"]["b"][1][0] = True  # an entry that is 1: the matrix stays valid
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_float_cap, _float_entry, _bool_cap, _bool_entry],
+    ids=["budget", "class-matrix", "bool-budget", "bool-class-seed"],
+)
 def test_a_universe_file_with_a_float_is_an_error(capsys, tmp_path, u31_file, edit):
     obj = json.loads(Path(u31_file).read_text())
     edit(obj)

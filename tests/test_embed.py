@@ -1,7 +1,7 @@
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -134,29 +134,62 @@ def _universe_case(r, w, family):
 
 def _dynkin_case():
     # CLOSED classes of rank 3 to 6: restriction shapes of size 3 (keyed by
-    # raw entries), 4 and 5 (keyed by canonical hash)
+    # raw entries), 4 and 5 (keyed by canonical form)
     types = (type_a(3), type_a(4), type_d(4), type_a(5), type_d(5), type_a(6), type_d(6), type_e(6))
     return [canonical_form(B).matrix for B in types], Budget(), None
+
+
+def _frozen_case():
+    # CLOSED skew-symmetrizable classes with one or two frozen rows (A2, B2,
+    # A3, B3 and A4 with frozen arrows): restriction shape (2, 1) is keyed by
+    # raw entries, (3, 1) and (2, 2) by canonical form
+    seeds = [
+        build(2, 1, [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]]),
+        build(2, 1, [[0, 1, 0], [-2, 0, 1], [0, -1, 0]]),
+        build(2, 2, [[0, 1, 1, 0], [-1, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]),
+        build(3, 1, [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]),
+        build(3, 1, [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -2, 0, 0], [-1, 0, 0, 0]]),
+        build(3, 2, [[0, 1, 0, 1, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 0, 1],
+                     [-1, 0, 0, 0, 0], [0, 0, -1, 0, 0]]),
+        build(4, 1, [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0],
+                     [0, 0, -1, 0, 1], [0, 0, 0, -1, 0]]),
+    ]
+    budget = Budget()
+    assert all(enumerate_class(B, budget).status == "CLOSED" for B in seeds)
+    return [canonical_form(B).matrix for B in seeds], budget, None
 
 
 # each case with the key its scans use at each restriction shape size
 SCAN_CASES = [
     pytest.param(lambda: _universe_case(3, 2, "quiver"), {1: "raw", 2: "raw"}, id="3-2-quiver"),
     pytest.param(lambda: _universe_case(3, 1, "skew"), {1: "raw", 2: "raw"}, id="3-1-skew"),
-    pytest.param(_dynkin_case, {3: "raw", 4: "hash", 5: "hash"}, id="dynkin-3-6"),
+    pytest.param(_dynkin_case, {3: "raw", 4: "form", 5: "form"}, id="dynkin-3-6"),
+    pytest.param(_frozen_case, {3: "raw", 4: "form"}, id="frozen-2-4"),
 ]
+
+
+def _key_kind(size: int) -> str:
+    return "raw" if size <= embed_module.RAW_SCAN_LIMIT else "form"
 
 
 class TestRestrictionScan:
     @pytest.mark.parametrize("case, keys", SCAN_CASES)
-    def test_witnesses_match_the_per_pair_loop(self, case, keys):
+    def test_witnesses_match_the_per_pair_loop(self, case, keys, monkeypatch):
         seeds, budget, relation = case()
+        scanned = set()  # the restriction shape sizes n_p + m_p scanned
+        real_first = embed_module._first_restriction
+
+        def first_restriction(enum_p, enum_q, p_n, p_m):
+            scanned.add(p_n + p_m)
+            return real_first(enum_p, enum_q, p_n, p_m)
+
+        monkeypatch.setattr(embed_module, "_first_restriction", first_restriction)
         pairs = [(i, j) for i in range(len(seeds)) for j in range(len(seeds))]
         reference_store = Store()
         expected = {}
         for i, j in pairs:
             P, Q = seeds[i], seeds[j]
-            ev = embeds(P, Q, budget)  # alone: one uninterrupted walk
+            ev = embeds(P, Q, budget)  # alone: enumerated afresh
             if relation is not None:
                 assert ev.verdict.value[0] == relation[i][j]
             if P.size < Q.size and P.n <= Q.n and P.m <= Q.m:
@@ -166,68 +199,59 @@ class TestRestrictionScan:
                 else:
                     assert ev == EmbedVerdict(Verdict.YES, EmbedWitness(*hit), budget)
             expected[i, j] = ev
-        # one store per order, so later pairs meet scans earlier pairs began
-        # and either find [P] among the walked positions or resume the walk
+        # one store per order, so later pairs are served the enumerations
+        # earlier pairs stored, in any order
         for order_seed in range(3):
             order = list(pairs)
             random.Random(order_seed).shuffle(order)
             store = Store()
             for i, j in order:
                 assert embeds(seeds[i], seeds[j], budget, store) == expected[i, j]
-        enums = [store.get_class(canonical_form(Q).hash, budget) for Q in seeds]
-        scans = [scan for enum in enums for scan in enum.scans.values()]
-        kinds = {len(scan.subsets[0]): "hash" if scan.getters is None else "raw" for scan in scans}
-        assert kinds == keys
+        assert {size: _key_kind(size) for size in scanned} == keys
 
-    def test_each_restriction_is_walked_once(self, monkeypatch):
-        visits = Counter()  # (scan, position) -> times the walk keyed it
-        restricted = Counter()  # (member matrix, subset) -> restrict calls
-
-        class CountingFirst(dict):
-            def setdefault(self, key, position):
-                visits[id(self), position] += 1
-                return super().setdefault(key, position)
-
-        @dataclass
-        class CountingScan(embed_module._Scan):
-            def __post_init__(self):
-                self.first = CountingFirst()
-
-        real_restrict = embed_module.restrict
+    def test_each_scan_restricts_only_what_its_keys_need(self, monkeypatch):
+        restricted = Counter()  # (member matrix, subset) -> restrict calls in one scan
+        kinds = Counter()  # key kind -> scans run
+        real_restrict, real_first = embed_module.restrict, embed_module._first_restriction
 
         def restrict(B, idx):
             restricted[id(B), tuple(idx)] += 1
             return real_restrict(B, idx)
 
-        # one universe walked by raw entries only, and the Dynkin classes,
-        # whose shapes of size 4 and 5 are walked by canonical hash
-        cases = [(param.values[0](), param.values[1]) for param in SCAN_CASES[::2]]
-        monkeypatch.setattr(embed_module, "_Scan", CountingScan)
-        monkeypatch.setattr(embed_module, "restrict", restrict)
-        for (seeds, budget, _), keys in cases:
-            visits.clear()
+        def first_restriction(enum_p, enum_q, p_n, p_m):
             restricted.clear()
+            witness = real_first(enum_p, enum_q, p_n, p_m)
+            visited = [mem.reached for mem in enum_q.members]  # members the scan keyed
+            if witness is not None:
+                k = next(k for k, mem in enumerate(enum_q.members) if mem.witness == witness.q_sequence)
+                del visited[k + 1:]
+            kind = _key_kind(p_n + p_m)
+            kinds[kind] += 1
+            if kind == "raw":
+                # raw entries build no matrix: only the witness is restricted,
+                # once, to name its member of [P]
+                named = {} if witness is None else {(id(visited[-1]), witness.subset): 1}
+                assert restricted == Counter(named)
+            else:
+                # a form-keyed scan restricts every subset of each member it
+                # visits, once each
+                q = enum_q.seed.matrix
+                width = comb(q.n, p_n) * comb(q.m, p_m)
+                assert set(restricted.values()) == {1}
+                assert len(restricted) == width * len(visited)
+                assert {key[0] for key in restricted} == set(map(id, visited))
+            return witness
+
+        monkeypatch.setattr(embed_module, "restrict", restrict)
+        monkeypatch.setattr(embed_module, "_first_restriction", first_restriction)
+        for param in SCAN_CASES:
+            (seeds, budget, _), keys = param.values[0](), param.values[1]
+            kinds.clear()
             store = Store()
-            witnessed = set()
             for P in seeds:
                 for Q in seeds:
-                    ev = embeds(P, Q, budget, store)
-                    if ev.verdict is Verdict.YES and P.size < Q.size:
-                        enum_q = store.get_class(canonical_form(Q).hash, budget)
-                        member = next(
-                            mem for mem in enum_q.members if mem.witness == ev.witness.q_sequence
-                        )
-                        witnessed.add((id(member.reached), ev.witness.subset))
-            assert visits and max(visits.values()) == 1
-            # a raw-keyed walk builds no matrix: only a witness position is
-            # restricted, to confirm it.  A hash-keyed walk restricts each
-            # position it visits, and a witness found among the walked
-            # positions is restricted once more
-            raw = {key for key in restricted if keys[len(key[1])] == "raw"}
-            assert raw and raw <= witnessed
-            assert ("hash" in keys.values()) == bool(restricted.keys() - raw)
-            assert max(restricted.values()) <= 2
-            assert {key for key, count in restricted.items() if count == 2} <= witnessed
+                    embeds(P, Q, budget, store)
+            assert set(kinds) == set(keys.values())
 
     def test_closed_upper_class_answers_no(self, cycle321, a4):
         # [cycle321] is mutation-infinite, so its enumeration is TRUNCATED;
