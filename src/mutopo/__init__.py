@@ -42,6 +42,7 @@ from .classes import (
     enumerate_class,
     is_mutation_finite,
     mutation_fingerprint,
+    seeds_separate,
 )
 from .embed import (
     EmbedVerdict,

@@ -23,7 +23,7 @@ import operator
 from collections.abc import KeysView
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import gcd
 from operator import attrgetter, itemgetter
 
@@ -86,7 +86,6 @@ class Member:
 class ClassEnumeration:
     seed: CanonicalForm
     members: tuple[Member, ...]
-    status: str
     tripped: frozenset[str]
     entry_witness: ExchangeMatrix | None
     budget: Budget
@@ -124,6 +123,11 @@ class ClassEnumeration:
             for fro in permutations(range(n, size))
         ]
         return frozenset(get(mem.form.key) for mem in self.members for get in getters)
+
+    @property
+    def status(self) -> str:
+        """CLOSED exactly when no cap tripped."""
+        return TRUNCATED if self.tripped else CLOSED
 
     @property
     def count(self) -> int:
@@ -183,11 +187,6 @@ class ClassEnumeration:
         if (row, arg) not in self.verdicts:
             self.verdicts[row, arg] = row(self, arg)
         return self.verdicts[row, arg]
-
-    @property
-    def entry_gcd(self) -> int:
-        """The gcd of all entries (0 for the zero matrix), a class invariant."""
-        return gcd(*(abs(v) for row in self.seed.matrix.b for v in row))
 
     @cached_property
     def bbh_member(self) -> bool:
@@ -279,9 +278,8 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
             break
         back = {mem.form: back[mem.form] for mem, _ in frontier}
         depth += 1
-    status = CLOSED if not tripped else TRUNCATED
     return ClassEnumeration(
-        seed, tuple(members.values()), status, frozenset(tripped), entry_witness, budget
+        seed, tuple(members.values()), frozenset(tripped), entry_witness, budget
     )
 
 
@@ -346,6 +344,29 @@ def mutation_fingerprint(B: ExchangeMatrix) -> tuple:
     return fp
 
 
+def seeds_separate(P: ExchangeMatrix, Q: ExchangeMatrix) -> bool:
+    """Do invariants of the two seeds rule out [P] embedding into [Q]?
+
+    None needs an enumeration: the shape (a restriction keeps no more
+    mutable or frozen indices); at equal rank, the
+    :func:`mutation_fingerprint`; the entry gcd (0 for a zero matrix), as
+    gcd(Q) must divide gcd(P): it is D_1, the first determinantal divisor,
+    which mutation keeps, being a product with unimodular integer matrices
+    (Berenstein, Fomin & Zelevinsky, "Cluster algebras III", Duke Math. J.
+    126, 2005, Lemma 3.2), and a restriction keeps a subset of the entries;
+    and skew-symmetry, which mutation keeps both ways and a restriction
+    keeps, so a skew-symmetric Q rules out a P that is not.
+    """
+    if P.n > Q.n or P.m > Q.m:
+        return True
+    if P.size == Q.size and mutation_fingerprint(P) != mutation_fingerprint(Q):
+        return True
+    g_p, g_q = gcd(*chain.from_iterable(P.b)), gcd(*chain.from_iterable(Q.b))
+    if g_p % g_q if g_q else g_p:
+        return True
+    return Q.is_skew_symmetric and not P.is_skew_symmetric
+
+
 def _rank3_weight_invariant(B: ExchangeMatrix, i: int = 0, j: int = 1, k: int = 2) -> int:
     """The Markov constant a*a + b*b + c*c -/+ a*b*c of the weights of the
     arrows between indices i, j, k (0-based): minus for an oriented cycle."""
@@ -356,7 +377,9 @@ def _rank3_weight_invariant(B: ExchangeMatrix, i: int = 0, j: int = 1, k: int = 
 
 # --- the table of hereditary, mutation-invariant class properties ------------
 # The closed sets, by the paper's main theorem: each one that holds for [Q]
-# holds for every [P] embedding into it.  ClassEnumeration.verdict caches rows.
+# holds for every [P] embedding into it.  Each row reads a class enumeration;
+# invariants read off the seed alone are seeds_separate's.
+# ClassEnumeration.verdict caches rows.
 
 
 def abundance(enum: ClassEnumeration, N: int) -> Verdict:
@@ -392,24 +415,17 @@ def acyclicity(enum: ClassEnumeration, _=None) -> Verdict:
     return Verdict.UNKNOWN
 
 
-def divisibility(enum: ClassEnumeration, g: int) -> Verdict:
-    """Entry divisibility: every entry lies in g*Z.  Mutation adds products
-    of entries to entries and is an involution, so the entry gcd is a class
-    invariant: read off the seed, whatever the status."""
-    e = enum.entry_gcd
-    return Verdict.YES if (e % g == 0 if g else e == 0) else Verdict.NO
-
-
 HEREDITARY = (  # each row, with the arguments `separates` asks it about
     (abundance, lambda p, q: (1, 2)),
     (acyclicity, lambda p, q: [None] if all(e.seed.matrix.is_quiver for e in (p, q)) else []),
-    (divisibility, lambda p, q: {p.entry_gcd, q.entry_gcd}),
 )
 
 
 def separates(enum_p: ClassEnumeration, enum_q: ClassEnumeration) -> bool:
-    """Is a row YES for [Q] and NO for [P], so that [P] does not embed into
-    [Q]?  At equal rank (mutation equivalence) either way round will do."""
+    """Is a row of :data:`HEREDITARY` YES for [Q] and NO for [P], so that [P]
+    does not embed into [Q]?  At equal rank (mutation equivalence) either
+    way round will do.  Every row reads the enumerations; a NO that the two
+    seeds decide is :func:`seeds_separate`'s."""
     both_ways = enum_p.seed.matrix.size == enum_q.seed.matrix.size
     for row, arguments in HEREDITARY:
         for arg in arguments(enum_p, enum_q):

@@ -24,7 +24,7 @@ from .classes import (
     Verdict,
     entries_getter,
     enumerate_class,
-    mutation_fingerprint,
+    seeds_separate,
     separates,
 )
 from .matrix import ExchangeMatrix, apply_sequence, disjoint_union, restrict
@@ -100,9 +100,10 @@ def embeds(
 ) -> EmbedVerdict:
     """Does [P] embed into [Q]?
 
-    Rank (and per-pool) shape drops give an immediate exhaustive NO.  At
-    equal rank embedding is mutation equivalence, resolved through either
-    enumeration, the fingerprint and disjoint reflection orbits
+    First, the invariants of the two seeds give a NO that needs no
+    enumeration (:func:`~mutopo.classes.seeds_separate`).  At equal rank
+    embedding is mutation equivalence, resolved through either enumeration
+    and disjoint reflection orbits
     (:attr:`ClassEnumeration.reflection_orbit`).  Otherwise the witness is
     the first restriction (members of [Q] in BFS order, their subsets in
     colex order) that is a member of [P].  Each call walks [Q] from its
@@ -118,22 +119,19 @@ def embeds(
     CLOSED [Q] are closed under mutation, and the full scan would have met
     ``canonical_form(P)``, a member of its own enumeration.  Last, at any
     rank, is the separation step: NO when a row of the table of hereditary
-    class properties separates the classes
+    class properties, each read off the enumerations, separates the classes
     (:func:`~mutopo.classes.separates`).
 
-    The shape drop, equal-rank identity and the fingerprint need no
+    The seed invariants and the identity (equal canonical forms) need no
     enumeration: they answer before the store, which memoizes the rest.
     """
-    if P.n > Q.n or P.m > Q.m:
+    if seeds_separate(P, Q):
         return EmbedVerdict(Verdict.NO, None, budget)
     cf_p = canonical_form(P)
     cf_q = canonical_form(Q)
-    if P.size == Q.size:
-        if cf_p == cf_q:
-            full = tuple(range(1, Q.size + 1))
-            return EmbedVerdict(Verdict.YES, EmbedWitness((), full, ()), budget)
-        if mutation_fingerprint(P) != mutation_fingerprint(Q):
-            return EmbedVerdict(Verdict.NO, None, budget)
+    if cf_p == cf_q:
+        full = tuple(range(1, Q.size + 1))
+        return EmbedVerdict(Verdict.YES, EmbedWitness((), full, ()), budget)
     verdict = None if store is None else store.get_embed(cf_p.hash, cf_q.hash, budget)
     if verdict is None:
         verdict = _embeds_fresh(P, Q, cf_p, cf_q, budget, store)

@@ -39,7 +39,8 @@ class record the first time checks the CRC of its line, builds the seed
 from the first member's entries and checks its hash, replays each member's
 witness from the seed (one mutation and one canonical form per member),
 whose canonical entries must equal the stored ones, and checks its
-figures; so does compaction.  A failure raises :class:`CorruptRecord` with
+figures, the status among them: CLOSED exactly when no cap tripped; so
+does compaction.  A failure raises :class:`CorruptRecord` with
 the line number.
 
 Concurrency: single writer (guarded by an advisory lock file), any number
@@ -180,7 +181,6 @@ def _class_from_record(header: dict, members: list, line_no: int) -> ClassEnumer
     return ClassEnumeration(
         seed=seed,
         members=tuple(out),
-        status=header["status"],
         tripped=frozenset(header["tripped"]),
         entry_witness=None if entry_witness is None else from_json_dict(entry_witness),
         budget=Budget(*header["budget"]),

@@ -18,6 +18,8 @@ from itertools import combinations, product
 
 from .canonical import CanonicalForm, canonical_form
 from .classes import (
+    CLOSED,
+    TRUNCATED,
     Budget,
     ClassKey,
     DEFAULT_BUDGET,
@@ -366,14 +368,18 @@ def universe_from_json(obj: dict) -> Universe:
             params["budget"]["max_entry"],
             params["budget"]["max_depth"],
         )
-        classes = []
+        classes, seen = [], set()
         for entry in obj["classes"]:
             matrix = from_json_dict(entry["matrix"])
             form = canonical_form(matrix)
+            name = f"universe class {entry['hash'][:12]}"
             if form.hash != entry["hash"] or form.matrix != matrix:
-                raise ValueError(
-                    f"universe class {entry['hash'][:12]} does not match its matrix"
-                )
+                raise ValueError(f"{name} does not match its matrix")
+            if form in seen:
+                raise ValueError(f"{name} is listed twice")
+            if entry["status"] not in (CLOSED, TRUNCATED):
+                raise ValueError(f"{name} has status {entry['status']!r}, not {CLOSED} or {TRUNCATED}")
+            seen.add(form)
             classes.append(
                 UniverseClass(ClassKey(form, entry["status"]), from_json_dict(entry["seed"]))
             )

@@ -227,7 +227,7 @@ def reference_bfs(B, budget):
     the edge back to the member's discovering parent (its witness's last
     index), which mutation being an involution makes the parent itself."""
     from mutopo import canonical_form, mutate
-    from mutopo.classes import CLOSED, TRUNCATED, ClassEnumeration, Member
+    from mutopo.classes import ClassEnumeration, Member
 
     seed = canonical_form(B)
     n = seed.matrix.n
@@ -268,8 +268,7 @@ def reference_bfs(B, budget):
         if "members" in tripped:
             break
         depth += 1
-    status = TRUNCATED if tripped else CLOSED
-    return ClassEnumeration(seed, tuple(order), status, frozenset(tripped), entry_witness, budget)
+    return ClassEnumeration(seed, tuple(order), frozenset(tripped), entry_witness, budget)
 
 
 def reference_lex_min(B):

@@ -390,6 +390,27 @@ def test_a_universe_file_with_a_float_is_an_error(capsys, tmp_path, u31_file, ed
     assert (code, out) == (1, "") and err.startswith("error:")
 
 
+def _repeated_class(obj):
+    obj["classes"][2] = obj["classes"][1]
+    return obj["classes"][1]["hash"]
+
+
+def _bent_status(obj):
+    obj["classes"][1]["status"] = "WHATEVER"
+    return obj["classes"][1]["hash"]
+
+
+@pytest.mark.parametrize("edit", [_repeated_class, _bent_status], ids=["repeated", "status"])
+def test_a_universe_file_with_a_bad_class_names_it(capsys, tmp_path, u31_file, edit):
+    obj = json.loads(Path(u31_file).read_text())
+    hash_ = edit(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    for argv in (["hasse", str(bad)], ["closure", str(bad), "--class", hash_[:12]]):
+        code, out, err = run(capsys, *argv, "NC")
+        assert (code, out) == (1, "") and err.startswith(f"error: universe class {hash_[:12]}")
+
+
 class TestClassSelection:
     def test_inline_matrix_selects_a_class(self, capsys, files, u31_file):
         by_file = run(capsys, "closure", u31_file, files["a3"], "NC")

@@ -7,7 +7,7 @@ import pytest
 
 import mutopo.embed as embed_module
 import oracles
-from mutopo.classes import abundance, acyclicity, divisibility, separates
+from mutopo.classes import abundance, acyclicity, seeds_separate, separates
 from conftest import quiver, random_quiver, random_skew, type_a, type_d, type_e, weighted_pair
 from mutopo import (
     Budget,
@@ -378,19 +378,22 @@ def test_table_rows_agree_with_exhaustive_answers_on_closed_classes(r4w2_classes
             assert abundance(enum, N) is (Verdict.YES if every else Verdict.NO)
         some = any(is_acyclic(B) for B in mats)
         assert acyclicity(enum) is (Verdict.YES if some else Verdict.NO)
-        for g in (1, 2, 3):
-            every = all(v % g == 0 for B in mats for row in B.b for v in row)
-            assert divisibility(enum, g) is (Verdict.YES if every else Verdict.NO)
-    separated = 0
+    # each NO, whether the rows or the seeds decide it, agrees with the
+    # exhaustive restriction set of the CLOSED upper class
+    by_rows = by_seeds = by_gcd = 0
     for lo in closed:
         for hi in closed:
             if lo.hash == hi.hash or lo.rank > hi.rank:
                 continue
-            if separates(enums[lo.hash], enums[hi.hash]):
-                separated += 1
+            rows = separates(enums[lo.hash], enums[hi.hash])
+            seeds = seeds_separate(lo.seed, hi.seed)
+            if rows or seeds:
                 reached = _restriction_hashes(enums[hi.hash], lo.rank)
                 assert reached.isdisjoint(enums[lo.hash].hashes), (lo.hash, hi.hash)
-    assert separated > 0
+            by_rows += rows
+            by_seeds += seeds
+            by_gcd += seeds and lo.rank < hi.rank  # quivers: only the gcd differs
+    assert by_rows > 0 and by_seeds > 0 and by_gcd > 0
 
 
 def _mutated(rng, B, steps):
@@ -414,10 +417,28 @@ def test_no_rule_refutes_a_constructed_embedding():
         A = _mutated(rng, acyclic, rng.randint(1, 4))
         if max(P.max_abs_entry, A.max_abs_entry) > budget.max_entry:
             continue
+        assert not seeds_separate(P, Q), (P.b, Q.b)
         assert embeds(P, Q, budget).verdict is not Verdict.NO, (P.b, Q.b)
         assert is_mutation_acyclic(A, budget) is not Verdict.NO, A.b
         checked += 1
     assert checked > 300
+    # skew-symmetrizable matrices, some with a frozen index, so the gcd and
+    # skew-symmetry rules meet pairs that are not quivers: a restriction may
+    # be skew-symmetric where Q is not, never the other way round
+    rng = random.Random(12)
+    checked = skew_pairs = 0
+    for _ in range(200):
+        n, m = rng.randint(2, 4), rng.randint(0, 1)
+        Q = random_skew(rng, n, m)
+        kept = [1, *rng.sample(range(2, n + m + 1), rng.randint(1, n + m - 1))]
+        P = _mutated(rng, restrict(_mutated(rng, Q, rng.randint(0, 3)), kept), rng.randint(0, 3))
+        if P.max_abs_entry > budget.max_entry:
+            continue
+        assert not seeds_separate(P, Q), (P.b, Q.b)
+        assert embeds(P, Q, budget).verdict is not Verdict.NO, (P.b, Q.b)
+        skew_pairs += P.is_skew_symmetric != Q.is_skew_symmetric
+        checked += 1
+    assert checked > 150 and skew_pairs > 0
 
 
 class TestDensityWitness:

@@ -14,6 +14,7 @@ from mutopo import (
     EmbedVerdict,
     Store,
     Verdict,
+    build,
     build_universe,
     canonical_form,
     embeds,
@@ -26,7 +27,7 @@ from mutopo.cli import main
 from mutopo.store import _class_line, _embed_line, _record_line
 
 DATA = Path(__file__).parent / "data"
-# the cache.jsonl of `mutopo universe -r 3 -w 1`: 7 class and 14 embed
+# the cache.jsonl of `mutopo universe -r 3 -w 1`: 7 class and 13 embed
 # records.  Regenerate it with `mutopo universe -r 3 -w 1 --cache-dir DIR`
 # and copy DIR/cache.jsonl here.
 GOLDEN = DATA / "cache_r3w1.jsonl"
@@ -233,13 +234,13 @@ def test_compact_keeps_incomparable_budgets(tmp_path, w333):
     assert stats["dropped"] == 0 and stats["kept"] == 2
 
 
-def test_a_stale_unknown_is_never_served(tmp_path, i2, a2, w333):
+def test_a_stale_unknown_is_never_served(tmp_path, pt, i2, w333):
     # a cache written before a rule decided a cell holds its UNKNOWN; opening
     # the file skips that line, so the first call answers under today's rules
     budget = Budget(max_members=200)
     p, q = canonical_form(i2).hash, canonical_form(w333).hash
-    with Store(tmp_path) as store:
-        assert embeds(a2, w333, budget, store).verdict is Verdict.NO
+    with Store(tmp_path) as store:  # a verdict that reads both enumerations
+        assert embeds(pt, w333, budget, store).verdict is Verdict.YES
     path = tmp_path / "cache.jsonl"
     stale = _embed_line(p, q, EmbedVerdict(Verdict.UNKNOWN, None, budget))
     path.write_bytes(path.read_bytes() + stale)
@@ -251,15 +252,24 @@ def test_a_stale_unknown_is_never_served(tmp_path, i2, a2, w333):
     assert embeds(i2, w333, budget).verdict is Verdict.NO
 
 
-def test_verdicts_that_need_no_enumeration_are_not_stored(tmp_path, monkeypatch, i2, a2, a3):
+def test_verdicts_that_need_no_enumeration_are_not_stored(
+    tmp_path, monkeypatch, i2, a2, a3, w333
+):
     lookups = []
     get_embed = Store.get_embed
     monkeypatch.setattr(Store, "get_embed", lambda *a: lookups.append(a[1:]) or get_embed(*a))
-    pairs = {"shape": (a3, a2), "identity": (a3, a3), "fingerprint": (i2, a2)}
+    b2 = build(2, 0, [[0, 2], [-1, 0]])
+    pairs = {
+        "shape": (a3, a2),
+        "identity": (a3, a3),
+        "fingerprint": (i2, a2),
+        "gcd": (a2, w333),  # entry gcd 1 into entry gcd 3, at different rank
+        "skew": (b2, a3),  # a skew-symmetrizable matrix into a quiver
+    }
     with Store(tmp_path) as store:
         verdicts = {rule: embeds(p, q, store=store).verdict for rule, (p, q) in pairs.items()}
         assert store.stats()["records"] == 0
-    assert verdicts == {"shape": Verdict.NO, "identity": Verdict.YES, "fingerprint": Verdict.NO}
+    assert verdicts == {rule: Verdict.YES if rule == "identity" else Verdict.NO for rule in pairs}
     assert lookups == [] and not (tmp_path / "cache.jsonl").exists()
     with Store(tmp_path) as store:  # a verdict that reads an enumeration is kept
         assert embeds(a2, a3, store=store).verdict is Verdict.YES
@@ -304,7 +314,7 @@ def test_compact_counts_the_lines_open_skipped(tmp_path):
     lines, _ = _golden_records()
     stale, _, _ = _stale_unknown_line(lines)
     repeats = [lines[0][0], lines[-1][0]]  # a class key's line and an embed key's, again
-    for tail, counts in (([stale], (22, 21, 1)), ([stale, *repeats], (24, 21, 3))):
+    for tail, counts in (([stale], (21, 20, 1)), ([stale, *repeats], (23, 20, 3))):
         path.write_bytes(GOLDEN.read_bytes() + b"".join(tail))
         with Store(tmp_path) as store:
             stats = store.compact()
@@ -555,6 +565,27 @@ def test_lying_stats_fail_when_served(tmp_path, a3):
             store.get_class(enum.seed.hash, Budget())
 
 
+def _claim_closed(obj):
+    obj["status"] = "CLOSED"
+
+
+def test_a_status_that_contradicts_its_caps_fails_when_served(tmp_path, a3, w333):
+    budget = Budget(max_entry=6)
+    enum = enumerate_class(w333, budget)
+    assert (enum.status, enum.tripped) == ("TRUNCATED", {"entry"})
+    with Store(tmp_path) as store:
+        store.put_class(enumerate_class(a3))
+        store.put_class(enum)
+    _rewrite_record(tmp_path / "cache.jsonl", 1, _claim_closed)  # tripped stays ["entry"]
+    with Store(tmp_path) as store:
+        # a CLOSED claim would also be served to a wider budget
+        for wanted in (budget, Budget(max_entry=99)):
+            with pytest.raises(CorruptRecord) as err:
+                store.get_class(enum.seed.hash, wanted)
+            assert err.value.line_no == 2
+        assert store.get_class(canonical_form(a3).hash, Budget()) == enumerate_class(a3)
+
+
 def test_wider_budget_shares_one_view(tmp_path, a4):
     with Store(tmp_path) as store:
         enumerate_class(a4, store=store)
@@ -606,7 +637,7 @@ def test_golden_cache_serves_fresh_results(tmp_path):
     shutil.copy(GOLDEN, tmp_path / "cache.jsonl")
     lines, seeds = _golden_records()
     kinds = [obj["kind"] for _, obj in lines]
-    assert (kinds.count("class"), kinds.count("embed")) == (7, 14)
+    assert (kinds.count("class"), kinds.count("embed")) == (7, 13)
     with Store(tmp_path, readonly=True) as store:
         for _, obj in lines:
             budget = Budget(*obj["budget"])
@@ -669,8 +700,8 @@ def test_open_parses_no_member_array(tmp_path, monkeypatch, w333):
     loads = json.loads
     monkeypatch.setattr(mutopo.store.json, "loads", lambda s: texts.append(s) or loads(s))
     with Store(tmp_path, readonly=True) as store:
-        assert store.stats()["records"] == 22
-    assert len(texts) == 22
+        assert store.stats()["records"] == 21
+    assert len(texts) == 21
     lines = (tmp_path / "cache.jsonl").read_bytes().splitlines()
     assert texts == [line.split(b"\t")[1] for line in lines]  # HEADER fields only
 

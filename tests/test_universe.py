@@ -155,6 +155,7 @@ def test_order_axioms_hold_where_rules_say_no(rank, weight, family):
     for i in range(size):
         for j in above[i]:
             assert all(rel[i][k] != "N" for k in above[j]), (i, j)
+            assert not classes_module.seeds_separate(u.classes[i].seed, u.classes[j].seed), (i, j)
     # each row of the table is a lower set: a class below a YES class is not NO
     enums = [enumerate_class(cls.seed, u.budget, store) for cls in u.classes]
     for i in range(size):
@@ -163,6 +164,30 @@ def test_order_axioms_hold_where_rules_say_no(rank, weight, family):
                 for arg in arguments(enums[i], enums[j]):
                     verdicts = row(enums[i], arg), row(enums[j], arg)
                     assert verdicts != (Verdict.NO, Verdict.YES), (i, j, row.__name__, arg)
+
+
+# (lower, upper) hash prefixes of the r3 w2 skew cells that skew-symmetry
+# decides: a rank-2 [P] that is not skew-symmetric into a skew-symmetric
+# rank-3 [Q], which the scan and the table leave UNKNOWN
+SKEW_DECIDED = {
+    *((lo, hi) for lo in ("011864b4ea55", "eb8295511b16", "2350792359f8")
+      for hi in ("9bb37faf33d7", "28505a77769f", "217b31cc2b33", "41ec90d1ab44")),
+    *(("2350792359f8", hi) for hi in ("fda75887457c", "24a276c4fc06", "e7287534a98d")),
+}
+
+
+def test_skew_symmetry_decides_r3w2_skew_cells():
+    u = build_universe(3, 2, family="skew")
+    for lo, hi in SKEW_DECIDED:
+        P, Q = u.find(lo).seed, u.find(hi).seed
+        assert Q.is_skew_symmetric and not P.is_skew_symmetric
+        assert classes_module.seeds_separate(P, Q)
+        assert u.verdict(u.find(lo).hash, u.find(hi).hash) == "N"
+    for lo in u.classes:  # wherever the rule applies, the cell is N
+        for hi in u.classes:
+            if hi.seed.is_skew_symmetric and not lo.seed.is_skew_symmetric:
+                assert u.verdict(lo.hash, hi.hash) == "N"
+    assert sum(row.count("U") for row in u.relation) == 107
 
 
 @pytest.mark.parametrize("rank, weight, family", [(4, 1, "quiver"), (3, 2, "skew")])
@@ -377,6 +402,21 @@ class TestSerialization:
         obj = json.loads(dump_universe(u23))
         obj["classes"][0]["hash"] = "0" * 64
         with pytest.raises(ValueError):
+            load_universe(json.dumps(obj))
+
+    def test_repeated_class_rejected(self, u23):
+        obj = json.loads(dump_universe(u23))
+        obj["classes"][2] = obj["classes"][1]
+        name = obj["classes"][1]["hash"][:12]
+        with pytest.raises(ValueError, match=f"universe class {name} is listed twice"):
+            load_universe(json.dumps(obj))
+
+    @pytest.mark.parametrize("status", ["WHATEVER", "closed", None])
+    def test_status_other_than_closed_or_truncated_rejected(self, u23, status):
+        obj = json.loads(dump_universe(u23))
+        obj["classes"][3]["status"] = status
+        name = obj["classes"][3]["hash"][:12]
+        with pytest.raises(ValueError, match=f"universe class {name} has status"):
             load_universe(json.dumps(obj))
 
     @pytest.mark.parametrize("cell", ["X", "y", "", None])
