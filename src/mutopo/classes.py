@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import enum
 import operator
+from collections import namedtuple
 from collections.abc import KeysView
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, combinations, permutations
 from math import gcd
@@ -46,53 +46,89 @@ class Finiteness(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class Budget:
+class FrozenRecord:
+    """A plain immutable record, for one that keeps derived state beside its
+    fields and so cannot be a tuple.  ``__init__`` sets the ``_fields`` and
+    the derived state in ``vars(self)``; the fields compare, hash and print
+    by value, as ``Name(field=value, ...)``, and assigning any attribute
+    raises AttributeError.  ``cached_property`` writes ``vars(self)``
+    directly, so it still caches."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Budget(namedtuple("Budget", "max_members max_entry max_depth")):
     """Caps for one enumeration: distinct members, entry magnitude, sequence length."""
 
-    max_members: int = 100_000
-    max_entry: int = 64
-    max_depth: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        caps = ("max_members", "max_entry") + (() if self.max_depth is None else ("max_depth",))
-        for name in caps:
-            cap = getattr(self, name)
+    def __new__(cls, max_members: int = 100_000, max_entry: int = 64,
+                max_depth: int | None = None):
+        caps = {"max_members": max_members, "max_entry": max_entry, "max_depth": max_depth}
+        for name, cap in caps.items():
+            if cap is None and name == "max_depth":  # no depth cap
+                continue
             if isinstance(cap, bool):  # a JSON true or false, which operator.index takes
                 raise TypeError(f"budget cap {name} must be an integer, not {cap}")
             cap = operator.index(cap)  # a TypeError unless an integer
             if cap < 1:
                 raise ValueError(f"budget cap {name} must be at least 1, not {cap}")
-            object.__setattr__(self, name, cap)
+            caps[name] = cap
+        return super().__new__(cls, **caps)
 
     def key(self) -> tuple:
-        return (self.max_members, self.max_entry, self.max_depth)
+        return tuple(self)
+
+    def to_json(self) -> dict:
+        """The one JSON encoding of a budget, for CLI output and universe files."""
+        return self._asdict()
 
 
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(namedtuple("Member", "form witness reached")):
     """One class member: canonical form, shortest discovered witness, and the
     exact matrix that witness reaches from the enumeration seed."""
 
-    form: CanonicalForm
-    witness: tuple[int, ...]
-    reached: ExchangeMatrix
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassEnumeration:
-    seed: CanonicalForm
-    members: tuple[Member, ...]
-    tripped: frozenset[str]
-    entry_witness: ExchangeMatrix | None
-    budget: Budget
+class ClassEnumeration(FrozenRecord):
+    """The members of a class up to isomorphism, in BFS order from ``seed``;
+    the caps that ``tripped`` under ``budget``; and ``entry_witness``, the
+    first child over the entry cap."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {mem.form: mem for mem in self.members})
-        object.__setattr__(self, "verdicts", {})  # see verdict()
+    _fields = ("seed", "members", "tripped", "entry_witness", "budget")
+
+    def __init__(self, seed: CanonicalForm, members: tuple[Member, ...], tripped: frozenset[str],
+                 entry_witness: ExchangeMatrix | None, budget: Budget):
+        vars(self).update(
+            seed=seed, members=members, tripped=tripped, entry_witness=entry_witness,
+            budget=budget, _index={mem.form: mem for mem in members},
+            verdicts={},  # see verdict()
+        )
 
     def member_for(self, form: CanonicalForm) -> Member | None:
         """The member whose canonical form equals ``form`` (same shape, same
@@ -203,12 +239,10 @@ class ClassEnumeration:
         return False
 
 
-@dataclass(frozen=True)
-class ClassKey:
+class ClassKey(namedtuple("ClassKey", "form status")):
     """Class identifier: canonical form of the least member discovered."""
 
-    form: CanonicalForm
-    status: str
+    __slots__ = ()
 
     @property
     def hash(self) -> str:
@@ -435,12 +469,11 @@ def separates(enum_p: ClassEnumeration, enum_q: ClassEnumeration) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class FinitenessVerdict:
-    kind: Finiteness
-    enumeration: ClassEnumeration | None
-    offender: ExchangeMatrix | None
-    budget: Budget
+class FinitenessVerdict(namedtuple("FinitenessVerdict", "kind enumeration offender budget")):
+    """The verdict, the enumeration it read (if any), the member that proves
+    the class INFINITE (if any) and the budget the enumeration ran under."""
+
+    __slots__ = ()
 
     @property
     def members(self) -> int | None:
@@ -463,7 +496,7 @@ def is_mutation_finite(
     applies = B.is_quiver and B.n >= 3 and budget.max_entry >= 2 and B.is_connected
     if applies and B.max_abs_entry > 2:
         return FinitenessVerdict(Finiteness.INFINITE, None, B, budget)
-    effective = replace(budget, max_entry=2) if applies else budget
+    effective = Budget(budget.max_members, 2, budget.max_depth) if applies else budget
     enum = enumerate_class(B, effective, store)
     if enum.status == CLOSED:
         return FinitenessVerdict(Finiteness.FINITE, enum, None, effective)

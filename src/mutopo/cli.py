@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -127,7 +126,7 @@ def _cmd_class(args) -> int:
             for mem in enum.members
         ]
         _print_json({"seed": enum.seed.hash, "status": enum.status, "class_key": key.hash,
-                     "members": members, "budget": asdict(budget)})
+                     "members": members, "budget": budget.to_json()})
     else:
         print(f"status={enum.status} members={enum.count} key={key.hash[:12]}")
         for mem in enum.members:
@@ -147,7 +146,7 @@ def _cmd_finite(args) -> int:
                 "verdict": fv.kind.value,
                 "members": fv.members,
                 "witness": to_json_dict(fv.offender) if fv.offender is not None else None,
-                "budget": asdict(budget),
+                "budget": budget.to_json(),
             }
         )
     elif fv.kind is Finiteness.FINITE:
@@ -167,7 +166,7 @@ def _cmd_embeds(args) -> int:
             {
                 "verdict": ev.verdict.value,
                 "witness": witness_json(ev.witness),
-                "budget": asdict(budget),
+                "budget": budget.to_json(),
             }
         )
     else:
@@ -187,7 +186,7 @@ def _tri_valued(args, ask, **extra) -> int:
     with _open_store(args) as store:
         verdict = ask(budget, store=store)
     if args.json:
-        _print_json({"verdict": verdict.value, "budget": asdict(budget), **extra})
+        _print_json({"verdict": verdict.value, "budget": budget.to_json(), **extra})
     else:
         print(verdict.value)
     return _verdict_exit(verdict)
@@ -270,7 +269,7 @@ def _cmd_hasse(args) -> int:
                 "unknown": [
                     [u.classes[i].hash, u.classes[j].hash] for i, j in h.unknown
                 ],
-                "budget": asdict(u.budget),
+                "budget": u.budget.to_json(),
             }
         )
     else:
@@ -304,7 +303,7 @@ def _cmd_class_set(args) -> int:
     u = load_universe(_read_text(args.universe))
     ordered = sorted(args.generate(u, _select_classes(args, u)), key=u.index_of)
     if args.json:
-        _print_json({"classes": ordered, "budget": asdict(u.budget)})
+        _print_json({"classes": ordered, "budget": u.budget.to_json()})
     else:
         for hash_ in ordered:
             key = u.class_of(hash_).key

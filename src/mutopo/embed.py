@@ -13,7 +13,7 @@ Witnesses are anchored at the canonical forms of the two inputs: replaying
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from itertools import chain, combinations
 
 from .canonical import canonical_form, canonical_relabeling
@@ -30,23 +30,23 @@ from .classes import (
 from .matrix import ExchangeMatrix, apply_sequence, disjoint_union, restrict
 
 
-@dataclass(frozen=True)
-class EmbedWitness:
-    q_sequence: tuple[int, ...]
-    subset: tuple[int, ...]
-    p_sequence: tuple[int, ...]
+class EmbedWitness(namedtuple("EmbedWitness", "q_sequence subset p_sequence")):
+    """Replaying ``q_sequence`` from [Q]'s canonical seed and restricting to
+    ``subset`` (1-based) gives a relabeling of what ``p_sequence`` reaches
+    from [P]'s."""
+
+    __slots__ = ()
 
 
 def witness_json(witness: EmbedWitness | None) -> dict | None:
     """The one JSON encoding of a witness, for CLI output and cache records."""
-    return None if witness is None else asdict(witness)
+    return None if witness is None else witness._asdict()
 
 
-@dataclass(frozen=True)
-class EmbedVerdict:
-    verdict: Verdict
-    witness: EmbedWitness | None
-    budget: Budget
+class EmbedVerdict(namedtuple("EmbedVerdict", "verdict witness budget")):
+    """The verdict, its witness (for a YES) and the budget it was reached under."""
+
+    __slots__ = ()
 
 
 # The largest restriction shape n_p + m_p whose scan is keyed by raw

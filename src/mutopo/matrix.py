@@ -3,8 +3,9 @@
 This is the single substrate for everything in the package.  A quiver is
 the skew-symmetric special case with no frozen indices, where entry
 ``b[i][j] > 0`` counts the arrows ``i -> j``.  Values are immutable after
-construction and every operation is a pure function, so instances are safe
-to share across threads and processes.
+construction (an :class:`ExchangeMatrix` is a tuple) and every operation
+is a pure function, so instances are safe to share across threads and
+processes.
 
 All public index arguments (mutation vertex, restriction subsets) are
 1-based, matching the usual labelling of quiver vertices.  Indices
@@ -14,8 +15,7 @@ All public index arguments (mutation vertex, restriction subsets) are
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 from itertools import chain
 from math import gcd, lcm
 
@@ -32,9 +32,9 @@ class EmptySubset(ValueError):
     """Restriction subset is empty or retains no mutable index."""
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
-    """Validated integer exchange matrix.
+class ExchangeMatrix(namedtuple("ExchangeMatrix", "n m b")):
+    """Validated integer exchange matrix: ``n`` mutable and ``m`` frozen
+    indices, and the rows ``b``, a tuple of int tuples.
 
     Do not call the constructor directly; go through :func:`build`, which
     validates the matrix, or one of the operations below, which derive a
@@ -42,13 +42,12 @@ class ExchangeMatrix:
     never overflow under mutation.
     """
 
-    n: int
-    m: int
-    b: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    @cached_property
+    @property
     def d(self) -> tuple[int, ...]:
-        """The normalized skew-symmetrizer (see :func:`_symmetrizer`)."""
+        """The normalized skew-symmetrizer (see :func:`_symmetrizer`),
+        computed on each read."""
         return _symmetrizer(self.b)
 
     @property

@@ -55,7 +55,6 @@ import operator
 import os
 import zlib
 from collections import namedtuple
-from dataclasses import replace
 from pathlib import Path
 
 from .canonical import canonical_form
@@ -369,7 +368,10 @@ class Store:
                 and (budget.max_depth is None or enum.depth + 1 <= budget.max_depth)
             )
             if fits:
-                widened = replace(self._decoded(by_budget, other), budget=budget)
+                served = self._decoded(by_budget, other)
+                widened = ClassEnumeration(
+                    served.seed, served.members, served.tripped, served.entry_witness, budget
+                )
                 self._widened[seed_hash, key] = widened
                 return widened
         return None

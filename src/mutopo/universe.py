@@ -13,7 +13,7 @@ silently misclassify when an UNKNOWN verdict could change the answer.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from itertools import combinations, product
 
 from .canonical import CanonicalForm, canonical_form
@@ -23,12 +23,12 @@ from .classes import (
     Budget,
     ClassKey,
     DEFAULT_BUDGET,
+    FrozenRecord,
     Verdict,
     enumerate_class,
 )
 from .embed import embeds
 from .matrix import (
-    ExchangeMatrix,
     NotSkewSymmetrizable,
     build,
     from_json_dict,
@@ -42,10 +42,10 @@ class UnresolvedRelation(RuntimeError):
     """An UNKNOWN embedding verdict blocks a sound answer."""
 
 
-@dataclass(frozen=True)
-class UniverseClass:
-    key: ClassKey
-    seed: ExchangeMatrix
+class UniverseClass(namedtuple("UniverseClass", "key seed")):
+    """A class of a universe: its key, and the seed its enumeration ran from."""
+
+    __slots__ = ()
 
     @property
     def hash(self) -> str:
@@ -56,18 +56,19 @@ class UniverseClass:
         return self.key.form.matrix.size
 
 
-@dataclass(frozen=True)
-class Universe:
-    rank_cap: int
-    entry_cap: int
-    budget: Budget
-    family: str
-    classes: tuple[UniverseClass, ...]
-    relation: tuple[tuple[str, ...], ...]  # relation[i][j]: does class i embed into class j
+class Universe(FrozenRecord):
+    """The classes of rank <= ``rank_cap`` with seed entries <= ``entry_cap``
+    of a seed ``family``, and ``relation[i][j]``, the verdict ("Y", "N" or
+    "U") on whether class i embeds into class j under ``budget``."""
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_by_hash", {cls.hash: i for i, cls in enumerate(self.classes)}
+    _fields = ("rank_cap", "entry_cap", "budget", "family", "classes", "relation")
+
+    def __init__(self, rank_cap: int, entry_cap: int, budget: Budget, family: str,
+                 classes: tuple[UniverseClass, ...], relation: tuple[tuple[str, ...], ...]):
+        vars(self).update(
+            rank_cap=rank_cap, entry_cap=entry_cap, budget=budget, family=family,
+            classes=classes, relation=relation,
+            _by_hash={cls.hash: i for i, cls in enumerate(classes)},
         )
 
     def __len__(self) -> int:
@@ -265,11 +266,11 @@ def is_clopen(u: Universe, selection) -> bool:
 
 # --- Hasse diagram -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class HasseDiagram:
-    universe: Universe
-    edges: tuple[tuple[int, int], ...]  # (lower, upper) cover pairs
-    unknown: tuple[tuple[int, int], ...]
+class HasseDiagram(namedtuple("HasseDiagram", "universe edges unknown")):
+    """The (lower, upper) cover pairs of a universe's strict embedding order,
+    as class indices, and its unresolved pairs."""
+
+    __slots__ = ()
 
 
 def build_hasse(u: Universe, partial: bool = False) -> HasseDiagram:
@@ -341,7 +342,7 @@ def universe_to_json(u: Universe) -> dict:
         "params": {
             "r": u.rank_cap,
             "w": u.entry_cap,
-            "budget": asdict(u.budget),
+            "budget": u.budget.to_json(),
             "family": u.family,
         },
         "classes": [
@@ -363,6 +364,13 @@ def universe_from_json(obj: dict) -> Universe:
     KeyError for a missing field and ValueError for any other malformed one."""
     try:
         params = obj["params"]
+        family = params.get("family", "quiver")
+        if family not in _FAMILIES:
+            raise ValueError(f"universe param family is {family!r}, not quiver or skew")
+        for name, least in (("r", 1), ("w", 0)):
+            value = params[name]
+            if type(value) is not int or value < least:  # a JSON true is no integer here
+                raise ValueError(f"universe param {name} is {value!r}, not an integer >= {least}")
         budget = Budget(
             params["budget"]["max_members"],
             params["budget"]["max_entry"],
@@ -394,10 +402,7 @@ def universe_from_json(obj: dict) -> Universe:
                 raise ValueError(f"universe relation[{i}][{j}] is {cell!r}, not 'Y', 'N' or 'U'")
         if row[i] != "Y":  # every class embeds into itself
             raise ValueError(f"universe relation[{i}][{i}] is {row[i]!r}, not 'Y'")
-    return Universe(
-        params["r"], params["w"], budget, params.get("family", "quiver"),
-        tuple(classes), relation,
-    )
+    return Universe(params["r"], params["w"], budget, family, tuple(classes), relation)
 
 
 def dump_universe(u: Universe) -> str:

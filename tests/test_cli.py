@@ -390,6 +390,33 @@ def test_a_universe_file_with_a_float_is_an_error(capsys, tmp_path, u31_file, ed
     assert (code, out) == (1, "") and err.startswith("error:")
 
 
+@pytest.mark.parametrize("params", [{"r": "four"}, {"family": 5}], ids=["r", "family"])
+def test_a_universe_file_with_bad_params_is_an_error(capsys, tmp_path, u31_file, params):
+    obj = json.loads(Path(u31_file).read_text())
+    obj["params"].update(params)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "hasse", str(bad), "--partial", "--json", "NC")
+    assert (code, out) == (1, "") and err.startswith("error: universe ")
+
+
+def test_every_json_budget_is_one_object(capsys, files, u31_file):
+    asked = {"max_members": 500, "max_entry": 9, "max_depth": None}
+    caps = ["--max-members", "500", "--max-entry", "9", "NC", "--json"]
+    for argv in (["class", files["a3"]], ["finite", files["a3"]], ["acyclic", files["a3"]],
+                 ["abundant", "-N", "1", files["a3"]], ["universal", "-k", "2", "-w", "1", files["a3"]],
+                 ["avoid", files["a3"], files["a2"]], ["embeds", files["a2"], files["a3"]]):
+        code, out, _ = run(capsys, *argv, *caps)
+        assert code in (0, 2) and json.loads(out)["budget"] == asked, argv
+    default = {"max_members": 100000, "max_entry": 64, "max_depth": None}
+    for argv in (["hasse", u31_file], ["closure", u31_file, files["a3"]],
+                 ["open-set", u31_file, files["a3"]]):
+        code, out, _ = run(capsys, *argv, "NC", "--json")
+        assert code == 0 and json.loads(out)["budget"] == default, argv
+    code, out, _ = run(capsys, "embeds", files["a2"], files["a3"], "NC", "--json")
+    assert json.loads(out)["witness"] == {"q_sequence": [], "subset": [1, 2], "p_sequence": []}
+
+
 def _repeated_class(obj):
     obj["classes"][2] = obj["classes"][1]
     return obj["classes"][1]["hash"]
@@ -532,15 +559,31 @@ class TestCache:
         assert (cache_dir / "cache.jsonl").exists()
 
 
-def test_module_entry_point(files):
-    # the child imports the same mutopo as this process, installed or not
+def _child(*argv):
+    """Run a fresh interpreter that imports the same mutopo as this process,
+    installed or not."""
     src = str(Path(mutopo.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mutopo", "finite", "--no-cache", files["markov"]],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
     )
+
+
+def test_module_entry_point(files):
+    proc = _child("-m", "mutopo", "finite", "--no-cache", files["markov"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == "FINITE members=1"
+
+
+def test_start_up_imports_no_dataclasses():
+    # every CLI call is a fresh interpreter: dataclasses, with the inspect it
+    # loads, cost about 9 ms of each call's start-up and no answer needs them
+    proc = _child("-c", "import sys, mutopo.cli; "
+                        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    proc = _child("-m", "mutopo", "--version")
+    assert proc.returncode == 0 and proc.stdout.startswith("mutopo "), proc.stderr

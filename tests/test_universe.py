@@ -435,6 +435,25 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"relation\[0\]\[0\]"):
             load_universe(json.dumps(obj))
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"r": "four"}, {"r": 0}, {"r": True}, {"r": 2.0}, {"r": None}, {"w": -1},
+         {"w": False}, {"w": "3"}, {"family": 5}, {"family": "quivers"}, {"family": None}],
+        ids=["r-string", "r-zero", "r-bool", "r-float", "r-null", "w-negative", "w-bool",
+             "w-string", "family-int", "family-unknown", "family-null"],
+    )
+    def test_params_out_of_range_rejected(self, u23, params):
+        obj = json.loads(dump_universe(u23))
+        obj["params"].update(params)
+        (name,) = params
+        with pytest.raises(ValueError, match=f"universe param {name} is "):
+            load_universe(json.dumps(obj))
+
+    def test_missing_family_means_quiver(self, u23):
+        obj = json.loads(dump_universe(u23))
+        del obj["params"]["family"]
+        assert load_universe(json.dumps(obj)) == u23
+
     def test_find_by_prefix(self, u23, pt):
         full = khash(pt)
         assert u23.find(full[:10]).hash == full
