@@ -39,7 +39,7 @@ class EmbedWitness(namedtuple("EmbedWitness", "q_sequence subset p_sequence")):
 
 
 def witness_json(witness: EmbedWitness | None) -> dict | None:
-    """The one JSON encoding of a witness, for CLI output and cache records."""
+    """The one JSON encoding of a witness, for CLI output and universe files."""
     return None if witness is None else witness._asdict()
 
 

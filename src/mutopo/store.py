@@ -1,28 +1,25 @@
 """The one memo of class enumerations and embedding verdicts.
 
 A :class:`Store` keeps one index per record kind: seed hash -> budget ->
-enumeration, and (P hash, Q hash) -> budget -> verdict.  ``Store()`` lives
-in memory only; ``Store(directory)`` also persists every record to
-``cache.jsonl`` in that directory.
+enumeration, and (P hash, Q hash, budget) -> verdict.  ``Store()`` lives in
+memory only; ``Store(directory)`` also persists every class enumeration to
+``cache.jsonl`` in that directory.  Verdicts are kept in memory only, for
+as long as the store lives: a YES or NO is recomputed from the served
+enumerations of its two classes, and an UNKNOWN is never kept.
 
-It keeps only facts that took an enumeration: class enumerations, and the
-YES and NO embedding verdicts that read one.  An UNKNOWN records only which
-budget tripped first under the rules of its day: it is never kept, and the
-UNKNOWN lines an older file holds are skipped at open.
-
-Format: one record per line, ``CRC<TAB>HEADER[<TAB>MEMBERS]``.  CRC is the
+Format: one record per line, ``CRC<TAB>HEADER<TAB>MEMBERS``.  CRC is the
 decimal CRC-32 of the bytes after the first tab; compact JSON holds no raw
 tab, so the tabs split a line exactly.  HEADER is a JSON object with sorted
-keys and compact separators.  A class record's header holds the fields it
-is indexed by: its seed hash, ``shape`` [n, m], budget, status, tripped
-caps, ``stats`` (member count, largest entry, depth) and entry witness; its
-MEMBERS is the JSON list of ``[canonical entries, witness]`` of each member
-in BFS order, the seed first with witness ``[]``.  An embed record has no
-MEMBERS: its header holds the P and Q hashes, budget, verdict and witness.
-A line that begins with ``{`` is of an older format: open skips it and
-compaction drops it.  The file is append-only; compaction is explicit and
-rewrites it atomically from the kept records: a record never decoded is
-verified and copied as its line.
+keys and compact separators, holding the fields a class record is indexed
+by: its seed hash, ``shape`` [n, m], budget, status, tripped caps,
+``stats`` (member count, largest entry, depth) and entry witness.  MEMBERS
+is the JSON list of ``[canonical entries, witness]`` of each member in BFS
+order, the seed first with witness ``[]``.  A line that begins with ``{``
+is of an older format, and a line whose header has ``"kind":"embed"`` is an
+older file's embedding verdict: open skips both and compaction drops them.
+The file is append-only; compaction is explicit and rewrites it atomically
+from the kept records: a record never decoded is verified and copied as
+its line.
 
 Keys are canonical-form hashes plus the exact budget, so isomorphic seeds
 share entries and differing budgets never collide; a re-put of a key is a
@@ -33,8 +30,7 @@ budget match, which keeps warm and cold results bit-identical.
 
 Opening a store reads every line but decodes only its header: a class
 record is indexed by the seed, budget, status and figures it claims, and
-kept as its place in the file, which the store holds open.  Embed records,
-which are small, are checked against their CRC and decoded.  Serving a
+kept as its place in the file, which the store holds open.  Serving a
 class record the first time checks the CRC of its line, builds the seed
 from the first member's entries and checks its hash, replays each member's
 witness from the seed (one mutation and one canonical form per member),
@@ -59,7 +55,6 @@ from pathlib import Path
 
 from .canonical import canonical_form
 from .classes import CLOSED, Budget, ClassEnumeration, Member, Verdict
-from .embed import EmbedVerdict, EmbedWitness, witness_json
 from .matrix import ExchangeMatrix, build, from_json_dict, mutate, to_json_dict
 
 try:
@@ -81,19 +76,17 @@ class CorruptRecord(ValueError):
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _record_line(header: dict, members=None) -> bytes:
-    """``CRC<TAB>HEADER[<TAB>MEMBERS]`` and its newline.  The members are
+def _record_line(header: dict, members) -> bytes:
+    """``CRC<TAB>HEADER<TAB>MEMBERS`` and its newline.  The members are
     encoded one at a time: the encoder keeps every token of its input until
     it returns, many times the line's size."""
-    body = _encode(header)
-    if members is not None:
-        body += "\t[" + ",".join(map(_encode, members)) + "]"
+    body = _encode(header) + "\t[" + ",".join(map(_encode, members)) + "]"
     body = body.encode("ascii")  # the encoder escapes every non-ASCII character
     return b"%d\t%s\n" % (zlib.crc32(body), body)
 
 
 def _body(line: bytes, line_no: int) -> bytes:
-    """``HEADER[<TAB>MEMBERS]`` of a line, once its CRC matches them."""
+    """``HEADER<TAB>MEMBERS`` of a line, once its CRC matches them."""
     crc, _, body = line.rstrip(b"\n").partition(b"\t")
     if crc != b"%d" % zlib.crc32(body):
         raise CorruptRecord(line_no, "checksum mismatch")
@@ -107,8 +100,8 @@ class _malformed_is_corrupt:
 
     malformed = (KeyError, IndexError, TypeError, ValueError)
 
-    def __init__(self, line_no: int, kind):
-        self.line_no, self.kind = line_no, kind
+    def __init__(self, line_no: int):
+        self.line_no = line_no
 
     def __enter__(self):
         pass
@@ -116,7 +109,7 @@ class _malformed_is_corrupt:
     def __exit__(self, _type, exc, _tb):
         if isinstance(exc, self.malformed) and not isinstance(exc, CorruptRecord):
             raise CorruptRecord(
-                self.line_no, f"malformed {self.kind} record ({type(exc).__name__}: {exc})"
+                self.line_no, f"malformed class record ({type(exc).__name__}: {exc})"
             ) from None
 
 
@@ -186,25 +179,6 @@ def _class_from_record(header: dict, members: list, line_no: int) -> ClassEnumer
     )
 
 
-def _embed_line(p_hash: str, q_hash: str, ev: EmbedVerdict) -> bytes:
-    return _record_line({
-        "kind": "embed",
-        "p": p_hash,
-        "q": q_hash,
-        "budget": list(ev.budget.key()),
-        "verdict": ev.verdict.value,
-        "witness": witness_json(ev.witness),
-    })
-
-
-def _embed_from_record(record: dict) -> EmbedVerdict:
-    w = record.get("witness")
-    witness = None if w is None else EmbedWitness(
-        tuple(w["q_sequence"]), tuple(w["subset"]), tuple(w["p_sequence"])
-    )
-    return EmbedVerdict(Verdict(record["verdict"]), witness, Budget(*record["budget"]))
-
-
 # A class record not yet served: where its line is, and the figures it
 # claims, which Store.get_class matches budgets against.
 _Indexed = namedtuple("_Indexed", "offset line_no seed budget status count max_abs_entry depth")
@@ -234,10 +208,10 @@ class Store:
 
     ``Store()`` keeps records in memory only: no file and no lock.
     ``Store(directory)`` also loads ``cache.jsonl`` from that directory and
-    appends every new record to it; the advisory lock file rejects a second
-    concurrent writer.  Open with ``readonly=True`` to share a cache that
-    another process may be writing: new records are then kept in memory
-    only.
+    appends every new class enumeration to it; the advisory lock file
+    rejects a second concurrent writer.  Open with ``readonly=True`` to
+    share a cache that another process may be writing: new enumerations are
+    then kept in memory only.  Verdicts are always kept in memory only.
     """
 
     def __init__(self, directory=None, readonly: bool = False):
@@ -255,10 +229,10 @@ class Store:
         self._classes: dict[str, dict[tuple, ClassEnumeration | _Indexed]] = {}
         # (seed hash, budget key) -> a CLOSED record served to a wider budget
         self._widened: dict[tuple[str, tuple], ClassEnumeration] = {}
-        # (P hash, Q hash) -> budget key -> verdict
-        self._embeds: dict[tuple[str, str], dict[tuple, EmbedVerdict]] = {}
-        # lines open read but left out of the indexes: lines of an older
-        # format, an older file's UNKNOWN verdicts and the later lines of a
+        # (P hash, Q hash, budget key) -> verdict, in memory only
+        self._embeds = {}
+        # lines open read but left out of the index: lines of an older
+        # format, an older file's embed verdicts and the later lines of a
         # repeated key
         self._skipped = 0
         if self.directory is None:
@@ -329,24 +303,17 @@ class Store:
         if not isinstance(obj, dict):
             raise CorruptRecord(line_no, "header is not a JSON object")
         kind = obj.get("kind")
-        with _malformed_is_corrupt(line_no, kind):
-            if kind == "class":  # indexed only: checked when first served
-                budget = Budget(*obj["budget"]).key()
-                stats = map(operator.index, obj["stats"])
-                entry = _Indexed(offset, line_no, obj["seed"], budget, obj["status"], *stats)
-                by_budget = self._classes.setdefault(entry.seed, {})
-            elif kind == "embed":
-                _body(line, line_no)
-                entry = _embed_from_record(obj)
-                budget = entry.budget.key()
-                by_budget = (
-                    None  # an older file's UNKNOWN: never served
-                    if entry.verdict is Verdict.UNKNOWN
-                    else self._embeds.setdefault((obj["p"], obj["q"]), {})
-                )
-            else:
-                raise CorruptRecord(line_no, f"unknown record kind {kind!r}")
-            if by_budget is None or budget in by_budget:
+        if kind == "embed":  # an older file's verdict: verdicts stay in memory
+            self._skipped += 1
+            return
+        if kind != "class":
+            raise CorruptRecord(line_no, f"unknown record kind {kind!r}")
+        with _malformed_is_corrupt(line_no):  # indexed only: checked when first served
+            budget = Budget(*obj["budget"]).key()
+            stats = map(operator.index, obj["stats"])
+            entry = _Indexed(offset, line_no, obj["seed"], budget, obj["status"], *stats)
+            by_budget = self._classes.setdefault(entry.seed, {})
+            if budget in by_budget:
                 self._skipped += 1
             else:
                 by_budget[budget] = entry
@@ -389,7 +356,7 @@ class Store:
     def _verified(self, entry: _Indexed) -> ClassEnumeration:
         """Decode a record through its CRC, seed, member replay and figures checks."""
         header, _, members = _body(self._line(entry), entry.line_no).partition(b"\t")
-        with _malformed_is_corrupt(entry.line_no, "class"):
+        with _malformed_is_corrupt(entry.line_no):
             # MEMBERS holds integers only, and int() refuses the text of a float
             members = json.loads(members, parse_float=int)
             enum = _class_from_record(json.loads(header), members, entry.line_no)
@@ -403,44 +370,40 @@ class Store:
         by_budget = self._classes.setdefault(enum.seed.hash, {})
         if enum.budget.key() not in by_budget:  # a re-put is idempotent
             by_budget[enum.budget.key()] = enum
-            self._append(_class_line, enum)
+            self._append(enum)
 
-    # -- embed records ------------------------------------------------------
-
-    def get_embed(self, p_hash: str, q_hash: str, budget: Budget) -> EmbedVerdict | None:
-        return self._embeds.get((p_hash, q_hash), {}).get(budget.key())
-
-    def put_embed(self, p_hash: str, q_hash: str, ev: EmbedVerdict):
-        if ev.verdict is Verdict.UNKNOWN:  # which budget tripped first is no fact
-            return
-        by_budget = self._embeds.setdefault((p_hash, q_hash), {})
-        if ev.budget.key() not in by_budget:  # a re-put is idempotent
-            by_budget[ev.budget.key()] = ev
-            self._append(_embed_line, p_hash, q_hash, ev)
-
-    def _append(self, line_of, *args):
+    def _append(self, enum: ClassEnumeration):
         if self.path is None or self.readonly:  # nothing to encode the record for
             return
-        line = line_of(*args)
+        line = _class_line(enum)
         with open(self.path, "ab") as f:
             if self._torn_at is not None:
                 f.truncate(self._torn_at)
                 self._torn_at = None
             f.write(line)
 
+    # -- embedding verdicts, in memory only ---------------------------------
+
+    def get_embed(self, p_hash: str, q_hash: str, budget: Budget):
+        """The verdict on whether [P] embeds into [Q] under ``budget``, or None."""
+        return self._embeds.get((p_hash, q_hash, budget.key()))
+
+    def put_embed(self, p_hash: str, q_hash: str, ev):
+        if ev.verdict is not Verdict.UNKNOWN:  # which budget tripped first is no fact
+            self._embeds.setdefault((p_hash, q_hash, ev.budget.key()), ev)
+
     # -- maintenance --------------------------------------------------------
 
     def compact(self) -> dict:
-        """Drop records whose budget another record for the same key strictly
-        dominates, then rewrite the file atomically from the index, which holds
-        no UNKNOWN; a class line never served is checked (and decoded) first.
-        The lines open skipped count among the records and the dropped."""
+        """Drop class records whose budget another record for the same seed
+        strictly dominates, then rewrite the file atomically from the index; a
+        class line never served is checked (and decoded) first.  The lines
+        open skipped count among the records and the dropped."""
         records = self.stats()["records"] + self._skipped
-        self._classes, self._embeds = (
-            {at: {key: rec for key, rec in by_budget.items() if not _dominated(key, by_budget)}
-             for at, by_budget in index.items()}
-            for index in (self._classes, self._embeds)
-        )
+        self._classes = {
+            seed: {key: rec for key, rec in by_budget.items() if not _dominated(key, by_budget)}
+            for seed, by_budget in self._classes.items()
+        }
         before = self._file_bytes()
         if self.path is not None and not self.readonly:
             tmp = self.path.with_suffix(".jsonl.tmp")
@@ -452,10 +415,6 @@ class Store:
                         lines.append(self._line(enum))
                     else:
                         lines.append(_class_line(enum))
-            lines.extend(
-                _embed_line(p, q, ev)
-                for (p, q), by_budget in self._embeds.items() for ev in by_budget.values()
-            )
             tmp.write_bytes(b"".join(lines))
             os.replace(tmp, self.path)
             self._torn_at = None
@@ -473,11 +432,10 @@ class Store:
         return self.path.stat().st_size if self.path is not None and self.path.exists() else 0
 
     def stats(self) -> dict:
-        classes, embeds = (sum(map(len, index.values())) for index in (self._classes, self._embeds))
+        classes = sum(map(len, self._classes.values()))
         return {
-            "records": classes + embeds,
+            "records": classes,
             "classes": classes,
-            "embeds": embeds,
             "skipped": self._skipped,
             "path": str(self.path),
         }

@@ -5,7 +5,8 @@ Hasse diagrams, DOT export).
 A universe is the desk-scale stand-in for the infinite space of mutation
 classes: all classes of valid matrices with rank at most r and seed entries
 bounded by w, together with the full tri-valued embedding relation between
-them, anchored at the seeds whose enumerations found the classes.
+them, anchored at the seeds whose enumerations found the classes, and the
+witness of each YES between two classes.
 Topology operations refuse with :class:`UnresolvedRelation` rather than
 silently misclassify when an UNKNOWN verdict could change the answer.
 """
@@ -27,7 +28,7 @@ from .classes import (
     Verdict,
     enumerate_class,
 )
-from .embed import embeds
+from .embed import EmbedWitness, embeds, witness_json
 from .matrix import (
     NotSkewSymmetrizable,
     build,
@@ -59,15 +60,18 @@ class UniverseClass(namedtuple("UniverseClass", "key seed")):
 class Universe(FrozenRecord):
     """The classes of rank <= ``rank_cap`` with seed entries <= ``entry_cap``
     of a seed ``family``, and ``relation[i][j]``, the verdict ("Y", "N" or
-    "U") on whether class i embeds into class j under ``budget``."""
+    "U") on whether class i embeds into class j under ``budget``.
+    ``witnesses`` holds ``(i, j, witness)`` for each Y cell with i != j, in
+    row-major order; the witness is anchored at the two classes' seeds."""
 
-    _fields = ("rank_cap", "entry_cap", "budget", "family", "classes", "relation")
+    _fields = ("rank_cap", "entry_cap", "budget", "family", "classes", "relation", "witnesses")
 
     def __init__(self, rank_cap: int, entry_cap: int, budget: Budget, family: str,
-                 classes: tuple[UniverseClass, ...], relation: tuple[tuple[str, ...], ...]):
+                 classes: tuple[UniverseClass, ...], relation: tuple[tuple[str, ...], ...],
+                 witnesses: tuple[tuple[int, int, EmbedWitness], ...] = ()):
         vars(self).update(
             rank_cap=rank_cap, entry_cap=entry_cap, budget=budget, family=family,
-            classes=classes, relation=relation,
+            classes=classes, relation=relation, witnesses=witnesses,
             _by_hash={cls.hash: i for i, cls in enumerate(classes)},
         )
 
@@ -178,7 +182,8 @@ def build_universe(
     seeds=None,
 ) -> Universe:
     """Build the universe of classes with rank <= rank_cap and seed entries
-    <= entry_cap, plus its full pairwise embedding relation.
+    <= entry_cap, plus its full pairwise embedding relation and the witness
+    of each YES between two classes.
 
     ``family`` selects the seed matrices: "quiver" (skew-symmetric, no
     frozen indices, the default) or "skew" (all skew-symmetrizable splits).
@@ -200,11 +205,14 @@ def build_universe(
         store = Store()
     classes = collect_classes(seeds, budget, store)
     reps = [cls.seed for cls in classes]
-    relation = tuple(
-        tuple(_VERDICT_CHAR[embeds(p, q, budget, store).verdict] for q in reps)
-        for p in reps
-    )
-    return Universe(rank_cap, entry_cap, budget, family, tuple(classes), relation)
+    relation, witnesses = [], []
+    for i, p in enumerate(reps):
+        row = [embeds(p, q, budget, store) for q in reps]
+        relation.append(tuple(_VERDICT_CHAR[ev.verdict] for ev in row))
+        witnesses.extend((i, j, ev.witness) for j, ev in enumerate(row)
+                         if j != i and ev.verdict is Verdict.YES)
+    return Universe(rank_cap, entry_cap, budget, family, tuple(classes), tuple(relation),
+                    tuple(witnesses))
 
 
 # --- topology operations -----------------------------------------------------
@@ -356,7 +364,38 @@ def universe_to_json(u: Universe) -> dict:
             for cls in u.classes
         ],
         "relation": [list(row) for row in u.relation],
+        "witnesses": [[i, j, witness_json(w)] for i, j, w in u.witnesses],
     }
+
+
+def _witnesses_from_json(entries, classes, relation) -> tuple:
+    """The ``[i, j, witness]`` entries of a universe file, checked to name
+    each off-diagonal Y cell once, with a witness of the right shape; only
+    a replay (``hasse --json``) tells whether it is true."""
+    found = {}
+    for i, j, fields in entries:
+        cell = f"universe witness [{i!r}, {j!r}]"
+        if not (type(i) is int and type(j) is int and 0 <= i < len(classes)
+                and 0 <= j < len(classes) and i != j and relation[i][j] == "Y"):
+            raise ValueError(f"{cell} names no off-diagonal Y cell")
+        if (i, j) in found:
+            raise ValueError(f"{cell} is listed twice")
+        w = EmbedWitness(**fields)
+        # a JSON true is no integer here, as in a matrix
+        if not all(type(v) is list and all(type(k) is int for k in v) for v in w):
+            raise ValueError(f"{cell} holds a field that is not a list of integers")
+        lo, hi = classes[i].seed, classes[j].seed
+        if not (all(1 <= k <= hi.n for k in w.q_sequence)
+                and all(1 <= k <= lo.n for k in w.p_sequence)
+                and len(w.subset) == lo.size and w.subset == sorted(set(w.subset))
+                and all(1 <= k <= hi.size for k in w.subset)):
+            raise ValueError(f"{cell} holds an index out of range or a subset out of order")
+        found[i, j] = EmbedWitness(*map(tuple, w))
+    for i, row in enumerate(relation):
+        for j, cell in enumerate(row):
+            if cell == "Y" and i != j and (i, j) not in found:
+                raise ValueError(f"universe relation[{i}][{j}] is 'Y' but has no witness")
+    return tuple((i, j, found[i, j]) for i, j in sorted(found))
 
 
 def universe_from_json(obj: dict) -> Universe:
@@ -392,17 +431,21 @@ def universe_from_json(obj: dict) -> Universe:
                 UniverseClass(ClassKey(form, entry["status"]), from_json_dict(entry["seed"]))
             )
         relation = tuple(tuple(row) for row in obj["relation"])
+        if len(relation) != len(classes) or any(len(row) != len(classes) for row in relation):
+            raise ValueError("universe relation shape does not match the class list")
+        for i, row in enumerate(relation):
+            for j, cell in enumerate(row):
+                if cell not in ("Y", "N", "U"):
+                    raise ValueError(f"universe relation[{i}][{j}] is {cell!r}, not 'Y', 'N' or 'U'")
+            if row[i] != "Y":  # every class embeds into itself
+                raise ValueError(f"universe relation[{i}][{i}] is {row[i]!r}, not 'Y'")
+        if "witnesses" not in obj:
+            raise ValueError("universe file lists no witnesses: rebuild it with `mutopo universe`")
+        witnesses = _witnesses_from_json(obj["witnesses"], classes, relation)
     except TypeError as exc:  # a field of the wrong type, such as a float cap
         raise ValueError(f"malformed universe ({exc})") from None
-    if len(relation) != len(classes) or any(len(row) != len(classes) for row in relation):
-        raise ValueError("universe relation shape does not match the class list")
-    for i, row in enumerate(relation):
-        for j, cell in enumerate(row):
-            if cell not in ("Y", "N", "U"):
-                raise ValueError(f"universe relation[{i}][{j}] is {cell!r}, not 'Y', 'N' or 'U'")
-        if row[i] != "Y":  # every class embeds into itself
-            raise ValueError(f"universe relation[{i}][{i}] is {row[i]!r}, not 'Y'")
-    return Universe(params["r"], params["w"], budget, family, tuple(classes), relation)
+    return Universe(params["r"], params["w"], budget, family, tuple(classes), relation,
+                    witnesses)
 
 
 def dump_universe(u: Universe) -> str:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from mutopo import (
     EmbedWitness,
     Store,
     Verdict,
+    build_hasse,
     build_universe,
     canonical_form,
     class_key,
@@ -296,7 +298,11 @@ class TestUniversePipeline:
         size = cache_file.stat().st_size
         code, out, _ = run(capsys, "hasse", str(target), "--json", "--cache-dir", cache)
         assert code == 0
-        assert cache_file.stat().st_size == size  # every edge was a cache hit
+        assert cache_file.stat().st_size == size  # the witnesses are the universe file's
+        new = files["dir"] / "new"
+        assert run(capsys, "hasse", str(target), "--json", "--cache-dir", str(new))[1] == out
+        assert run(capsys, "hasse", str(target), "--json", "NC")[1] == out
+        assert not new.exists()  # hasse opens no cache
         edges = json.loads(out)["edges"]
         u = load_universe(target.read_text(encoding="utf-8"))
         assert edges
@@ -309,6 +315,31 @@ class TestUniversePipeline:
             )
             lo, hi = u.class_of(edge["lower"]), u.class_of(edge["upper"])
             assert replay_embedding(lo.seed, hi.seed, ev)
+
+    def test_a_false_witness_fails_hasse_and_names_both_classes(self, capsys, files, u31_file):
+        obj = json.loads(Path(u31_file).read_text(encoding="utf-8"))
+        u = load_universe(json.dumps(obj))
+
+        witnesses = {(i, j): w for i, j, w in u.witnesses}
+
+        def replays(lo, hi, subset):
+            ev = EmbedVerdict(Verdict.YES, witnesses[lo, hi]._replace(subset=subset), u.budget)
+            return replay_embedding(u.classes[lo].seed, u.classes[hi].seed, ev)
+
+        # a cover edge's witness with another subset of the right size: well
+        # formed, but the restriction is not a member of the lower class
+        lo, hi, subset = next(
+            (lo, hi, subset) for lo, hi in build_hasse(u).edges
+            for subset in combinations(range(1, u.classes[hi].rank + 1), u.classes[lo].rank)
+            if not replays(lo, hi, subset)
+        )
+        next(w for i, j, w in obj["witnesses"] if (i, j) == (lo, hi))["subset"] = list(subset)
+        bad = files["dir"] / "false.json"
+        bad.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "hasse", str(bad), "--json", "NC")
+        assert (code, out) == (1, "")
+        assert u.classes[lo].hash[:12] in err and u.classes[hi].hash[:12] in err
+        assert run(capsys, "hasse", str(bad), "NC")[0] == 0  # only --json reads witnesses
 
     def test_unknown_relation_blocks_hasse(self, capsys, files):
         target = files["dir"] / "u33.json"
@@ -502,7 +533,7 @@ class TestCache:
         run(capsys, "class", files["a3"], "--cache-dir", str(cache_dir))
         with Store(cache_dir):  # another writer holds the lock
             code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(cache_dir))
-        assert code == 0 and "records=1 classes=1 embeds=0" in out
+        assert code == 0 and "records=1 classes=1 skipped=0" in out
         missing = files["dir"] / "missing"
         code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(missing))
         assert code == 0 and "records=0" in out
@@ -514,11 +545,11 @@ class TestCache:
         older = Path(__file__).parent / "data" / "cache_r3w1_v1.jsonl"
         (cache_dir / "cache.jsonl").write_bytes(older.read_bytes())  # an older format
         code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(cache_dir))
-        assert code == 0 and "records=0 classes=0 embeds=0 skipped=56" in out
+        assert code == 0 and "records=0 classes=0 skipped=56" in out
         code, out, _ = run(capsys, "cache", "compact", "--cache-dir", str(cache_dir))
         assert code == 0 and "records=56 kept=0 dropped=56" in out
         code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(cache_dir))
-        assert code == 0 and "records=0 classes=0 embeds=0 skipped=0" in out
+        assert code == 0 and "records=0 classes=0 skipped=0" in out
 
     def test_warm_cache_repeats_output(self, capsys, files):
         cache_dir = str(files["dir"] / "cache3")

@@ -44,7 +44,8 @@ CASES = [
      lambda: embeds(type_a(2), A3), lambda: embeds(type_a(2), A3, SMALL)),
     ("UniverseClass", ("key", "seed"),
      lambda: build_universe(2, 1).classes[1], lambda: build_universe(2, 1).classes[2]),
-    ("Universe", ("rank_cap", "entry_cap", "budget", "family", "classes", "relation"),
+    ("Universe", ("rank_cap", "entry_cap", "budget", "family", "classes", "relation",
+                  "witnesses"),
      lambda: build_universe(2, 1), lambda: build_universe(1, 0)),
     ("HasseDiagram", ("universe", "edges", "unknown"),
      lambda: build_hasse(build_universe(2, 1)), lambda: build_hasse(build_universe(1, 0))),

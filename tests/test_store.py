@@ -24,13 +24,16 @@ from mutopo import (
 )
 from mutopo.canonical import CanonicalForm
 from mutopo.cli import main
-from mutopo.store import _class_line, _embed_line, _record_line
+from mutopo.store import _class_line, _record_line
 
 DATA = Path(__file__).parent / "data"
-# the cache.jsonl of `mutopo universe -r 3 -w 1`: 7 class and 13 embed
-# records.  Regenerate it with `mutopo universe -r 3 -w 1 --cache-dir DIR`
-# and copy DIR/cache.jsonl here.
+# the cache.jsonl of `mutopo universe -r 3 -w 1`: 7 class records.
+# Regenerate it with `mutopo universe -r 3 -w 1 --cache-dir DIR` and copy
+# DIR/cache.jsonl here.
 GOLDEN = DATA / "cache_r3w1.jsonl"
+# the same command's cache from before verdicts were kept in memory only:
+# the same 7 class lines, and 13 embed lines (header only, no MEMBERS)
+GOLDEN_V2 = DATA / "cache_r3w1_v2.jsonl"
 # the same command's cache in an older format, one JSON object a line with
 # its CRC inside and each member as a hash and a matrix: 7 class and 49
 # embed records, from before verdicts that need no enumeration went unstored
@@ -49,7 +52,15 @@ def _parse(line: bytes) -> dict:
 def _unparse(record: dict) -> bytes:
     """The line of a record as :func:`_parse` returns it, with a fresh CRC."""
     header = {key: value for key, value in record.items() if key != "members"}
-    return _record_line(header, record.get("members"))
+    return _record_line(header, record["members"])
+
+
+def _embed_line(p: str, q: str, budget: Budget, verdict: Verdict) -> bytes:
+    """An embed line as an older file holds it: ``CRC<TAB>HEADER``."""
+    header = {"kind": "embed", "p": p, "q": q, "budget": list(budget.key()),
+              "verdict": verdict.value, "witness": None}
+    body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return b"%d\t%s\n" % (zlib.crc32(body), body)
 
 
 def test_get_on_empty_cache_is_absent(tmp_path, a3):
@@ -71,9 +82,12 @@ def test_class_round_trip_is_identical(tmp_path, a3):
 
 
 def test_embed_round_trip(tmp_path, a2, a3):
+    p, q = canonical_form(a2).hash, canonical_form(a3).hash
     with Store(tmp_path) as store:
         fresh = embeds(a2, a3, store=store)
-    with Store(tmp_path) as store:
+        assert store.get_embed(p, q, Budget()) is fresh  # kept while the store lives
+    with Store(tmp_path) as store:  # the file holds the two classes, and no verdict
+        assert store.stats()["records"] == 2 and store.get_embed(p, q, Budget()) is None
         cached = embeds(a2, a3, store=store)
     assert cached == fresh
 
@@ -242,13 +256,14 @@ def test_a_stale_unknown_is_never_served(tmp_path, pt, i2, w333):
     with Store(tmp_path) as store:  # a verdict that reads both enumerations
         assert embeds(pt, w333, budget, store).verdict is Verdict.YES
     path = tmp_path / "cache.jsonl"
-    stale = _embed_line(p, q, EmbedVerdict(Verdict.UNKNOWN, None, budget))
-    path.write_bytes(path.read_bytes() + stale)
+    path.write_bytes(path.read_bytes() + _embed_line(p, q, budget, Verdict.UNKNOWN))
     with Store(tmp_path) as store:
         assert store.get_embed(p, q, budget) is None
         assert embeds(i2, w333, budget, store).verdict is Verdict.NO
-    with Store(tmp_path, readonly=True) as store:
         assert store.get_embed(p, q, budget).verdict is Verdict.NO
+    with Store(tmp_path, readonly=True) as store:  # the verdict was kept in memory only
+        assert store.get_embed(p, q, budget) is None
+        assert embeds(i2, w333, budget, store).verdict is Verdict.NO
     assert embeds(i2, w333, budget).verdict is Verdict.NO
 
 
@@ -273,7 +288,8 @@ def test_verdicts_that_need_no_enumeration_are_not_stored(
     assert lookups == [] and not (tmp_path / "cache.jsonl").exists()
     with Store(tmp_path) as store:  # a verdict that reads an enumeration is kept
         assert embeds(a2, a3, store=store).verdict is Verdict.YES
-        assert store.stats()["embeds"] == 1 and len(lookups) == 1
+        assert len(lookups) == 1
+        assert store.get_embed(*lookups[0]).verdict is Verdict.YES
 
 
 @pytest.mark.parametrize("directory", [True, False], ids=["file", "memory"])
@@ -290,21 +306,20 @@ def test_put_embed_ignores_an_unknown(tmp_path, a2, a3, directory):
 
 def _stale_unknown_line(lines):
     """An UNKNOWN embed line, as an older file holds, for a golden pair, and
-    its budget, which no golden budget dominates."""
-    obj = next(obj for _, obj in lines if obj["kind"] == "embed")
+    its pair and budget, which no golden budget dominates."""
+    p, q = lines[1][1]["seed"], lines[-1][1]["seed"]
     budget = Budget(max_members=200, max_entry=100)
-    ev = EmbedVerdict(Verdict.UNKNOWN, None, budget)
-    return _embed_line(obj["p"], obj["q"], ev), obj, budget
+    return _embed_line(p, q, budget, Verdict.UNKNOWN), (p, q), budget
 
 
 def test_an_older_unknown_line_is_skipped_and_compacted_away(tmp_path):
     path = tmp_path / "cache.jsonl"
     lines, _ = _golden_records()
-    stale, obj, budget = _stale_unknown_line(lines)
+    stale, pair, budget = _stale_unknown_line(lines)
     path.write_bytes(GOLDEN.read_bytes() + stale)
     with Store(tmp_path, readonly=True) as store:
         assert store.stats()["records"] == len(lines)
-        assert store.get_embed(obj["p"], obj["q"], budget) is None
+        assert store.get_embed(*pair, budget) is None
     assert main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 0
     assert path.read_bytes() == GOLDEN.read_bytes()
 
@@ -313,8 +328,8 @@ def test_compact_counts_the_lines_open_skipped(tmp_path):
     path = tmp_path / "cache.jsonl"
     lines, _ = _golden_records()
     stale, _, _ = _stale_unknown_line(lines)
-    repeats = [lines[0][0], lines[-1][0]]  # a class key's line and an embed key's, again
-    for tail, counts in (([stale], (21, 20, 1)), ([stale, *repeats], (23, 20, 3))):
+    repeats = [lines[0][0], lines[-1][0]]  # two class keys' lines, again
+    for tail, counts in (([stale], (8, 7, 1)), ([stale, *repeats], (10, 7, 3))):
         path.write_bytes(GOLDEN.read_bytes() + b"".join(tail))
         with Store(tmp_path) as store:
             stats = store.compact()
@@ -456,7 +471,7 @@ def test_in_memory_store_round_trips_without_a_file(tmp_path, monkeypatch, a2, a
     assert store.get_class(full.seed.hash, full.budget) == full
     assert store.get_embed(canonical_form(a2).hash, canonical_form(a3).hash, Budget()) == ev
     stats = store.compact()  # the embed call also put the class of a2
-    assert (stats["records"], stats["kept"], stats["dropped"]) == (4, 3, 1)
+    assert (stats["records"], stats["kept"], stats["dropped"]) == (3, 2, 1)
     assert (stats["bytes_before"], stats["bytes_after"]) == (0, 0)
     assert store.get_class(small.seed.hash, small.budget) is None
     assert store.get_class(full.seed.hash, full.budget) == full
@@ -633,20 +648,18 @@ def _golden_records():
     return list(zip(lines, records)), seeds
 
 
+def _serves_fresh_classes(store, lines, seeds):
+    for _, obj in lines:
+        budget = Budget(*obj["budget"])
+        assert store.get_class(obj["seed"], budget) == enumerate_class(seeds[obj["seed"]], budget)
+
+
 def test_golden_cache_serves_fresh_results(tmp_path):
     shutil.copy(GOLDEN, tmp_path / "cache.jsonl")
     lines, seeds = _golden_records()
-    kinds = [obj["kind"] for _, obj in lines]
-    assert (kinds.count("class"), kinds.count("embed")) == (7, 13)
+    assert [obj["kind"] for _, obj in lines] == ["class"] * 7
     with Store(tmp_path, readonly=True) as store:
-        for _, obj in lines:
-            budget = Budget(*obj["budget"])
-            if obj["kind"] == "class":
-                fresh = enumerate_class(seeds[obj["seed"]], budget)
-                assert store.get_class(obj["seed"], budget) == fresh
-            else:
-                fresh = embeds(seeds[obj["p"]], seeds[obj["q"]], budget)
-                assert store.get_embed(obj["p"], obj["q"], budget) == fresh
+        _serves_fresh_classes(store, lines, seeds)
 
 
 def test_golden_cache_lines_are_written_byte_for_byte(tmp_path):
@@ -654,12 +667,7 @@ def test_golden_cache_lines_are_written_byte_for_byte(tmp_path):
     lines, _ = _golden_records()
     with Store(tmp_path, readonly=True) as store:
         for line, obj in lines:
-            budget = Budget(*obj["budget"])
-            if obj["kind"] == "class":
-                written = _class_line(store.get_class(obj["seed"], budget))
-            else:
-                written = _embed_line(obj["p"], obj["q"], store.get_embed(obj["p"], obj["q"], budget))
-            assert written == line
+            assert _class_line(store.get_class(obj["seed"], Budget(*obj["budget"]))) == line
     with Store(tmp_path) as store:  # and so does compaction
         assert store.compact()["dropped"] == 0
     assert (tmp_path / "cache.jsonl").read_bytes() == GOLDEN.read_bytes()
@@ -672,11 +680,7 @@ def test_an_older_format_file_serves_nothing(tmp_path):
         stats = store.stats()
         assert (stats["records"], stats["skipped"]) == (0, 56)
         for _, obj in lines:
-            budget = Budget(*obj["budget"])
-            if obj["kind"] == "class":
-                assert store.get_class(obj["seed"], budget) is None
-            else:
-                assert store.get_embed(obj["p"], obj["q"], budget) is None
+            assert store.get_class(obj["seed"], Budget(*obj["budget"])) is None
 
 
 def test_a_universe_over_an_older_file_matches_a_cold_build(tmp_path):
@@ -692,6 +696,32 @@ def test_a_universe_over_an_older_file_matches_a_cold_build(tmp_path):
     assert (older / "cache.jsonl").read_bytes() == GOLDEN.read_bytes()
 
 
+def test_a_cache_with_embed_lines_serves_its_classes_and_no_verdict(tmp_path):
+    shutil.copy(GOLDEN_V2, tmp_path / "cache.jsonl")
+    lines, seeds = _golden_records()  # the v2 file's class lines are the golden's
+    embed_lines = [_parse(line) for line in GOLDEN_V2.read_bytes().splitlines()[len(lines):]]
+    assert [obj["kind"] for obj in embed_lines] == ["embed"] * 13
+    with Store(tmp_path, readonly=True) as store:
+        stats = store.stats()
+        assert (stats["records"], stats["classes"], stats["skipped"]) == (7, 7, 13)
+        _serves_fresh_classes(store, lines, seeds)
+        for obj in embed_lines:
+            assert store.get_embed(obj["p"], obj["q"], Budget(*obj["budget"])) is None
+
+
+def test_a_universe_over_a_cache_with_embed_lines_matches_a_cold_build(tmp_path):
+    v2, cold = tmp_path / "v2", tmp_path / "cold"
+    v2.mkdir()
+    shutil.copy(GOLDEN_V2, v2 / "cache.jsonl")
+    for directory in (v2, cold):
+        argv = ["universe", "-r", "3", "-w", "1", "--cache-dir", str(directory)]
+        assert main([*argv, "-o", str(directory / "u.json")]) == 0
+    assert (v2 / "u.json").read_bytes() == (cold / "u.json").read_bytes()
+    assert (v2 / "cache.jsonl").read_bytes() == GOLDEN_V2.read_bytes()  # nothing appended
+    assert main(["cache", "compact", "--cache-dir", str(v2)]) == 0
+    assert (v2 / "cache.jsonl").read_bytes() == GOLDEN.read_bytes()  # the 7 class lines
+
+
 def test_open_parses_no_member_array(tmp_path, monkeypatch, w333):
     shutil.copy(GOLDEN, tmp_path / "cache.jsonl")
     with Store(tmp_path) as store:  # a TRUNCATED record whose tail names "members"
@@ -700,8 +730,8 @@ def test_open_parses_no_member_array(tmp_path, monkeypatch, w333):
     loads = json.loads
     monkeypatch.setattr(mutopo.store.json, "loads", lambda s: texts.append(s) or loads(s))
     with Store(tmp_path, readonly=True) as store:
-        assert store.stats()["records"] == 21
-    assert len(texts) == 21
+        assert store.stats()["records"] == 8
+    assert len(texts) == 8
     lines = (tmp_path / "cache.jsonl").read_bytes().splitlines()
     assert texts == [line.split(b"\t")[1] for line in lines]  # HEADER fields only
 
@@ -735,21 +765,16 @@ def test_garbled_member_list_fails_when_served_and_compacted(tmp_path, capsys):
     assert path.read_bytes() == before
 
 
-@pytest.mark.parametrize("kind", ["class", "embed"])
-def test_record_in_another_encoding_fails_its_checksum(tmp_path, kind):
+def test_record_in_another_encoding_fails_its_checksum(tmp_path):
     path = tmp_path / "cache.jsonl"
     lines = GOLDEN.read_text().splitlines()
-    k = next(k for k, line in enumerate(lines, start=1) if _parse(line.encode())["kind"] == kind)
+    k = 1
     # the header is re-encoded; the CRC is still the CRC-32 of the record's fields
-    crc, header, *members = lines[k - 1].split("\t")
+    crc, header, members = lines[k - 1].split("\t")
     obj = json.loads(header)
-    lines[k - 1] = "\t".join([crc, json.dumps(obj, sort_keys=True, separators=(", ", ":")), *members])
+    lines[k - 1] = "\t".join([crc, json.dumps(obj, sort_keys=True, separators=(", ", ":")), members])
     path.write_text("\n".join(lines) + "\n")
-    if kind == "embed":  # embed records are checked at open
+    with Store(tmp_path, readonly=True) as store:
         with pytest.raises(CorruptRecord) as err:
-            Store(tmp_path, readonly=True)
-    else:
-        with Store(tmp_path, readonly=True) as store:
-            with pytest.raises(CorruptRecord) as err:
-                store.get_class(obj["seed"], Budget(*obj["budget"]))
+            store.get_class(obj["seed"], Budget(*obj["budget"]))
     assert err.value.line_no == k and "checksum" in str(err.value)

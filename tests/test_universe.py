@@ -8,6 +8,7 @@ import mutopo.classes as classes_module
 from conftest import weighted_pair
 from mutopo import (
     Budget,
+    EmbedVerdict,
     Store,
     UnresolvedRelation,
     Universe,
@@ -18,7 +19,6 @@ from mutopo import (
     class_key,
     closure,
     dump_universe,
-    embeds,
     enumerate_class,
     hasse_to_dot,
     is_clopen,
@@ -192,15 +192,16 @@ def test_skew_symmetry_decides_r3w2_skew_cells():
 
 @pytest.mark.parametrize("rank, weight, family", [(4, 1, "quiver"), (3, 2, "skew")])
 def test_every_yes_witness_replays(rank, weight, family):
-    """Each Y cell's witness, found by the restriction scan, replays end to
-    end through mutate, restrict and canonical_form."""
-    store = Store()
-    u = build_universe(rank, weight, family=family, store=store)
-    cells = [(i, j) for i in range(len(u)) for j in range(len(u)) if u.relation[i][j] == "Y"]
+    """The witness a universe file holds for each off-diagonal Y cell replays
+    end to end through mutate, restrict and canonical_form."""
+    u = load_universe(dump_universe(build_universe(rank, weight, family=family)))
+    size = len(u)
+    cells = [(i, j) for i in range(size) for j in range(size) if i != j and u.relation[i][j] == "Y"]
+    assert [(i, j) for i, j, _ in u.witnesses] == cells  # one a cell, in row-major order
     assert any(u.classes[i].rank < u.classes[j].rank for i, j in cells)
-    for i, j in cells:
-        P, Q = u.classes[i].seed, u.classes[j].seed
-        assert replay_embedding(P, Q, embeds(P, Q, u.budget, store)), (i, j)
+    for i, j, w in u.witnesses:
+        ev = EmbedVerdict(Verdict.YES, w, u.budget)
+        assert replay_embedding(u.classes[i].seed, u.classes[j].seed, ev), (i, j)
 
 
 class TestClosure:
@@ -387,16 +388,27 @@ class TestHasse:
         assert "style=dashed" in dot
 
 
+def _set_cell(entry, lower, upper):
+    entry[:2] = lower, upper
+
+
 class TestSerialization:
-    def test_round_trip(self, u23):
-        assert load_universe(dump_universe(u23)) == u23
+    def test_round_trip(self, u23, u32):
+        for u in (u23, u32):
+            loaded = load_universe(dump_universe(u))
+            assert loaded == u and loaded.witnesses == u.witnesses and u.witnesses
 
     def test_format_fields(self, u23):
         obj = json.loads(dump_universe(u23))
-        assert set(obj) == {"params", "classes", "relation"}
+        assert set(obj) == {"params", "classes", "relation", "witnesses"}
         assert obj["params"]["r"] == 2 and obj["params"]["w"] == 3
         assert set(obj["params"]["budget"]) == {"max_members", "max_entry", "max_depth"}
         assert all(v in "YNU" for row in obj["relation"] for v in row)
+        cells = [[i, j] for i, row in enumerate(obj["relation"]) for j, v in enumerate(row)
+                 if v == "Y" and i != j]
+        assert [entry[:2] for entry in obj["witnesses"]] == cells
+        for _, _, w in obj["witnesses"]:
+            assert set(w) == {"q_sequence", "subset", "p_sequence"}
 
     def test_tampered_class_detected(self, u23):
         obj = json.loads(dump_universe(u23))
@@ -447,6 +459,42 @@ class TestSerialization:
         obj["params"].update(params)
         (name,) = params
         with pytest.raises(ValueError, match=f"universe param {name} is "):
+            load_universe(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj, e: _set_cell(e, e[0], e[0]), "names no off-diagonal Y cell"),
+            (lambda obj, e: _set_cell(e, e[1], e[0]), "names no off-diagonal Y cell"),
+            (lambda obj, e: _set_cell(e, e[0], len(obj["classes"])), "names no off-diagonal Y cell"),
+            (lambda obj, e: _set_cell(e, True, e[1]), "names no off-diagonal Y cell"),
+            (lambda obj, e: obj["witnesses"].append(json.loads(json.dumps(e))), "is listed twice"),
+            (lambda obj, e: obj["witnesses"].remove(e), r"\]\[\d+\] is 'Y' but has no witness"),
+            (lambda obj, e: e[2].update(q_sequence=[True]), "not a list of integers"),
+            (lambda obj, e: e[2].update(subset=[1.0, 2.0]), "not a list of integers"),
+            (lambda obj, e: e[2].update(p_sequence=None), "not a list of integers"),
+            (lambda obj, e: e[2].update(subset=e[2]["subset"][::-1]), "subset out of order"),
+            (lambda obj, e: e[2].update(subset=[1, 1]), "subset out of order"),
+            (lambda obj, e: e[2].update(subset=[1, 99]), "subset out of order"),
+            (lambda obj, e: e[2].update(subset=[0, 1]), "subset out of order"),
+            (lambda obj, e: e[2].update(subset=[1]), "subset out of order"),
+            (lambda obj, e: e[2].update(q_sequence=[4]), "index out of range"),
+            (lambda obj, e: e[2].update(p_sequence=[0]), "index out of range"),
+            (lambda obj, e: e[2].pop("p_sequence"), "malformed universe"),
+            (lambda obj, e: obj.pop("witnesses"), "lists no witnesses: rebuild it"),
+        ],
+        ids=["diagonal", "N-cell", "cell-out-of-range", "bool-index", "repeated", "missing",
+             "bool-entry", "float-entry", "null-field", "subset-decreasing", "subset-repeated",
+             "subset-above-size", "subset-below-one", "subset-size", "q-step-above-n",
+             "p-step-below-one", "missing-field", "no-witnesses"],
+    )
+    def test_malformed_witness_rejected(self, u32, edit, message):
+        # the first witness of a rank-2 class into a rank-3 one: its subset
+        # has two indices, and the reversed cell is N
+        obj = json.loads(dump_universe(u32))
+        entry = next(e for e in obj["witnesses"] if len(e[2]["subset"]) == 2)
+        edit(obj, entry)
+        with pytest.raises(ValueError, match=message):
             load_universe(json.dumps(obj))
 
     def test_missing_family_means_quiver(self, u23):
