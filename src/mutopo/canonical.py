@@ -43,17 +43,22 @@ at (roughly n+m <= 9).
 
 from __future__ import annotations
 
-import hashlib
 from functools import lru_cache
 from operator import itemgetter
 
 from .matrix import ExchangeMatrix
 
 
+_sha256 = None  # hashlib's, imported at the first hash: it maps OpenSSL's libcrypto
+
+
 def content_hash(n: int, m: int, flat_entries) -> str:
     """SHA-256 of the matrix serialized as ``n|m|e1,e2,...`` in row-major order."""
+    global _sha256
+    if _sha256 is None:
+        from hashlib import sha256 as _sha256
     payload = f"{n}|{m}|" + ",".join(map(str, flat_entries))
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    return _sha256(payload.encode("ascii")).hexdigest()
 
 
 class CanonicalForm:

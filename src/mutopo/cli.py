@@ -7,6 +7,10 @@ with --dot.
 
 Exit codes: 0 for a resolved result, 2 for UNKNOWN (or a truncated
 enumeration), 1 for any error, usage errors included.
+
+Each call is a fresh interpreter, so the cache (``store``), the topology
+(``universe``) and the ``properties`` checkers are imported by the verbs
+that use them, not here.
 """
 
 from __future__ import annotations
@@ -38,22 +42,6 @@ from .matrix import (
     to_json_dict,
     to_text,
 )
-from .properties import (
-    is_avoiding,
-    is_k_universal_bounded,
-    is_mutation_acyclic,
-    is_N_abundant,
-)
-from .store import Store, default_cache_dir
-from .universe import (
-    build_hasse,
-    build_universe,
-    closure,
-    dump_universe,
-    hasse_to_dot,
-    load_universe,
-    open_set_generated,
-)
 
 
 def _read_text(source: str) -> str:
@@ -79,7 +67,9 @@ def _budget(args) -> Budget:
     return Budget(args.max_members, args.max_entry, args.max_depth)
 
 
-def _open_store(args) -> Store:
+def _open_store(args):
+    from .store import Store, default_cache_dir
+
     if args.no_cache:
         return Store()  # in memory, for this call only
     directory = args.cache_dir or default_cache_dir()
@@ -193,21 +183,29 @@ def _tri_valued(args, ask, **extra) -> int:
 
 
 def _cmd_avoid(args) -> int:
+    from .properties import is_avoiding
+
     patterns = [_read_matrix(p) for p in args.patterns]
     return _tri_valued(args, partial(is_avoiding, _read_matrix(args.q), patterns),
                        patterns=len(patterns))
 
 
 def _cmd_abundant(args) -> int:
+    from .properties import is_N_abundant
+
     return _tri_valued(args, partial(is_N_abundant, _input(args), args.arrows),
                        arrows=args.arrows)
 
 
 def _cmd_acyclic(args) -> int:
+    from .properties import is_mutation_acyclic
+
     return _tri_valued(args, partial(is_mutation_acyclic, _input(args)))
 
 
 def _cmd_universal(args) -> int:
+    from .properties import is_k_universal_bounded
+
     return _tri_valued(args, partial(is_k_universal_bounded, _input(args), args.k, args.w),
                        k=args.k, w=args.w)
 
@@ -231,6 +229,8 @@ def _cmd_density_witness(args) -> int:
 
 
 def _cmd_universe(args) -> int:
+    from .universe import build_universe, dump_universe
+
     budget = _budget(args)
     with _open_store(args) as store:
         u = build_universe(args.r, args.w, budget, family=args.family, store=store)
@@ -245,6 +245,8 @@ def _cmd_universe(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
+    from .universe import build_hasse, hasse_to_dot, load_universe
+
     u = load_universe(_read_text(args.universe))
     h = build_hasse(u, partial=args.partial)
     if args.dot:
@@ -296,8 +298,11 @@ def _select_classes(args, u) -> list[str]:
 
 
 def _cmd_class_set(args) -> int:
+    from .universe import closure, load_universe, open_set_generated
+
+    generate = closure if args.command == "closure" else open_set_generated
     u = load_universe(_read_text(args.universe))
-    ordered = sorted(args.generate(u, _select_classes(args, u)), key=u.index_of)
+    ordered = sorted(generate(u, _select_classes(args, u)), key=u.index_of)
     if args.json:
         _print_json({"classes": ordered, "budget": u.budget.to_json()})
     else:
@@ -309,6 +314,8 @@ def _cmd_class_set(args) -> int:
 
 
 def _cmd_cache(args) -> int:
+    from .store import Store, default_cache_dir
+
     directory = args.cache_dir or default_cache_dir()
     # only compaction writes, so only it takes the writer lock
     with Store(directory, readonly=args.action != "compact") as store:
@@ -408,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit unresolved pairs as dashed edges instead of failing")
     p.set_defaults(func=_cmd_hasse)
 
-    for name, generate in (("closure", closure), ("open-set", open_set_generated)):
+    for name in ("closure", "open-set"):
         p = sub.add_parser(name, parents=[cache, json_flag],
                            help=f"{name.replace('-', ' ')} of classes in a universe")
         p.add_argument("universe")
@@ -417,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="class hash prefix (repeatable)")
         p.add_argument("--matrix", help="inline matrix selecting a class")
         p.add_argument("--frozen", type=int)
-        p.set_defaults(func=_cmd_class_set, generate=generate)
+        p.set_defaults(func=_cmd_class_set)
 
     p = sub.add_parser("cache", help="cache maintenance")
     p.add_argument("action", choices=["stats", "compact"])

@@ -36,7 +36,6 @@ from .matrix import (
     to_inline,
     to_json_dict,
 )
-from .store import Store
 
 
 class UnresolvedRelation(RuntimeError):
@@ -202,6 +201,8 @@ def build_universe(
         except KeyError:
             raise ValueError(f"unknown family {family!r}") from None
     if store is None:
+        from .store import Store  # only here: a universe file is read without the cache
+
         store = Store()
     classes = collect_classes(seeds, budget, store)
     reps = [cls.seed for cls in classes]

@@ -1,8 +1,28 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mutopo
 from mutopo import build
+
+
+def fresh_python(*argv):
+    """Run a fresh interpreter that imports the same mutopo as this process,
+    installed or not."""
+    src = str(Path(mutopo.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
 
 
 def quiver(rows):

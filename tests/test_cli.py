@@ -1,15 +1,11 @@
 import io
 import json
-import os
-import subprocess
-import sys
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-import mutopo
-from conftest import quiver, weighted_pair
+from conftest import fresh_python, quiver, weighted_pair
 from mutopo import (
     EmbedVerdict,
     EmbedWitness,
@@ -590,31 +586,30 @@ class TestCache:
         assert (cache_dir / "cache.jsonl").exists()
 
 
-def _child(*argv):
-    """Run a fresh interpreter that imports the same mutopo as this process,
-    installed or not."""
-    src = str(Path(mutopo.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-    )
-
-
 def test_module_entry_point(files):
-    proc = _child("-m", "mutopo", "finite", "--no-cache", files["markov"])
+    proc = fresh_python("-m", "mutopo", "finite", "--no-cache", files["markov"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == "FINITE members=1"
 
 
-def test_start_up_imports_no_dataclasses():
+def test_start_up_imports_no_dataclasses(files, u31_file):
     # every CLI call is a fresh interpreter: dataclasses, with the inspect it
-    # loads, cost about 9 ms of each call's start-up and no answer needs them
-    proc = _child("-c", "import sys, mutopo.cli; "
-                        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
-    proc = _child("-m", "mutopo", "--version")
+    # loads, cost about 9 ms of each call's start-up and no answer needs them.
+    # The cache, the topology, the checkers and hashlib (which maps OpenSSL)
+    # load only in a call that uses them.
+    never = {"dataclasses", "inspect"}
+    lazy = {"mutopo.store", "mutopo.universe", "mutopo.properties"}
+    call = "from mutopo.cli import main; assert main({!r}) == 0".format
+    absent_after = {
+        "import mutopo": never | lazy | {"hashlib", "_hashlib", "json"},
+        "import mutopo.cli": never | lazy | {"hashlib", "_hashlib"},
+        call(["class", "--no-cache", files["a3"], "--json"]):
+            never | {"mutopo.universe", "mutopo.properties"},
+        call(["hasse", "--partial", u31_file, "--json"]): never | {"mutopo.store"},
+    }
+    for code, absent in absent_after.items():
+        proc = fresh_python("-c", f"import sys; {code}; "
+                                  f"print(sorted(sys.modules.keys() & {absent!r}))")
+        assert (proc.returncode, proc.stdout.splitlines()[-1:]) == (0, ["[]"]), (code, proc.stderr)
+    proc = fresh_python("-m", "mutopo", "--version")
     assert proc.returncode == 0 and proc.stdout.startswith("mutopo "), proc.stderr
