@@ -29,9 +29,13 @@ leaves v's own diagonal 0 sorted into the first cell rather than at t; but
 the same 0 joins every candidate's sorted first cell, which keeps both the
 order of the candidates and their ties, so the scores rank them as the
 bounds do, and the winning row is the best score with one 0 moved to t.
-The cells split by a stable sort on ``b[v][.]``, which keeps each value's
-indices in the cell's order, so the permutation returned, the first least
-one the search reaches, depends only on that order.  Once every cell is a
+The first level has one ordering, the identity, and the cells (0, n) and
+(n, n+m), so it is read off the rows in closed form: v scores
+``sorted(b[v][:n]) + sorted(b[v][n:])`` (``sorted(b[v])`` when m = 0), and
+the mutable v tied at the least score survive in index order.  The cells
+split by a stable sort on ``b[v][.]``, which keeps each value's indices in
+the cell's order, so the permutation returned, the first least one the
+search reaches, depends only on that order.  Once every cell is a
 single index, the rest of the matrix is read straight off each ordering,
 and the first least ordering in frontier order wins.
 
@@ -114,19 +118,29 @@ def _lex_min(B: ExchangeMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     t = 0  # positions placed
     while len(cells) < size - t:  # some cell holds two or more indices
         lo0, hi0 = cells[0]
-        wide = [(lo, hi) for lo, hi in cells if hi - lo > 1]
-        best = None
-        level = []
-        for order in frontier:
-            read = itemgetter(*order)
-            for v in order[lo0:hi0]:
-                score = list(read(b[v]))
-                for lo, hi in wide:
-                    score[lo:hi] = sorted(score[lo:hi])
-                if best is None or score < best:
-                    best, level = score, [(order, v)]
-                elif score == best:
-                    level.append((order, v))
+        if t == 0:
+            # one ordering, the identity, and the cells (0, n) and (n, size):
+            # every score at once, the tied v in index order
+            if n == size:
+                scores = list(map(sorted, b))
+            else:
+                scores = [sorted(row[:n]) + sorted(row[n:]) for row in b[:n]]
+            best = min(scores)
+            level = [(frontier[0], v) for v, score in enumerate(scores) if score == best]
+        else:
+            wide = [(lo, hi) for lo, hi in cells if hi - lo > 1]
+            best = None
+            level = []
+            for order in frontier:
+                read = itemgetter(*order)
+                for v in order[lo0:hi0]:
+                    score = list(read(b[v]))
+                    for lo, hi in wide:
+                        score[lo:hi] = sorted(score[lo:hi])
+                    if best is None or score < best:
+                        best, level = score, [(order, v)]
+                    elif score == best:
+                        level.append((order, v))
         # the row: v's own 0 moves from its sorted place in the first cell to t
         first = best[lo0:hi0]
         first.remove(0)

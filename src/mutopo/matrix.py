@@ -108,38 +108,46 @@ def _symmetrizer(b: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
     One root per support component gets a provisional value of 1; along
     each tree edge ``d[j] = d[i] * |b[i][j]| / |b[j][i]|``, kept as a reduced
-    integer (numerator, denominator) pair.  Denominators are cleared per
-    component, the component gcd is divided out, and the defining identity
-    is then verified globally, which catches inconsistent cycles.
+    integer (numerator, denominator) pair.  The search checks each nonzero
+    entry as it meets it: a tree edge needs ``b[j][i]`` of the opposite
+    sign, and any other entry the defining identity between the two
+    provisional values, so an inconsistent cycle, a nonzero diagonal entry
+    or a half-zero pair raises at the first pair that shows it.
+    Denominators are then cleared per component and the component gcd is
+    divided out.
     """
     n = len(b)
     ratio: list[tuple[int, int] | None] = [None] * n
-    comps = _support_components(b)
-    for comp in comps:
-        ratio[comp[0]] = (1, 1)
-        stack = [comp[0]]
+    d = [0] * n
+    for root in range(n):
+        if ratio[root] is not None:
+            continue
+        ratio[root] = (1, 1)
+        comp = [root]
+        stack = [root]
         while stack:
             i = stack.pop()
             num, den = ratio[i]
-            for j in range(n):
-                if b[i][j] != 0 and ratio[j] is None:
-                    p, q = num * abs(b[i][j]), den * abs(b[j][i])
+            for j, bij in enumerate(b[i]):
+                if bij == 0:
+                    continue
+                bji = b[j][i]
+                rj = ratio[j]
+                if rj is None and bij * bji < 0:
+                    p, q = num * abs(bij), den * abs(bji)
                     g = gcd(p, q)
                     ratio[j] = (p // g, q // g)
+                    comp.append(j)
                     stack.append(j)
-    d = [0] * n
-    for comp in comps:
+                elif rj is None or num * rj[1] * bij != -rj[0] * den * bji:
+                    raise NotSkewSymmetrizable(
+                        f"no positive symmetrizer exists: inconsistency at pair ({i + 1},{j + 1})"
+                    )
         scale = lcm(*(ratio[i][1] for i in comp))
         vals = [ratio[i][0] * (scale // ratio[i][1]) for i in comp]
         g = gcd(*vals)
         for i, v in zip(comp, vals):
             d[i] = v // g
-    for i in range(n):
-        for j in range(n):
-            if d[i] * b[i][j] != -d[j] * b[j][i]:
-                raise NotSkewSymmetrizable(
-                    f"no positive symmetrizer exists: inconsistency at pair ({i + 1},{j + 1})"
-                )
     return tuple(d)
 
 
@@ -188,15 +196,18 @@ def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     b = B.b
     row_k = b[kk]
     # the positive and negative parts of row k, as (j, b_kj); b_kk = 0
-    pos = [(j, v) for j, v in enumerate(row_k) if v > 0]
-    neg = [(j, v) for j, v in enumerate(row_k) if v < 0]
+    pos, neg = [], []
+    for j, v in enumerate(row_k):
+        if v > 0:
+            pos.append((j, v))
+        elif v < 0:
+            neg.append((j, v))
     new_rows = []
     for i, bi in enumerate(b):
         bik = bi[kk]
-        if i == kk:
-            new_rows.append(tuple(map(operator.neg, bi)))
-        elif bik == 0:
-            new_rows.append(bi)  # no two-path runs through k from i
+        if bik == 0:
+            # no two-path runs through k from i; row k itself (b_kk = 0) flips sign
+            new_rows.append(bi if i != kk else tuple(map(operator.neg, bi)))
         else:
             part, w = (pos, bik) if bik > 0 else (neg, -bik)
             row = list(bi)

@@ -268,8 +268,9 @@ class TestEdgeRule:
         )
         enumerate_class(type_a(8))
         # 1,769 calls; canonicalizing both ends of every edge but the one to
-        # the discovering parent takes 3,096
-        assert len(calls) < 2000
+        # the discovering parent takes 3,096, and a BFS that went round the
+        # hook would record none
+        assert 1_000 < len(calls) < 2_000
 
 
 def test_an_enumeration_hashes_only_the_name_it_is_stored_under(monkeypatch):

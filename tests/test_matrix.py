@@ -99,6 +99,17 @@ class TestMutate:
         with pytest.raises(FrozenMutation):
             mutate(a3, 4)
 
+    def test_shares_exactly_the_rows_with_no_entry_toward_k(self):
+        # the class BFS checks its entry cap on the rebuilt rows alone
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            B = random_skew(rng, n, rng.randint(0, 2), max_weight=rng.randint(0, 2))
+            k = rng.randint(1, n)
+            out = mutate(B, k)
+            for i, (new, old) in enumerate(zip(out.b, B.b)):
+                assert (new is old) == (i != k - 1 and old[k - 1] == 0)
+
     def test_matches_graph_rules_on_samples(self):
         rng = random.Random(7)
         for _ in range(200):
