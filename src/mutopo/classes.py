@@ -28,7 +28,7 @@ from math import gcd
 from operator import attrgetter, itemgetter
 
 from .canonical import CanonicalForm, _canonical, canonical_form
-from .matrix import ExchangeMatrix, is_acyclic, mutate
+from .matrix import ExchangeMatrix, _symmetrizer, is_acyclic, mutate
 
 CLOSED = "CLOSED"
 TRUNCATED = "TRUNCATED"
@@ -141,11 +141,6 @@ class ClassEnumeration(FrozenRecord):
         return self._index.keys()
 
     @cached_property
-    def hashes(self) -> frozenset[str]:
-        """The members' canonical hashes, their external names."""
-        return frozenset(mem.form.hash for mem in self.members)
-
-    @cached_property
     def relabelings(self) -> frozenset:
         """The raw entries (see :func:`entries_getter`) of every
         partition-preserving relabeling of every member's canonical matrix,
@@ -186,6 +181,11 @@ class ClassEnumeration(FrozenRecord):
         return min(self.members, key=lambda mem: mem.form.key)
 
     @cached_property
+    def first_acyclic(self) -> Member | None:
+        """The first acyclic member in BFS order, or None."""
+        return next((mem for mem in self.members if is_acyclic(mem.reached)), None)
+
+    @cached_property
     def reflection_orbit(self) -> frozenset[CanonicalForm] | None:
         """The canonical forms of the sink/source reflection orbit of the
         first acyclic member.
@@ -200,9 +200,7 @@ class ClassEnumeration(FrozenRecord):
         this is a quiver class (skew-symmetric, no frozen index) with a
         discovered acyclic member.
         """
-        if not self.seed.matrix.is_quiver:
-            return None
-        start = next((mem for mem in self.members if is_acyclic(mem.reached)), None)
+        start = self.first_acyclic if self.seed.matrix.is_quiver else None
         if start is None:
             return None
         orbit = {start.form}
@@ -363,17 +361,16 @@ def mutation_fingerprint(B: ExchangeMatrix) -> tuple:
     A connected skew-symmetric rank-3 matrix also contributes its Markov
     constant (:func:`_rank3_weight_invariant`), a known rank-3 class invariant.
     """
+    d, comps = _symmetrizer(B.b)
     profiles = []
-    for comp in B.components():
-        idx = sorted(comp)
-        entries = [B.b[i - 1][j - 1] for i in idx for j in idx]
-        g = gcd(*(abs(v) for v in entries)) if len(idx) > 1 else 0
-        skew = all(
-            B.b[i - 1][j - 1] == -B.b[j - 1][i - 1] for i in idx for j in idx
-        )
-        profiles.append((len(idx), sum(1 for i in idx if i <= B.n), g, skew))
+    for comp in comps:
+        # a component's rows are zero off it; d is unique per component up
+        # to scale, so all ones there exactly when it is skew-symmetric
+        g = gcd(*chain.from_iterable(B.b[i] for i in comp))
+        skew = all(d[i] == 1 for i in comp)
+        profiles.append((len(comp), sum(1 for i in comp if i < B.n), g, skew))
     fp: tuple = (B.n, B.m, tuple(sorted(profiles)))
-    if B.n == 3 and B.is_quiver and B.is_connected:
+    if B.n == 3 and not B.m and len(comps) == 1 and d == (1, 1, 1):
         fp = fp + (_rank3_weight_invariant(B),)
     return fp
 
@@ -442,7 +439,7 @@ def acyclicity(enum: ClassEnumeration, _=None) -> Verdict:
     Marsh & Reiten, Comment. Math. Helv. 83, 2008).  YES on a discovered
     acyclic member; NO when CLOSED without one, or on a quiver class with a
     BBH member, as its BBH subquiver is mutation-cyclic (Beineke et al.)."""
-    if any(is_acyclic(mem.reached) for mem in enum.members):
+    if enum.first_acyclic is not None:
         return Verdict.YES
     if enum.status == CLOSED or enum.seed.matrix.is_quiver and enum.bbh_member:
         return Verdict.NO

@@ -48,7 +48,7 @@ class ExchangeMatrix(namedtuple("ExchangeMatrix", "n m b")):
     def d(self) -> tuple[int, ...]:
         """The normalized skew-symmetrizer (see :func:`_symmetrizer`),
         computed on each read."""
-        return _symmetrizer(self.b)
+        return _symmetrizer(self.b)[0]
 
     @property
     def size(self) -> int:
@@ -73,52 +73,35 @@ class ExchangeMatrix(namedtuple("ExchangeMatrix", "n m b")):
 
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components of the support graph, as 1-based index sets."""
-        return tuple(
-            frozenset(i + 1 for i in comp) for comp in _support_components(self.b)
-        )
+        return tuple(frozenset(i + 1 for i in comp) for comp in _symmetrizer(self.b)[1])
 
     @property
     def is_connected(self) -> bool:
-        return len(_support_components(self.b)) == 1
+        return len(_symmetrizer(self.b)[1]) == 1
 
 
-def _support_components(b: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    n = len(b)
-    seen = [False] * n
-    comps: list[list[int]] = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if b[i][j] != 0 and not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _symmetrizer(b: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Derive the normalized skew-symmetrizer by spanning-tree propagation.
+def _symmetrizer(b: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The normalized skew-symmetrizer and the support components, from the
+    one spanning search over the support graph; it validates every entry.
 
     One root per support component gets a provisional value of 1; along
     each tree edge ``d[j] = d[i] * |b[i][j]| / |b[j][i]|``, kept as a reduced
     integer (numerator, denominator) pair.  The search checks each nonzero
-    entry as it meets it: a tree edge needs ``b[j][i]`` of the opposite
-    sign, and any other entry the defining identity between the two
-    provisional values, so an inconsistent cycle, a nonzero diagonal entry
-    or a half-zero pair raises at the first pair that shows it.
+    ``b[i][j]`` as it meets it: a tree edge needs ``b[j][i]`` of the
+    opposite sign, and any other entry the identity
+    ``d[i] * b[i][j] == -d[j] * b[j][i]`` between provisional values.  So a
+    nonzero ``b[i][i]`` fails the identity with itself; a half-zero pair
+    fails, from its nonzero entry's row, as a tree edge or the identity; a
+    same-sign pair fails as a tree edge, or the identity's sides differ in
+    sign.  The one raise names a nonzero diagonal entry when i = j, sign
+    coherence when ``b[i][j] * b[j][i] >= 0``, else an inconsistent cycle.
     Denominators are then cleared per component and the component gcd is
-    divided out.
+    divided out.  Components come sorted, in the order of their least index.
     """
     n = len(b)
     ratio: list[tuple[int, int] | None] = [None] * n
     d = [0] * n
+    comps = []
     for root in range(n):
         if ratio[root] is not None:
             continue
@@ -140,15 +123,20 @@ def _symmetrizer(b: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
                     comp.append(j)
                     stack.append(j)
                 elif rj is None or num * rj[1] * bij != -rj[0] * den * bji:
+                    pair = f"pair ({i + 1},{j + 1})"
                     raise NotSkewSymmetrizable(
-                        f"no positive symmetrizer exists: inconsistency at pair ({i + 1},{j + 1})"
+                        f"nonzero diagonal entry at index {i + 1}" if i == j
+                        else f"sign coherence fails at {pair}" if bij * bji >= 0
+                        else f"no positive symmetrizer exists: inconsistency at {pair}"
                     )
+        comp.sort()
+        comps.append(comp)
         scale = lcm(*(ratio[i][1] for i in comp))
         vals = [ratio[i][0] * (scale // ratio[i][1]) for i in comp]
         g = gcd(*vals)
         for i, v in zip(comp, vals):
             d[i] = v // g
-    return tuple(d)
+    return tuple(d), comps
 
 
 def build(n: int, m: int, rows) -> ExchangeMatrix:
@@ -157,6 +145,9 @@ def build(n: int, m: int, rows) -> ExchangeMatrix:
     Raises ValueError for malformed input (shape, non-integers, n < 1,
     m < 0) and NotSkewSymmetrizable when the matrix has a nonzero diagonal
     entry, fails sign-coherence, or admits no positive integer symmetrizer.
+    The spanning search of :func:`_symmetrizer` is the only check of the
+    entries' values, and it raises at the first defective pair it meets,
+    which need not be the first in row-major order.
     """
     try:
         n, m = operator.index(n), operator.index(m)
@@ -170,15 +161,6 @@ def build(n: int, m: int, rows) -> ExchangeMatrix:
     size = n + m
     if len(b) != size or any(len(row) != size for row in b):
         raise ValueError(f"matrix must be {size}x{size}")
-    for i in range(size):
-        if b[i][i] != 0:
-            raise NotSkewSymmetrizable(f"nonzero diagonal entry at index {i + 1}")
-        for j in range(i + 1, size):
-            x, y = b[i][j], b[j][i]
-            if (x == 0) != (y == 0) or x * y > 0:
-                raise NotSkewSymmetrizable(
-                    f"sign coherence fails at pair ({i + 1},{j + 1})"
-                )
     _symmetrizer(b)  # raises unless one exists
     return ExchangeMatrix(n, m, b)
 

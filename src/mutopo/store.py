@@ -31,13 +31,13 @@ budget match, which keeps warm and cold results bit-identical.
 Opening a store reads every line but decodes only its header: a class
 record is indexed by the seed, budget, status and figures it claims, and
 kept as its place in the file, which the store holds open.  Serving a
-class record the first time checks the CRC of its line, builds the seed
-from the first member's entries and checks its hash, replays each member's
-witness from the seed (one mutation and one canonical form per member),
-whose canonical entries must equal the stored ones, and checks its
-figures, the status among them: CLOSED exactly when no cap tripped; so
-does compaction.  A failure raises :class:`CorruptRecord` with
-the line number.
+class record the first time checks the CRC of its line, refuses a JSON
+boolean anywhere in it, builds the seed from the first member's entries
+and checks its hash, replays each member's witness from the seed (one
+mutation and one canonical form per member), whose canonical entries must
+equal the stored ones, and checks its figures, the status among them:
+CLOSED exactly when no cap tripped; so does compaction.  A failure raises
+:class:`CorruptRecord` with the line number.
 
 Concurrency: single writer (guarded by an advisory lock file), any number
 of readers.  A trailing partial line is a torn write and reads as absent;
@@ -86,10 +86,14 @@ def _record_line(header: dict, members) -> bytes:
 
 
 def _body(line: bytes, line_no: int) -> bytes:
-    """``HEADER<TAB>MEMBERS`` of a line, once its CRC matches them."""
+    """``HEADER<TAB>MEMBERS`` of a line, once its CRC matches them and it
+    holds no JSON boolean, which would index and compare as 1 or 0 (no
+    string of the format holds either word)."""
     crc, _, body = line.rstrip(b"\n").partition(b"\t")
     if crc != b"%d" % zlib.crc32(body):
         raise CorruptRecord(line_no, "checksum mismatch")
+    if b"true" in body or b"false" in body:
+        raise CorruptRecord(line_no, "a JSON boolean where an integer belongs")
     return body
 
 

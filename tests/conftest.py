@@ -33,6 +33,11 @@ def weighted_pair(w):
     return quiver([[0, w], [-w, 0]])
 
 
+def member_hashes(enum):
+    """The canonical hashes of a class enumeration's members."""
+    return frozenset(mem.form.hash for mem in enum.members)
+
+
 def tree_quiver(size, edges):
     """Quiver of a tree with every edge (i, j) oriented i -> j, 1-based."""
     rows = [[0] * size for _ in range(size)]

@@ -8,7 +8,9 @@ import pytest
 import mutopo.embed as embed_module
 import oracles
 from mutopo.classes import abundance, acyclicity, seeds_separate, separates
-from conftest import quiver, random_quiver, random_skew, type_a, type_d, type_e, weighted_pair
+from conftest import (
+    member_hashes, quiver, random_quiver, random_skew, type_a, type_d, type_e, weighted_pair,
+)
 from mutopo import (
     Budget,
     EmbedVerdict,
@@ -313,7 +315,7 @@ def test_closed_upper_rule_is_sound(r4w2_classes):
                 # an exact pair: the exhaustive answer, and the rule reads
                 # one member of [P] where any member gives the same answer
                 reached = _restriction_hashes(enums[hi.hash], lo.rank)
-                exact = not reached.isdisjoint(enums[lo.hash].hashes)
+                exact = not reached.isdisjoint(member_hashes(enums[lo.hash]))
                 assert ev.verdict is (Verdict.YES if exact else Verdict.NO)
                 assert all(
                     (mem.form.hash in reached) == exact for mem in enums[lo.hash].members
@@ -389,7 +391,7 @@ def test_table_rows_agree_with_exhaustive_answers_on_closed_classes(r4w2_classes
             seeds = seeds_separate(lo.seed, hi.seed)
             if rows or seeds:
                 reached = _restriction_hashes(enums[hi.hash], lo.rank)
-                assert reached.isdisjoint(enums[lo.hash].hashes), (lo.hash, hi.hash)
+                assert reached.isdisjoint(member_hashes(enums[lo.hash])), (lo.hash, hi.hash)
             by_rows += rows
             by_seeds += seeds
             by_gcd += seeds and lo.rank < hi.rank  # quivers: only the gcd differs

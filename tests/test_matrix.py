@@ -38,22 +38,57 @@ class TestBuild:
         assert a3.d == (1, 1, 1)
 
     def test_sign_coherence_rejected(self):
-        with pytest.raises(NotSkewSymmetrizable):
+        with pytest.raises(NotSkewSymmetrizable, match=r"^sign coherence fails at pair \(1,2\)$"):
             build(2, 0, [[0, 1], [1, 0]])
 
     def test_half_zero_pair_rejected(self):
-        with pytest.raises(NotSkewSymmetrizable):
+        with pytest.raises(NotSkewSymmetrizable, match=r"^sign coherence fails at pair \(1,2\)$"):
             build(2, 0, [[0, 1], [0, 0]])
 
     def test_nonzero_diagonal_rejected(self):
-        with pytest.raises(NotSkewSymmetrizable):
+        with pytest.raises(NotSkewSymmetrizable, match=r"^nonzero diagonal entry at index 1$"):
             build(2, 0, [[1, 1], [-1, 0]])
 
     def test_inconsistent_cycle_rejected(self):
         # propagation forces d3 = d1 along 1-2-3 but d3 = d1/2 along 1-3
         rows = [[0, 1, 1], [-1, 0, 1], [-2, -1, 0]]
-        with pytest.raises(NotSkewSymmetrizable):
+        with pytest.raises(NotSkewSymmetrizable, match="inconsistency at pair"):
             build(3, 0, rows)
+
+    # a valid 4x4 with one frozen index, d = (1, 2, 1, 3), and every pair
+    # nonzero, so the search meets a defect as a tree edge or a non-tree edge
+    VALID = [[0, 2, -1, 3], [-1, 0, 1, -3], [1, -2, 0, 3], [-1, 2, -1, 0]]
+
+    @staticmethod
+    def _pair(i, j):
+        """The message for the pair i, j (0-based), named in either order."""
+        return rf"^sign coherence fails at pair \(({i + 1},{j + 1}|{j + 1},{i + 1})\)$"
+
+    def test_the_defect_fixture_is_valid(self):
+        B = build(3, 1, self.VALID)
+        assert B.d == (1, 2, 1, 3) and B.is_connected
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_each_nonzero_diagonal_entry_rejected(self, i):
+        rows = [list(row) for row in self.VALID]
+        rows[i][i] = 1
+        message = rf"^nonzero diagonal entry at index {i + 1}$"
+        with pytest.raises(NotSkewSymmetrizable, match=message):
+            build(3, 1, rows)
+
+    @pytest.mark.parametrize("i, j", permutations(range(4), 2))
+    def test_each_same_sign_pair_rejected(self, i, j):
+        rows = [list(row) for row in self.VALID]
+        rows[i][j] = -rows[i][j]  # b_ij and b_ji now share a sign
+        with pytest.raises(NotSkewSymmetrizable, match=self._pair(i, j)):
+            build(3, 1, rows)
+
+    @pytest.mark.parametrize("i, j", permutations(range(4), 2))
+    def test_each_half_zero_pair_rejected(self, i, j):
+        rows = [list(row) for row in self.VALID]
+        rows[i][j] = 0  # b_ji stays nonzero
+        with pytest.raises(NotSkewSymmetrizable, match=self._pair(i, j)):
+            build(3, 1, rows)
 
     def test_no_mutable_indices_rejected(self):
         with pytest.raises(ValueError):

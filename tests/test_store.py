@@ -414,6 +414,30 @@ def test_malformed_record_reported_with_line_number(tmp_path, a2, a3, edit, at_o
         assert store.get_class(canonical_form(a3).hash, Budget()) is None
 
 
+@pytest.mark.parametrize("part", [0, 1], ids=["member-entry", "witness-index"])
+def test_a_json_boolean_fails_when_served_and_compacted(tmp_path, capsys, a3, part):
+    # json reads true as True, which equals 1: without the check the line
+    # is served, and a true witness index replays as index 1
+    with Store(tmp_path) as store:
+        store.put_class(enumerate_class(a3))
+    path = tmp_path / "cache.jsonl"
+
+    def one_to_true(obj):
+        values = next(mem[part] for mem in obj["members"] if 1 in mem[part])
+        values[values.index(1)] = True
+
+    _rewrite_record(path, 0, one_to_true)
+    before = path.read_bytes()
+    assert b"true" in before
+    with Store(tmp_path, readonly=True) as store:
+        with pytest.raises(CorruptRecord) as err:
+            store.get_class(canonical_form(a3).hash, Budget())
+        assert err.value.line_no == 1 and "boolean" in str(err.value)
+    assert main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 1
+    assert "cache line 1:" in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
 def test_relabelled_member_matrix_fails_validation(tmp_path, a3):
     with Store(tmp_path) as store:
         store.put_class(enumerate_class(a3))
