@@ -14,6 +14,16 @@ mutating C at c leads back into that member; the BFS records c in a bitmask
 kept for C.  Expanding C later skips every vertex whose canonical index is
 in the mask: that child is a relabeling of a member already found, so the
 skip changes no member, witness, or cap.
+
+Mutation at k flips the signs of row and column k and sets every other
+entry to b_ij + b_ik*max(b_kj, 0) + max(-b_ik, 0)*b_kj (Fomin &
+Zelevinsky, "Cluster algebras I", J. Amer. Math. Soc. 15, 2002), whose
+two products add up to 0 unless b_ik and b_kj have one sign, and then to
++-b_ik*b_kj.  So if every entry of a member is at most T in size, no entry
+of a child is larger than T + T*T.  The BFS reads T once per member, off
+its canonical key, and scans the children's rebuilt rows against the entry
+cap only when T*(T + 1) exceeds it: a skipped scan is one that could not
+trip.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import enum
 import operator
 from collections import namedtuple
 from collections.abc import KeysView
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations
 from math import gcd
 from operator import attrgetter, itemgetter
@@ -274,18 +284,23 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
         candidates: dict[CanonicalForm, tuple[tuple[int, ...], ExchangeMatrix, tuple]] = {}
         for mem, relabeling in frontier:
             own, rows = mem.form, mem.reached.b
+            # b'_ij = b_ij + b_ik*max(b_kj, 0) + max(-b_ik, 0)*b_kj is at most
+            # top + top*top in size, so within the cap no child needs a scan
+            top = max(max(own.key), -min(own.key))
+            scan = top * (top + 1) > cap
             mask = back.get(own, 0)
             for k in range(1, n + 1):
                 if mask >> relabeling.index(k - 1) & 1:
                     continue  # this edge was canonicalized from its other end
                 child = mutate(mem.reached, k)
-                # mutate shares the rows it leaves alone with the member, within the cap
-                rebuilt = [row for row, old in zip(child.b, rows) if row is not old]
-                if max(map(max, rebuilt)) > cap or -min(map(min, rebuilt)) > cap:
-                    tripped.add("entry")
-                    if entry_witness is None:
-                        entry_witness = child
-                    continue
+                if scan:
+                    # mutate shares the rows it leaves alone with the member, within the cap
+                    rebuilt = [row for row, old in zip(child.b, rows) if row is not old]
+                    if max(map(max, rebuilt)) > cap or -min(map(min, rebuilt)) > cap:
+                        tripped.add("entry")
+                        if entry_witness is None:
+                            entry_witness = child
+                        continue
                 form = canonical_form(child)
                 # the permutation found with the form: a cache hit, 0-based
                 child_relabeling = _canonical(child)[1]
@@ -349,6 +364,10 @@ def class_key(
     return ClassKey(enum.least().form, enum.status)
 
 
+# a universe build asks for each class seed's fingerprint once per pair of
+# equal size; bounded, so a build with more classes of one size than it
+# holds computes a fingerprint per pair
+@lru_cache(maxsize=1 << 10)
 def mutation_fingerprint(B: ExchangeMatrix) -> tuple:
     """Cheap mutation-class invariants, used to certify that two classes differ.
 

@@ -261,6 +261,37 @@ class TestEdgeRule:
             )
             self.assert_matches_reference(B, budget)
 
+    @pytest.mark.parametrize("family, top", [
+        ("quiver", 1), ("quiver", 2), ("quiver", 3),
+        # a sign-coherent pair of entries at most 1 in size is skew-symmetric
+        ("skew", 2), ("skew", 3),
+        ("frozen", 1), ("frozen", 2), ("frozen", 3),
+    ])
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_matches_reference_bfs_at_the_entry_bound(self, family, top, offset):
+        # every entry of the seed is at most top in size, and mutation at k
+        # reaches top*(top + 1), the most a child can: a two-path i -> k -> j
+        # of weight top beside an arrow i -> j of weight top
+        w = top
+        B, k, i, j = {
+            "quiver": (quiver([[0, w, w, 0], [-w, 0, -w, 0], [-w, w, 0, 1], [0, 0, -1, 0]]),
+                       3, 0, 1),
+            "skew": (build(4, 0, [[0, w, w, 0], [-w, 0, -w, 0], [-w, w, 0, 1], [0, 0, -w, 0]]),
+                     3, 0, 1),
+            "frozen": (build(3, 1, [[0, w, 0, -w], [-w, 0, 1, -w], [0, -1, 0, 0], [w, w, 0, 0]]),
+                       1, 3, 1),
+        }[family]
+        assert B.max_abs_entry == top
+        assert B.is_skew_symmetric == (family != "skew")
+        child = apply_sequence(B, [k])
+        assert child.b[i][j] == child.max_abs_entry == top * (top + 1)
+        cap = top * (top + 1) + offset
+        enum = self.assert_matches_reference(B, Budget(max_members=300, max_entry=cap))
+        if offset < 0:  # the members of largest entry top must still scan
+            assert "entry" in enum.tripped
+        else:
+            assert canonical_form(child) in enum.forms
+
     def test_each_edge_is_canonicalized_from_one_end(self, monkeypatch):
         calls = []
         canonical = classes_module.canonical_form

@@ -44,6 +44,37 @@ for span in ("embed.embeds", "store.open", "universe.topology"):
 """
 
 
+# The class BFS calls mutate and canonical_form through the bindings in
+# mutopo.classes, which the trace replaces: a traced BFS records every call
+# an untraced one makes, counted here by code object under a profile hook.
+BFS_SCRIPT = """
+import sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import layers
+import mutopo
+from mutopo import canonical, matrix
+e6 = mutopo.build(6, 0, [[0, 1, 0, 0, 0, 0], [-1, 0, 1, 0, 0, 0], [0, -1, 0, 1, 0, 1],
+                         [0, 0, -1, 0, 1, 0], [0, 0, 0, -1, 0, 0], [0, 0, -1, 0, 0, 0]])
+codes = {{matrix.mutate.__code__: "matrix.mutate",
+          canonical.canonical_form.__code__: "canonical.canonical_form.5-6"}}
+untraced = dict.fromkeys(codes.values(), 0)
+def count(frame, event, arg):
+    if event == "call" and frame.f_code in codes:
+        untraced[codes[frame.f_code]] += 1
+sys.setprofile(count)
+enum = mutopo.enumerate_class(e6)
+sys.setprofile(None)
+assert enum.count == 67 and enum.status == "CLOSED"
+trace = layers.Trace()
+layers.install(trace)
+assert mutopo.enumerate_class(e6).members == enum.members
+traced = {{name: trace.spans[name][0] for name in untraced}}
+assert traced == untraced, (traced, untraced)
+# one canonical form for the seed and one for each child the BFS mutates to
+assert traced["canonical.canonical_form.5-6"] == traced["matrix.mutate"] + 1 > 1, traced
+"""
+
+
 def _run(script):
     done = subprocess.run(
         [sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True, timeout=120
@@ -64,3 +95,7 @@ def test_the_benchmark_trace_counts_cli_calls(tmp_path, a2, a3):
     _run(CLI_SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench"),
                            cache=str(tmp_path / "cache"),
                            **{name: str(path) for name, path in paths.items()}))
+
+
+def test_the_benchmark_trace_counts_every_class_bfs_call():
+    _run(BFS_SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench")))

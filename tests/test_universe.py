@@ -190,6 +190,17 @@ def test_skew_symmetry_decides_r3w2_skew_cells():
     assert sum(row.count("U") for row in u.relation) == 107
 
 
+def test_a_universe_build_fingerprints_each_class_seed_once(monkeypatch):
+    # every pair of equal size asks for both seeds' fingerprints, and each
+    # computation runs one spanning search: 33,862 of them if none is kept
+    searches = []
+    real = classes_module._symmetrizer
+    monkeypatch.setattr(classes_module, "_symmetrizer", lambda b: searches.append(b) or real(b))
+    classes_module.mutation_fingerprint.cache_clear()
+    u = build_universe(3, 2, family="skew")
+    assert len(searches) == len(u) == 205
+
+
 @pytest.mark.parametrize("rank, weight, family", [(4, 1, "quiver"), (3, 2, "skew")])
 def test_every_yes_witness_replays(rank, weight, family):
     """The witness a universe file holds for each off-diagonal Y cell replays
