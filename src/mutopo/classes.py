@@ -398,19 +398,20 @@ def seeds_separate(P: ExchangeMatrix, Q: ExchangeMatrix) -> bool:
     """Do invariants of the two seeds rule out [P] embedding into [Q]?
 
     None needs an enumeration: the shape (a restriction keeps no more
-    mutable or frozen indices); at equal rank, the
-    :func:`mutation_fingerprint`; the entry gcd (0 for a zero matrix), as
-    gcd(Q) must divide gcd(P): it is D_1, the first determinantal divisor,
-    which mutation keeps, being a product with unimodular integer matrices
-    (Berenstein, Fomin & Zelevinsky, "Cluster algebras III", Duke Math. J.
-    126, 2005, Lemma 3.2), and a restriction keeps a subset of the entries;
-    and skew-symmetry, which mutation keeps both ways and a restriction
-    keeps, so a skew-symmetric Q rules out a P that is not.
+    mutable or frozen indices); at equal rank, the :func:`mutation_fingerprint`
+    alone, which holds each component's entry gcd and skew flag; else the
+    entry gcd (0 for a zero matrix), as gcd(Q) must divide gcd(P): it is D_1,
+    the first determinantal divisor, which mutation keeps, being a product
+    with unimodular integer matrices (Berenstein, Fomin & Zelevinsky,
+    "Cluster algebras III", Duke Math. J. 126, 2005, Lemma 3.2), and a
+    restriction keeps a subset of the entries; and skew-symmetry, which
+    mutation keeps both ways and a restriction keeps, so a skew-symmetric Q
+    rules out a P that is not.
     """
     if P.n > Q.n or P.m > Q.m:
         return True
-    if P.size == Q.size and mutation_fingerprint(P) != mutation_fingerprint(Q):
-        return True
+    if P.size == Q.size:
+        return mutation_fingerprint(P) != mutation_fingerprint(Q)
     g_p, g_q = gcd(*chain.from_iterable(P.b)), gcd(*chain.from_iterable(Q.b))
     if g_p % g_q if g_q else g_p:
         return True

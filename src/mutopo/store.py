@@ -23,10 +23,14 @@ its line.
 
 Keys are canonical-form hashes plus the exact budget, so isomorphic seeds
 share entries and differing budgets never collide; a re-put of a key is a
-no-op.  A CLOSED enumeration is additionally served to any request whose
-budget its recorded usage fits inside, because an untripped run is a
-function of the seed alone; a TRUNCATED record is served only on an exact
-budget match, which keeps warm and cold results bit-identical.
+no-op.  One order compares budgets: cap by cap, members, entry and depth,
+where a depth of None is unbounded.  A CLOSED enumeration is additionally
+served to any request its usage (member count, largest entry, depth + 1)
+is at most in that order, because an untripped run is a function of the
+seed alone; a TRUNCATED record is served only on an exact budget match,
+which keeps warm and cold results bit-identical.  Compaction drops a
+record whose budget is at most, and not equal to, another's for the same
+seed.
 
 Opening a store reads every line but decodes only its header: a class
 record is indexed by the seed, budget, status and figures it claims, and
@@ -97,24 +101,13 @@ def _body(line: bytes, line_no: int) -> bytes:
     return body
 
 
-class _malformed_is_corrupt:
-    """A record that does not decode (a missing field, a witness index out
-    of range, an invalid matrix, ...) raises :class:`CorruptRecord`.  A
-    class, not a generator, because open enters one per line."""
+# the errors a record that does not decode raises: a missing field, a
+# witness index out of range, an invalid matrix, ...
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError)
 
-    malformed = (KeyError, IndexError, TypeError, ValueError)
 
-    def __init__(self, line_no: int):
-        self.line_no = line_no
-
-    def __enter__(self):
-        pass
-
-    def __exit__(self, _type, exc, _tb):
-        if isinstance(exc, self.malformed) and not isinstance(exc, CorruptRecord):
-            raise CorruptRecord(
-                self.line_no, f"malformed class record ({type(exc).__name__}: {exc})"
-            ) from None
+def _malformed(line_no: int, exc: Exception) -> CorruptRecord:
+    return CorruptRecord(line_no, f"malformed class record ({type(exc).__name__}: {exc})")
 
 
 def _class_line(enum: ClassEnumeration) -> bytes:
@@ -196,15 +189,12 @@ def default_cache_dir() -> Path:
     return Path(base).expanduser() / "mutopo"
 
 
-def _dominated(budget: tuple, others) -> bool:
-    """Is ``budget`` strictly below one of ``others``, componentwise?  A
-    depth of None is unbounded."""
-    am, ae, ad = budget
-    for bm, be, bd in others:
-        le = am <= bm and ae <= be and (bd is None or (ad is not None and ad <= bd))
-        if le and (am, ae, ad) != (bm, be, bd):
-            return True
-    return False
+def _at_most(a: tuple, b: tuple) -> bool:
+    """The one budget order: is each cap of the ``(members, entry, depth)``
+    triple ``a`` at most the same cap of ``b``?  A depth of None is
+    unbounded."""
+    (am, ae, ad), (bm, be, bd) = a, b
+    return am <= bm and ae <= be and (bd is None or (ad is not None and ad <= bd))
 
 
 class Store:
@@ -312,15 +302,17 @@ class Store:
             return
         if kind != "class":
             raise CorruptRecord(line_no, f"unknown record kind {kind!r}")
-        with _malformed_is_corrupt(line_no):  # indexed only: checked when first served
+        try:  # indexed only: checked when first served
             budget = Budget(*obj["budget"]).key()
             stats = map(operator.index, obj["stats"])
             entry = _Indexed(offset, line_no, obj["seed"], budget, obj["status"], *stats)
             by_budget = self._classes.setdefault(entry.seed, {})
-            if budget in by_budget:
-                self._skipped += 1
-            else:
-                by_budget[budget] = entry
+        except _MALFORMED as exc:
+            raise _malformed(line_no, exc) from None
+        if budget in by_budget:
+            self._skipped += 1
+        else:
+            by_budget[budget] = entry
 
     # -- class records -----------------------------------------------------
 
@@ -332,13 +324,9 @@ class Store:
         if (seed_hash, key) in self._widened:
             return self._widened[seed_hash, key]
         for other, enum in by_budget.items():
-            fits = (
-                enum.status == CLOSED
-                and enum.count <= budget.max_members
-                and enum.max_abs_entry <= budget.max_entry
-                and (budget.max_depth is None or enum.depth + 1 <= budget.max_depth)
-            )
-            if fits:
+            # a CLOSED run of depth d tried every sequence of length d + 1
+            usage = (enum.count, enum.max_abs_entry, enum.depth + 1)
+            if enum.status == CLOSED and _at_most(usage, key):
                 served = self._decoded(by_budget, other)
                 widened = ClassEnumeration(
                     served.seed, served.members, served.tripped, served.entry_witness, budget
@@ -360,10 +348,14 @@ class Store:
     def _verified(self, entry: _Indexed) -> ClassEnumeration:
         """Decode a record through its CRC, seed, member replay and figures checks."""
         header, _, members = _body(self._line(entry), entry.line_no).partition(b"\t")
-        with _malformed_is_corrupt(entry.line_no):
+        try:
             # MEMBERS holds integers only, and int() refuses the text of a float
             members = json.loads(members, parse_float=int)
             enum = _class_from_record(json.loads(header), members, entry.line_no)
+        except CorruptRecord:
+            raise
+        except _MALFORMED as exc:
+            raise _malformed(entry.line_no, exc) from None
         figures = (enum.seed.hash, enum.budget.key(), enum.status, enum.count,
                    enum.max_abs_entry, enum.depth)
         if figures != entry[2:]:
@@ -405,7 +397,8 @@ class Store:
         open skipped count among the records and the dropped."""
         records = self.stats()["records"] + self._skipped
         self._classes = {
-            seed: {key: rec for key, rec in by_budget.items() if not _dominated(key, by_budget)}
+            seed: {key: rec for key, rec in by_budget.items()
+                   if not any(other != key and _at_most(key, other) for other in by_budget)}
             for seed, by_budget in self._classes.items()
         }
         before = self._file_bytes()

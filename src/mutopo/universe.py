@@ -14,6 +14,7 @@ silently misclassify when an UNKNOWN verdict could change the answer.
 from __future__ import annotations
 
 import json
+import operator
 from collections import namedtuple
 from itertools import combinations, product
 
@@ -105,44 +106,56 @@ class Universe(FrozenRecord):
 
 # --- seed generation ---------------------------------------------------------
 
-def iter_quiver_seeds(rank_cap: int, entry_cap: int):
-    """All skew-symmetric matrices (no frozen indices) with size <= rank_cap
-    and entries bounded by entry_cap."""
+def _iter_seeds(rank_cap: int, pair_options, frozen: bool):
+    """Matrices of size <= rank_cap with each (b_ij, b_ji), i < j, one of
+    ``pair_options``; with ``frozen``, over every split with a mutable index."""
     for size in range(1, rank_cap + 1):
         pairs = list(combinations(range(size), 2))
-        for values in product(range(-entry_cap, entry_cap + 1), repeat=len(pairs)):
-            rows = [[0] * size for _ in range(size)]
-            for (i, j), v in zip(pairs, values):
-                rows[i][j] = v
-                rows[j][i] = -v
-            yield build(size, 0, rows)
-
-
-def iter_skew_seeds(rank_cap: int, entry_cap: int):
-    """All skew-symmetrizable matrices with size <= rank_cap, entries bounded
-    by entry_cap, over every mutable/frozen split with at least one mutable
-    index.  Sign-coherent candidates that admit no symmetrizer are skipped."""
-    pair_options = [(0, 0)]
-    for a in range(1, entry_cap + 1):
-        for c in range(1, entry_cap + 1):
-            pair_options.append((a, -c))
-            pair_options.append((-a, c))
-    for size in range(1, rank_cap + 1):
-        pairs = list(combinations(range(size), 2))
-        for m in range(size):
-            n = size - m
+        for m in range(size if frozen else 1):
             for values in product(pair_options, repeat=len(pairs)):
                 rows = [[0] * size for _ in range(size)]
                 for (i, j), (x, y) in zip(pairs, values):
                     rows[i][j] = x
                     rows[j][i] = y
                 try:
-                    yield build(n, m, rows)
+                    yield build(size - m, m, rows)
                 except NotSkewSymmetrizable:
                     continue
 
 
+def iter_quiver_seeds(rank_cap: int, entry_cap: int):
+    """All skew-symmetric matrices (no frozen indices) with size <= rank_cap
+    and entries bounded by entry_cap."""
+    return _iter_seeds(rank_cap, [(v, -v) for v in range(-entry_cap, entry_cap + 1)], False)
+
+
+def iter_skew_seeds(rank_cap: int, entry_cap: int):
+    """All skew-symmetrizable matrices with size <= rank_cap, entries bounded
+    by entry_cap, over every mutable/frozen split with at least one mutable
+    index.  Sign-coherent candidates that admit no symmetrizer are skipped."""
+    caps = range(1, entry_cap + 1)
+    pairs = [pair for a in caps for c in caps for pair in ((a, -c), (-a, c))]
+    return _iter_seeds(rank_cap, [(0, 0)] + pairs, True)
+
+
 _FAMILIES = {"quiver": iter_quiver_seeds, "skew": iter_skew_seeds}
+
+
+def _check_params(rank_cap, entry_cap, family, classes) -> None:
+    """The one check of a universe's parameters, at build and at load: r >= 1,
+    w >= 0, a known family, and each class seed of size <= r, entries <= w,
+    and a quiver in the quiver family.  Raises ValueError."""
+    if family not in _FAMILIES:
+        raise ValueError(f"universe param family is {family!r}, not quiver or skew")
+    for name, value, least in (("r", rank_cap, 1), ("w", entry_cap, 0)):
+        if type(value) is not int or value < least:  # a JSON true is no integer here
+            raise ValueError(f"universe param {name} is {value!r}, not an integer >= {least}")
+    for cls in classes:
+        seed = cls.seed
+        if (seed.size > rank_cap or seed.max_abs_entry > entry_cap
+                or family == "quiver" and not seed.is_quiver):
+            raise ValueError(f"universe class {cls.hash[:12]} has seed {to_inline(seed)}, "
+                             f"outside r={rank_cap} w={entry_cap} family {family}")
 
 
 def collect_classes(seeds, budget: Budget, store=None) -> list[UniverseClass]:
@@ -186,25 +199,21 @@ def build_universe(
 
     ``family`` selects the seed matrices: "quiver" (skew-symmetric, no
     frozen indices, the default) or "skew" (all skew-symmetrizable splits).
+    Given ``seeds`` replace the family's, and must lie within r, w and the
+    family, as a universe file's must: else ValueError.
     The relation is anchored at each class's ``seed``, the canonical seed
     :func:`collect_classes` enumerated, so every class is enumerated once
     and its enumeration serves every pair it is a side of.  Without a
     store, the build memoizes in an in-memory one.
     """
-    if rank_cap < 1:
-        raise ValueError("rank cap must be at least 1")
-    if entry_cap < 0:
-        raise ValueError("entry cap must be non-negative")
-    if seeds is None:
-        try:
-            seeds = _FAMILIES[family](rank_cap, entry_cap)
-        except KeyError:
-            raise ValueError(f"unknown family {family!r}") from None
+    if seeds is None:  # an unknown family has no seeds, and the check refuses it
+        seeds = _FAMILIES[family](rank_cap, entry_cap) if family in _FAMILIES else ()
     if store is None:
         from .store import Store  # only here: a universe file is read without the cache
 
         store = Store()
     classes = collect_classes(seeds, budget, store)
+    _check_params(rank_cap, entry_cap, family, classes)
     reps = [cls.seed for cls in classes]
     relation, witnesses = [], []
     for i, p in enumerate(reps):
@@ -221,7 +230,9 @@ def build_universe(
 def _as_index_set(u: Universe, selection) -> set[int]:
     out = set()
     for item in selection:
-        out.add(u.index_of(item) if isinstance(item, str) else int(item))
+        if isinstance(item, bool):  # operator.index takes True as 1
+            raise TypeError(f"class index must be an integer, not {item}")
+        out.add(u.index_of(item) if isinstance(item, str) else operator.index(item))
     for i in out:
         if not 0 <= i < len(u):
             raise KeyError(f"class index {i} out of range")
@@ -327,19 +338,11 @@ def hasse_to_dot(h: HasseDiagram) -> str:
         "  rankdir=BT;",
         '  node [shape=box fontname="monospace"];',
     ]
-    for cls in h.universe.classes:
-        short = cls.hash[:12]
-        label = f"{short}\\n{to_inline(cls.key.form.matrix)}"
-        lines.append(f'  "{short}" [label="{label}"];')
-    for i, j in h.edges:
-        lines.append(
-            f'  "{h.universe.classes[i].hash[:12]}" -> "{h.universe.classes[j].hash[:12]}";'
-        )
-    for i, j in h.unknown:
-        lines.append(
-            f'  "{h.universe.classes[i].hash[:12]}" -> '
-            f'"{h.universe.classes[j].hash[:12]}" [style=dashed label="?"];'
-        )
+    short = [cls.hash[:12] for cls in h.universe.classes]
+    for name, cls in zip(short, h.universe.classes):
+        lines.append(f'  "{name}" [label="{name}\\n{to_inline(cls.key.form.matrix)}"];')
+    lines += [f'  "{short[i]}" -> "{short[j]}";' for i, j in h.edges]
+    lines += [f'  "{short[i]}" -> "{short[j]}" [style=dashed label="?"];' for i, j in h.unknown]
     lines.append("}")
     return "\n".join(lines)
 
@@ -405,17 +408,7 @@ def universe_from_json(obj: dict) -> Universe:
     try:
         params = obj["params"]
         family = params.get("family", "quiver")
-        if family not in _FAMILIES:
-            raise ValueError(f"universe param family is {family!r}, not quiver or skew")
-        for name, least in (("r", 1), ("w", 0)):
-            value = params[name]
-            if type(value) is not int or value < least:  # a JSON true is no integer here
-                raise ValueError(f"universe param {name} is {value!r}, not an integer >= {least}")
-        budget = Budget(
-            params["budget"]["max_members"],
-            params["budget"]["max_entry"],
-            params["budget"]["max_depth"],
-        )
+        budget = Budget(*(params["budget"][cap] for cap in Budget._fields))
         classes, seen = [], set()
         for entry in obj["classes"]:
             matrix = from_json_dict(entry["matrix"])
@@ -427,10 +420,12 @@ def universe_from_json(obj: dict) -> Universe:
                 raise ValueError(f"{name} is listed twice")
             if entry["status"] not in (CLOSED, TRUNCATED):
                 raise ValueError(f"{name} has status {entry['status']!r}, not {CLOSED} or {TRUNCATED}")
+            seed = from_json_dict(entry["seed"])
+            if (seed.n, seed.m) != (matrix.n, matrix.m):
+                raise ValueError(f"{name} has a seed of another shape than its matrix")
             seen.add(form)
-            classes.append(
-                UniverseClass(ClassKey(form, entry["status"]), from_json_dict(entry["seed"]))
-            )
+            classes.append(UniverseClass(ClassKey(form, entry["status"]), seed))
+        _check_params(params["r"], params["w"], family, classes)
         relation = tuple(tuple(row) for row in obj["relation"])
         if len(relation) != len(classes) or any(len(row) != len(classes) for row in relation):
             raise ValueError("universe relation shape does not match the class list")

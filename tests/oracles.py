@@ -12,14 +12,17 @@ Two exceptions use the package's canonical forms, as references for
 witness ``embeds`` returns, and :func:`reference_bfs`, the class BFS that
 canonicalizes every child but the way back to its discovering parent.
 Likewise :func:`reference_lex_min` fixes which minimizing permutation the
-canonical search returns, among the many that a symmetric matrix has.
+canonical search returns, among the many that a symmetric matrix has, and
+:func:`reference_quiver_seeds` and :func:`reference_skew_seeds`, the seed
+generators as two separate loops, fix which seeds a universe starts from,
+in which order.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 
@@ -318,3 +321,42 @@ def reference_lex_min(B):
                 seen.add(key)
             frontier.append((prefix, refined))
     return tuple(flat), frontier[0][0]
+
+
+def reference_quiver_seeds(rank_cap, entry_cap):
+    """``universe.iter_quiver_seeds``, seed for seed and in order."""
+    from mutopo import build
+
+    for size in range(1, rank_cap + 1):
+        pairs = list(combinations(range(size), 2))
+        for values in product(range(-entry_cap, entry_cap + 1), repeat=len(pairs)):
+            rows = [[0] * size for _ in range(size)]
+            for (i, j), v in zip(pairs, values):
+                rows[i][j] = v
+                rows[j][i] = -v
+            yield build(size, 0, rows)
+
+
+def reference_skew_seeds(rank_cap, entry_cap):
+    """``universe.iter_skew_seeds``, seed for seed and in order."""
+    from mutopo import build
+    from mutopo.matrix import NotSkewSymmetrizable
+
+    pair_options = [(0, 0)]
+    for a in range(1, entry_cap + 1):
+        for c in range(1, entry_cap + 1):
+            pair_options.append((a, -c))
+            pair_options.append((-a, c))
+    for size in range(1, rank_cap + 1):
+        pairs = list(combinations(range(size), 2))
+        for m in range(size):
+            n = size - m
+            for values in product(pair_options, repeat=len(pairs)):
+                rows = [[0] * size for _ in range(size)]
+                for (i, j), (x, y) in zip(pairs, values):
+                    rows[i][j] = x
+                    rows[j][i] = y
+                try:
+                    yield build(n, m, rows)
+                except NotSkewSymmetrizable:
+                    continue

@@ -454,7 +454,15 @@ def _bent_status(obj):
     return obj["classes"][1]["hash"]
 
 
-@pytest.mark.parametrize("edit", [_repeated_class, _bent_status], ids=["repeated", "status"])
+def _reshaped_seed(obj):
+    # a rank-3 seed in a rank-2 class, whose witnesses are range-checked against it
+    low = next(c for c in obj["classes"] if c["rank"] == 2)
+    low["seed"] = next(c for c in obj["classes"] if c["rank"] == 3)["seed"]
+    return low["hash"]
+
+
+@pytest.mark.parametrize("edit", [_repeated_class, _bent_status, _reshaped_seed],
+                         ids=["repeated", "status", "seed-shape"])
 def test_a_universe_file_with_a_bad_class_names_it(capsys, tmp_path, u31_file, edit):
     obj = json.loads(Path(u31_file).read_text())
     hash_ = edit(obj)

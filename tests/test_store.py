@@ -111,6 +111,42 @@ def test_closed_record_served_for_fitting_budgets(tmp_path, a3):
         assert store.get_class(seed, Budget(max_depth=1)) is None
 
 
+def test_a_closed_record_of_depth_d_is_served_from_max_depth_d_plus_one(tmp_path, a4):
+    enum = enumerate_class(a4)
+    d = enum.depth
+    with Store(tmp_path) as store:
+        store.put_class(enum)
+        seed = enum.seed.hash
+        assert store.get_class(seed, Budget(max_depth=d + 1)).members == enum.members
+        assert store.get_class(seed, Budget(max_depth=d)) is None
+        fits = Budget(enum.count, enum.max_abs_entry, d + 1)  # every cap at its usage
+        assert store.get_class(seed, fits).members == enum.members
+        for tighter in (fits._replace(max_members=enum.count - 1),
+                        fits._replace(max_entry=enum.max_abs_entry - 1)):
+            assert store.get_class(seed, tighter) is None
+
+
+@pytest.mark.parametrize(
+    "budgets, kept",
+    [
+        ((Budget(max_depth=3), Budget()), [Budget()]),
+        ((Budget(), Budget(max_depth=3)), [Budget()]),
+        ((Budget(max_members=2), Budget(max_members=1000, max_depth=3)),
+         [Budget(max_members=2), Budget(max_members=1000, max_depth=3)]),
+        ((Budget(max_members=2, max_depth=2), Budget(max_depth=3)), [Budget(max_depth=3)]),
+    ],
+    ids=["finite-below-none", "none-above-finite", "none-beside-finite", "both-finite"],
+)
+def test_compact_orders_depths_with_none_unbounded(tmp_path, a3, budgets, kept):
+    with Store(tmp_path) as store:
+        for budget in budgets:
+            store.put_class(enumerate_class(a3, budget))
+        stats = store.compact()
+    assert stats["kept"] == len(kept) and stats["dropped"] == len(budgets) - len(kept)
+    with Store(tmp_path) as store:
+        assert sorted(store._classes[canonical_form(a3).hash]) == sorted(b.key() for b in kept)
+
+
 def test_truncated_record_needs_exact_budget(tmp_path, w333):
     budget = Budget(max_entry=6)
     enum = enumerate_class(w333, budget)
@@ -623,6 +659,23 @@ def test_a_status_that_contradicts_its_caps_fails_when_served(tmp_path, a3, w333
                 store.get_class(enum.seed.hash, wanted)
             assert err.value.line_no == 2
         assert store.get_class(canonical_form(a3).hash, Budget()) == enumerate_class(a3)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_seed_second, "the first member is not the seed"),
+     (_witness_to_seed, "member 2 fails witness replay")],
+    ids=["not-the-seed", "replay"],
+)
+def test_a_record_check_keeps_its_own_message(tmp_path, a3, edit, message):
+    # a CorruptRecord from the record's own checks is not reworded as malformed
+    with Store(tmp_path) as store:
+        store.put_class(enumerate_class(a3))
+    _rewrite_record(tmp_path / "cache.jsonl", 0, edit)
+    with Store(tmp_path) as store:
+        with pytest.raises(CorruptRecord) as err:
+            store.get_class(canonical_form(a3).hash, Budget())
+    assert str(err.value) == f"cache line 1: {message}"
 
 
 def test_wider_budget_shares_one_view(tmp_path, a4):

@@ -1,10 +1,12 @@
 import json
 import random
-from itertools import combinations
+from itertools import chain, combinations
+from math import gcd
 
 import pytest
 
 import mutopo.classes as classes_module
+import oracles
 from conftest import weighted_pair
 from mutopo import (
     Budget,
@@ -18,6 +20,7 @@ from mutopo import (
     canonical_form,
     class_key,
     closure,
+    collect_classes,
     dump_universe,
     enumerate_class,
     hasse_to_dot,
@@ -31,6 +34,7 @@ from mutopo import (
     replay_embedding,
     restrict,
 )
+from mutopo.universe import _FAMILIES
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +194,35 @@ def test_skew_symmetry_decides_r3w2_skew_cells():
     assert sum(row.count("U") for row in u.relation) == 107
 
 
+def _four_test_rule(P, Q):
+    """seeds_separate as four independent tests: the shape, the fingerprint
+    at equal size, the entry gcd and the skew flag."""
+    if P.n > Q.n or P.m > Q.m:
+        return True
+    fingerprint = classes_module.mutation_fingerprint
+    if P.size == Q.size and fingerprint(P) != fingerprint(Q):
+        return True
+    g_p, g_q = gcd(*chain.from_iterable(P.b)), gcd(*chain.from_iterable(Q.b))
+    if g_p % g_q if g_q else g_p:
+        return True
+    return Q.is_skew_symmetric and not P.is_skew_symmetric
+
+
+def test_seeds_separate_at_equal_size_reads_the_fingerprint_alone():
+    # equal fingerprints hold equal shapes, entry gcds and skew flags, so
+    # the three other tests can never separate a pair of equal size
+    store = Store()
+    seeds = [cls.seed for rank, weight, family in ((3, 2, "skew"), (4, 1, "quiver"))
+             for cls in collect_classes(_FAMILIES[family](rank, weight), Budget(), store)]
+    assert len(seeds) == 205 + 21
+    equal_size = 0
+    for P in seeds:
+        for Q in seeds:
+            assert classes_module.seeds_separate(P, Q) == _four_test_rule(P, Q), (P.b, Q.b)
+            equal_size += P.size == Q.size
+    assert equal_size > 39_000
+
+
 def test_a_universe_build_fingerprints_each_class_seed_once(monkeypatch):
     # every pair of equal size asks for both seeds' fingerprints, and each
     # computation runs one spanning search: 33,862 of them if none is kept
@@ -294,6 +327,18 @@ class TestClosure:
         cls = broken.classes[1]
         with pytest.raises(UnresolvedRelation, match=f"class {cls.hash[:12]} in the {name} is"):
             op(broken, [broken.classes[2].hash])
+
+    @pytest.mark.parametrize("item", [True, False, 1.9, 1.0, None],
+                             ids=["true", "false", "float", "whole-float", "none"])
+    def test_a_selection_item_that_is_no_integer_or_hash_is_refused(self, u23, item):
+        with pytest.raises(TypeError):
+            closure(u23, [item])
+        with pytest.raises(TypeError):
+            open_set_generated(u23, [item])
+
+    def test_a_selection_reads_integer_indices_and_hashes_alike(self, u23):
+        by_hash = closure(u23, [u23.classes[1].hash])
+        assert closure(u23, [1]) == by_hash
 
     def test_unknown_member_of_selection_is_fine_when_dominated(self, u23):
         # a U entry cannot change membership once another Y includes the class
@@ -508,6 +553,32 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             load_universe(json.dumps(obj))
 
+    def test_a_seed_of_another_shape_than_its_matrix_rejected(self, u32):
+        # the seed a rank-2 class's witnesses are range-checked against
+        obj = json.loads(dump_universe(u32))
+        low = next(c for c in obj["classes"] if c["rank"] == 2)
+        low["seed"] = next(c for c in obj["classes"] if c["rank"] == 3)["seed"]
+        with pytest.raises(ValueError, match=f"class {low['hash'][:12]} has a seed of another shape"):
+            load_universe(json.dumps(obj))
+
+    @pytest.mark.parametrize("params", [{"r": 1}, {"w": 1}, {"w": 0}, {"family": "skew"}],
+                             ids=["r", "w", "w-zero", "family"])
+    def test_a_class_seed_outside_the_params_is_rejected_at_load(self, params):
+        # r3 w2 quiver seeds: rank 3, entries up to 2, no frozen index
+        obj = json.loads(dump_universe(build_universe(3, 2)))
+        obj["params"].update(params)
+        if params == {"family": "skew"}:  # a quiver passes as a skew seed
+            assert load_universe(json.dumps(obj)).family == "skew"
+            return
+        with pytest.raises(ValueError, match=r"universe class \w{12} has seed .*, outside r="):
+            load_universe(json.dumps(obj))
+
+    def test_a_skew_seed_in_a_quiver_file_is_rejected(self):
+        obj = json.loads(dump_universe(build_universe(2, 1, family="skew")))
+        obj["params"]["family"] = "quiver"
+        with pytest.raises(ValueError, match="outside r=2 w=1 family quiver"):
+            load_universe(json.dumps(obj))
+
     def test_missing_family_means_quiver(self, u23):
         obj = json.loads(dump_universe(u23))
         del obj["params"]["family"]
@@ -520,7 +591,43 @@ class TestSerialization:
             u23.find("zzzz")
 
 
+class TestBuildAndLoadAgree:
+    """Build refuses what load refuses: the caps, the family, and the class
+    seeds against them are one check."""
+
+    def test_an_unknown_family_with_given_seeds_fails_at_build(self):
+        # once built it would dump to a file that load refuses
+        with pytest.raises(ValueError, match="universe param family is 'bogus'"):
+            build_universe(2, 1, family="bogus", seeds=list(iter_quiver_seeds(2, 1)))
+
+    def test_an_unknown_family_without_seeds_fails_at_build(self):
+        with pytest.raises(ValueError, match="universe param family is 'bogus'"):
+            build_universe(2, 1, family="bogus")
+
+    def test_given_seeds_above_the_caps_fail_at_build_and_at_load(self):
+        seeds = list(iter_quiver_seeds(3, 2))
+        with pytest.raises(ValueError, match="outside r=1 w=0 family quiver"):
+            build_universe(1, 0, seeds=seeds)
+        # the file such a build once wrote: 15 classes up to rank 3 under r=1, w=0
+        u = build_universe(3, 2, seeds=seeds)
+        assert len(u) == 15 and max(cls.rank for cls in u.classes) == 3
+        obj = json.loads(dump_universe(u))
+        obj["params"].update(r=1, w=0)
+        with pytest.raises(ValueError, match="outside r=1 w=0 family quiver"):
+            load_universe(json.dumps(obj))
+
+    @pytest.mark.parametrize("caps", [(0, 1), (2, -1), (True, 1), (2, False)],
+                             ids=["r-zero", "w-negative", "r-bool", "w-bool"])
+    def test_caps_out_of_range_fail_at_build(self, caps):
+        with pytest.raises(ValueError, match="universe param [rw] is "):
+            build_universe(*caps)
+
+
 class TestSeedIterators:
+    def test_the_generators_match_the_two_loop_reference(self):
+        assert list(iter_quiver_seeds(4, 1)) == list(oracles.reference_quiver_seeds(4, 1))
+        assert list(iter_skew_seeds(3, 2)) == list(oracles.reference_skew_seeds(3, 2))
+
     def test_quiver_seed_count(self):
         # size 2 with entries in [-2, 2]: five matrices plus the point
         assert sum(1 for _ in iter_quiver_seeds(2, 2)) == 6
