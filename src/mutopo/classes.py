@@ -364,9 +364,9 @@ def class_key(
     return ClassKey(enum.least().form, enum.status)
 
 
-# a universe build asks for each class seed's fingerprint once per pair of
-# equal size; bounded, so a build with more classes of one size than it
-# holds computes a fingerprint per pair
+# a universe build asks for both class seeds' fingerprints at each pair past
+# the shape test; bounded, so a build with more classes than it holds
+# computes a fingerprint per pair
 @lru_cache(maxsize=1 << 10)
 def mutation_fingerprint(B: ExchangeMatrix) -> tuple:
     """Cheap mutation-class invariants, used to certify that two classes differ.
@@ -397,25 +397,25 @@ def mutation_fingerprint(B: ExchangeMatrix) -> tuple:
 def seeds_separate(P: ExchangeMatrix, Q: ExchangeMatrix) -> bool:
     """Do invariants of the two seeds rule out [P] embedding into [Q]?
 
-    None needs an enumeration: the shape (a restriction keeps no more
-    mutable or frozen indices); at equal rank, the :func:`mutation_fingerprint`
-    alone, which holds each component's entry gcd and skew flag; else the
-    entry gcd (0 for a zero matrix), as gcd(Q) must divide gcd(P): it is D_1,
-    the first determinantal divisor, which mutation keeps, being a product
-    with unimodular integer matrices (Berenstein, Fomin & Zelevinsky,
-    "Cluster algebras III", Duke Math. J. 126, 2005, Lemma 3.2), and a
-    restriction keeps a subset of the entries; and skew-symmetry, which
-    mutation keeps both ways and a restriction keeps, so a skew-symmetric Q
-    rules out a P that is not.
+    None needs an enumeration.  Past the shape (a restriction keeps no more
+    mutable or frozen indices), each reads the seeds' :func:`mutation_fingerprint`
+    alone: at equal size they must agree; across sizes gcd(Q), the gcd of
+    the component gcds (0 for a zero matrix), must divide gcd(P), as it is
+    D_1, the first determinantal divisor, which mutation keeps, being a
+    product with unimodular integer matrices (Berenstein, Fomin &
+    Zelevinsky, "Cluster algebras III", Duke Math. J. 126, 2005, Lemma 3.2),
+    and a restriction keeps a subset of the entries; and a skew-symmetric Q
+    (every component skew) rules out a P that is not: both keep it.
     """
     if P.n > Q.n or P.m > Q.m:
         return True
+    fp_p, fp_q = mutation_fingerprint(P), mutation_fingerprint(Q)
     if P.size == Q.size:
-        return mutation_fingerprint(P) != mutation_fingerprint(Q)
-    g_p, g_q = gcd(*chain.from_iterable(P.b)), gcd(*chain.from_iterable(Q.b))
-    if g_p % g_q if g_q else g_p:
-        return True
-    return Q.is_skew_symmetric and not P.is_skew_symmetric
+        return fp_p != fp_q
+    # fp[2] holds (size, mutable count, entry gcd, skew flag) per component
+    g_p, g_q = (gcd(*(g for *_, g, _ in fp[2])) for fp in (fp_p, fp_q))
+    skew_p, skew_q = (all(skew for *_, skew in fp[2]) for fp in (fp_p, fp_q))
+    return gcd(g_p, g_q) != g_q or skew_q and not skew_p
 
 
 def _rank3_weight_invariant(B: ExchangeMatrix, i: int = 0, j: int = 1, k: int = 2) -> int:

@@ -2,7 +2,8 @@
 mutation-acyclicity and arrow abundance (rows of the table
 :data:`~mutopo.classes.HEREDITARY`), isolated-quiver avoidance, and
 bounded universality.  All verdicts are tri-valued; NO and YES are asserted
-only on evidence that survives the budget, UNKNOWN otherwise.
+only on evidence that survives the budget, UNKNOWN otherwise.  An integer
+parameter is an exact int, as a universe's r and w are; else ValueError.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .classes import (
 from .embed import embeds
 from .matrix import ExchangeMatrix, build
 from .store import Store
-from .universe import collect_classes, iter_quiver_seeds
+from .universe import _check_int, collect_classes, iter_quiver_seeds
 
 
 def is_avoiding(
@@ -63,8 +64,7 @@ def is_N_abundant(
 ) -> Verdict:
     """Has every member at least `min_arrows` arrows at each pair of mutable
     indices?  The table's row :func:`~mutopo.classes.abundance`."""
-    if min_arrows < 1:
-        raise ValueError("the arrow bound must be at least 1")
+    _check_int("arrow bound", min_arrows, 1)
     return _lookup(B, budget, store, abundance, min_arrows)
 
 
@@ -77,8 +77,7 @@ def in_E_N(
     B: ExchangeMatrix, bound: int, budget: Budget = DEFAULT_BUDGET, store=None
 ) -> Verdict:
     """Does [B] avoid the arrowless quiver on bound+1 vertices?"""
-    if bound < 1:
-        raise ValueError("the bound must be at least 1")
+    _check_int("bound", bound, 1)
     return is_avoiding(B, [isolated_quiver(bound + 1)], budget, store)
 
 
@@ -93,10 +92,8 @@ def is_k_universal_bounded(
     YES when every test class embeds, UNKNOWN otherwise.  Without a store,
     the calls share an in-memory one, so [Q] is enumerated once.
     """
-    if k < 2:
-        raise ValueError("universality is defined for k >= 2")
-    if entry_cap < 0:
-        raise ValueError("entry cap must be non-negative")
+    _check_int("k", k, 2)
+    _check_int("entry cap", entry_cap, 0)
     store = Store() if store is None else store
     test_classes = collect_classes(iter_quiver_seeds(k, entry_cap), budget, store)
     return _every((embeds(cls.seed, Q, budget, store).verdict for cls in test_classes), Verdict.NO)

@@ -141,15 +141,22 @@ def iter_skew_seeds(rank_cap: int, entry_cap: int):
 _FAMILIES = {"quiver": iter_quiver_seeds, "skew": iter_skew_seeds}
 
 
+def _check_int(label: str, value, least: int) -> None:
+    """The one check of an integer parameter: an exact int of at least `least`,
+    so no bool (a JSON true loads as one), float or numpy scalar.  Raises
+    ValueError."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{label} is {value!r}, not an integer >= {least}")
+
+
 def _check_params(rank_cap, entry_cap, family, classes) -> None:
     """The one check of a universe's parameters, at build and at load: r >= 1,
     w >= 0, a known family, and each class seed of size <= r, entries <= w,
     and a quiver in the quiver family.  Raises ValueError."""
     if family not in _FAMILIES:
         raise ValueError(f"universe param family is {family!r}, not quiver or skew")
-    for name, value, least in (("r", rank_cap, 1), ("w", entry_cap, 0)):
-        if type(value) is not int or value < least:  # a JSON true is no integer here
-            raise ValueError(f"universe param {name} is {value!r}, not an integer >= {least}")
+    _check_int("universe param r", rank_cap, 1)
+    _check_int("universe param w", entry_cap, 0)
     for cls in classes:
         seed = cls.seed
         if (seed.size > rank_cap or seed.max_abs_entry > entry_cap
@@ -423,6 +430,8 @@ def universe_from_json(obj: dict) -> Universe:
             seed = from_json_dict(entry["seed"])
             if (seed.n, seed.m) != (matrix.n, matrix.m):
                 raise ValueError(f"{name} has a seed of another shape than its matrix")
+            if type(entry["rank"]) is not int or entry["rank"] != matrix.size:
+                raise ValueError(f"{name} has rank {entry['rank']!r}, not its size {matrix.size}")
             seen.add(form)
             classes.append(UniverseClass(ClassKey(form, entry["status"]), seed))
         _check_params(params["r"], params["w"], family, classes)

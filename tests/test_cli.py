@@ -234,7 +234,7 @@ class TestPropertyVerbs:
         code, out, err = run(capsys, "universal", "NC", "-k", "2", "-w", "-1",
                              "--matrix", "0 1 0;-1 0 1;0 -1 0")
         assert (code, out) == (1, "")
-        assert "entry cap must be non-negative" in err
+        assert "entry cap is -1, not an integer >= 0" in err
 
     def test_density_witness(self, capsys, files):
         code, out, _ = run(capsys, "density-witness", files["markov"], files["a3"])

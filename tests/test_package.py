@@ -4,7 +4,9 @@
 the same 75 names, each the defining module's object.  The checks of the
 names run in a fresh interpreter, where nothing has touched them yet."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +97,24 @@ def test_an_unknown_name_is_an_attribute_error():
     # so `from mutopo import nosuch` falls back to a submodule import, and fails
     with pytest.raises(ImportError):
         from mutopo import nosuch  # noqa: F401
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py is left out: its imports are the package's re-exports
+    unused = []
+    for path in sorted(Path(mutopo.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.partition(".")[0], node.lineno)
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

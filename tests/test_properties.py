@@ -135,5 +135,24 @@ class TestBoundedUniversality:
 
     def test_entry_cap_must_be_non_negative(self, a3):
         # with no cap check the test set holds only the rank-1 class: YES
-        with pytest.raises(ValueError, match="entry cap must be non-negative"):
+        with pytest.raises(ValueError, match="entry cap is -1, not an integer >= 0"):
             is_k_universal_bounded(a3, 2, -1)
+
+
+# each checker's integer parameters, with the least value each takes
+INTEGER_PARAMETERS = {
+    "k": (lambda Q, v: is_k_universal_bounded(Q, v, 1), 2),
+    "entry cap": (lambda Q, v: is_k_universal_bounded(Q, 2, v), 0),
+    "arrow bound": (lambda Q, v: is_N_abundant(Q, v), 1),
+    "bound": (lambda Q, v: in_E_N(Q, v), 1),
+}
+
+
+@pytest.mark.parametrize("label", INTEGER_PARAMETERS)
+def test_an_integer_parameter_is_an_exact_int_of_at_least_its_least(a3, label):
+    # as for a universe's r and w: True once answered as 1 and 1.5 as 2,
+    # and in_E_N(a3, 1.5) failed with a TypeError inside range
+    check, least = INTEGER_PARAMETERS[label]
+    for value in (True, 1.5, None, least - 1):
+        with pytest.raises(ValueError, match=rf"^{label} is {value!r}, not an integer >= {least}$"):
+            check(a3, value)

@@ -11,6 +11,7 @@ from conftest import weighted_pair
 from mutopo import (
     Budget,
     EmbedVerdict,
+    ExchangeMatrix,
     Store,
     UnresolvedRelation,
     Universe,
@@ -208,19 +209,27 @@ def _four_test_rule(P, Q):
     return Q.is_skew_symmetric and not P.is_skew_symmetric
 
 
-def test_seeds_separate_at_equal_size_reads_the_fingerprint_alone():
+def test_seeds_separate_reads_the_fingerprints_alone(monkeypatch):
     # equal fingerprints hold equal shapes, entry gcds and skew flags, so
-    # the three other tests can never separate a pair of equal size
+    # the three other tests can never separate a pair of equal size; across
+    # sizes the gcd and skew tests read the fingerprints, not the matrices
     store = Store()
     seeds = [cls.seed for rank, weight, family in ((3, 2, "skew"), (4, 1, "quiver"))
              for cls in collect_classes(_FAMILIES[family](rank, weight), Budget(), store)]
     assert len(seeds) == 205 + 21
-    equal_size = 0
-    for P in seeds:
-        for Q in seeds:
-            assert classes_module.seeds_separate(P, Q) == _four_test_rule(P, Q), (P.b, Q.b)
-            equal_size += P.size == Q.size
-    assert equal_size > 39_000
+    pairs = [(P, Q) for P in seeds for Q in seeds]
+    reference = [_four_test_rule(P, Q) for P, Q in pairs]
+
+    def unread(_):
+        raise AssertionError("seeds_separate read a matrix's skew flag")
+
+    monkeypatch.setattr(ExchangeMatrix, "is_skew_symmetric", property(unread))
+    for (P, Q), expected in zip(pairs, reference):
+        assert classes_module.seeds_separate(P, Q) == expected, (P.b, Q.b)
+    assert sum(P.size == Q.size for P, Q in pairs) > 39_000
+    # the cross-size pairs past the shape test that the gcd or skew test separates
+    assert sum(expected for (P, Q), expected in zip(pairs, reference)
+               if P.size < Q.size and P.n <= Q.n and P.m <= Q.m) == 405
 
 
 def test_a_universe_build_fingerprints_each_class_seed_once(monkeypatch):
@@ -559,6 +568,16 @@ class TestSerialization:
         low = next(c for c in obj["classes"] if c["rank"] == 2)
         low["seed"] = next(c for c in obj["classes"] if c["rank"] == 3)["seed"]
         with pytest.raises(ValueError, match=f"class {low['hash'][:12]} has a seed of another shape"):
+            load_universe(json.dumps(obj))
+
+    @pytest.mark.parametrize("size, rank", [(2, 7), (2, 1), (2, 2.0), (1, True)],
+                             ids=["above", "below", "float", "bool"])
+    def test_a_rank_other_than_the_matrix_size_rejected(self, size, rank):
+        # once loaded, such a file would be dumped again with the true rank
+        obj = json.loads(dump_universe(build_universe(2, 1)))
+        entry = next(c for c in obj["classes"] if c["rank"] == size)
+        entry["rank"] = rank
+        with pytest.raises(ValueError, match=f"class {entry['hash'][:12]} has rank {rank!r}, "):
             load_universe(json.dumps(obj))
 
     @pytest.mark.parametrize("params", [{"r": 1}, {"w": 1}, {"w": 0}, {"family": "skew"}],
