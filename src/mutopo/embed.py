@@ -27,7 +27,7 @@ from .classes import (
     seeds_separate,
     separates,
 )
-from .matrix import ExchangeMatrix, apply_sequence, disjoint_union, restrict
+from .matrix import ExchangeMatrix, _union_layout, apply_sequence, disjoint_union, restrict
 
 
 class EmbedWitness(namedtuple("EmbedWitness", "q_sequence subset p_sequence")):
@@ -206,14 +206,12 @@ def density_witness(
     blocks.
     """
     R = disjoint_union(P, Q)
-    relabel = canonical_relabeling(R)  # new position -> old index, 1-based
-    new_of_old = {old: new for new, old in enumerate(relabel, start=1)}
-    p_block = list(range(1, P.n + 1)) + [
-        P.n + Q.n + i for i in range(1, P.m + 1)
-    ]
-    q_block = [i for i in range(1, R.size + 1) if i not in set(p_block)]
-    subset_p = tuple(sorted(new_of_old[o] for o in p_block))
-    subset_q = tuple(sorted(new_of_old[o] for o in q_block))
-    verdict_p = EmbedVerdict(Verdict.YES, EmbedWitness((), subset_p, ()), DEFAULT_BUDGET)
-    verdict_q = EmbedVerdict(Verdict.YES, EmbedWitness((), subset_q, ()), DEFAULT_BUDGET)
+    layout = _union_layout(P, Q)
+    blocks = ([], [])  # the canonical positions, 1-based, that hold P's and Q's indices
+    for new, old in enumerate(canonical_relabeling(R), start=1):
+        blocks[layout[old - 1][0]].append(new)
+    verdict_p, verdict_q = (
+        EmbedVerdict(Verdict.YES, EmbedWitness((), tuple(block), ()), DEFAULT_BUDGET)
+        for block in blocks
+    )
     return R, verdict_p, verdict_q

@@ -231,26 +231,26 @@ def restrict(B: ExchangeMatrix, indices) -> ExchangeMatrix:
     return ExchangeMatrix(len(mutable), len(frozen), b)
 
 
+def _union_layout(P: ExchangeMatrix, Q: ExchangeMatrix) -> list[tuple[int, int]]:
+    """For each 0-based position of P ⊕ Q, its factor (0 for P, 1 for Q) and
+    its 0-based index there: P's mutable, Q's mutable, P's frozen, then Q's
+    frozen indices."""
+    return ([(0, i) for i in range(P.n)] + [(1, i) for i in range(Q.n)]
+            + [(0, i) for i in range(P.n, P.size)] + [(1, i) for i in range(Q.n, Q.size)])
+
+
 def disjoint_union(P: ExchangeMatrix, Q: ExchangeMatrix) -> ExchangeMatrix:
     """Block-diagonal union; mutable indices of both factors come first.
 
     The new index order is P-mutable, Q-mutable, P-frozen, Q-frozen, so
-    restricting to either block recovers the factor exactly.
+    restricting to either block recovers the factor exactly.  Entries are
+    placed by block, so P and Q may be one and the same matrix.
     """
-    sources = (
-        [(P, i) for i in range(P.n)]
-        + [(Q, i) for i in range(Q.n)]
-        + [(P, P.n + i) for i in range(P.m)]
-        + [(Q, Q.n + i) for i in range(Q.m)]
-    )
-    size = len(sources)
-    rows = []
-    for src_i, oi in sources:
-        row = []
-        for src_j, oj in sources:
-            row.append(src_i.b[oi][oj] if src_i is src_j else 0)
-        rows.append(tuple(row))
-    return ExchangeMatrix(P.n + Q.n, P.m + Q.m, tuple(rows))
+    layout = _union_layout(P, Q)
+    factors = (P.b, Q.b)
+    rows = tuple(tuple(factors[f][i][j] if f == g else 0 for g, j in layout)
+                 for f, i in layout)
+    return ExchangeMatrix(P.n + Q.n, P.m + Q.m, rows)
 
 
 def is_acyclic(B: ExchangeMatrix) -> bool:

@@ -429,10 +429,8 @@ class Store:
         return self.path.stat().st_size if self.path is not None and self.path.exists() else 0
 
     def stats(self) -> dict:
-        classes = sum(map(len, self._classes.values()))
         return {
-            "records": classes,
-            "classes": classes,
+            "records": sum(map(len, self._classes.values())),
             "skipped": self._skipped,
             "path": str(self.path),
         }

@@ -242,6 +242,16 @@ class TestPropertyVerbs:
         assert out.startswith("6 0\n")
         assert "P embeds: YES" in out and "Q embeds: YES" in out
 
+    def test_density_witness_json(self, capsys, files, markov, a3):
+        code, out, _ = run(capsys, "density-witness", files["markov"], files["a3"], "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"union", "p", "q"}
+        assert payload["union"] == to_json_dict(disjoint_union(markov, a3))
+        for side, factor in (("p", markov), ("q", a3)):
+            assert payload[side]["verdict"] == "YES"
+            assert len(payload[side]["witness"]["subset"]) == factor.size
+
 
 class TestUniversePipeline:
     def test_build_hasse_closure(self, capsys, files, a3):
@@ -337,6 +347,24 @@ class TestUniversePipeline:
         assert u.classes[lo].hash[:12] in err and u.classes[hi].hash[:12] in err
         assert run(capsys, "hasse", str(bad), "NC")[0] == 0  # only --json reads witnesses
 
+    def test_universe_without_output_prints_the_file(self, capsys):
+        code, out, _ = run(capsys, "universe", "-r", "2", "-w", "1", "NC")
+        assert code == 0
+        assert len(load_universe(out)) == 3
+
+    def test_partial_hasse_text_prints_each_unknown_pair(self, capsys, files):
+        target = files["dir"] / "u41.json"
+        code, _, _ = run(capsys, "universe", "-r", "4", "-w", "1", "-o", str(target), "NC")
+        assert code == 0
+        cells = sum(row.count("U") for row in load_universe(target.read_text()).relation)
+        code, out, _ = run(capsys, "hasse", str(target), "--partial", "NC")
+        assert code == 0
+        assert sum(" ?? " in line for line in out.splitlines()) == cells == 19
+
+    def test_closure_without_a_selection_is_an_error(self, capsys, u31_file):
+        code, out, err = run(capsys, "closure", u31_file, "NC")
+        assert (code, out) == (1, "") and "no classes selected" in err
+
     def test_unknown_relation_blocks_hasse(self, capsys, files):
         target = files["dir"] / "u33.json"
         code, _, _ = run(
@@ -425,6 +453,16 @@ def test_a_universe_file_with_bad_params_is_an_error(capsys, tmp_path, u31_file,
     bad.write_text(json.dumps(obj))
     code, out, err = run(capsys, "hasse", str(bad), "--partial", "--json", "NC")
     assert (code, out) == (1, "") and err.startswith("error: universe ")
+
+
+def test_a_universe_file_with_a_missing_relation_row_is_an_error(capsys, tmp_path, u31_file):
+    obj = json.loads(Path(u31_file).read_text())
+    obj["relation"].pop()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "hasse", str(bad), "--partial", "NC")
+    assert (code, out) == (1, "")
+    assert "universe relation shape does not match the class list" in err
 
 
 def test_every_json_budget_is_one_object(capsys, files, u31_file):
@@ -537,11 +575,20 @@ class TestCache:
         run(capsys, "class", files["a3"], "--cache-dir", str(cache_dir))
         with Store(cache_dir):  # another writer holds the lock
             code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(cache_dir))
-        assert code == 0 and "records=1 classes=1 skipped=0" in out
+        assert code == 0 and "records=1 skipped=0" in out
         missing = files["dir"] / "missing"
         code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(missing))
         assert code == 0 and "records=0" in out
         assert not missing.exists()
+
+    def test_a_call_falls_back_to_reading_when_another_writer_holds_the_lock(self, capsys, files):
+        cache_dir = files["dir"] / "cache9"
+        with Store(cache_dir):  # another writer holds the lock
+            before = sorted(p.name for p in cache_dir.iterdir())
+            code, out, _ = run(capsys, "class", files["a3"], "--cache-dir", str(cache_dir))
+            assert code == 0 and out.startswith("status=CLOSED")
+            assert sorted(p.name for p in cache_dir.iterdir()) == before
+        assert not (cache_dir / "cache.jsonl").exists()
 
     def test_stats_counts_the_lines_compact_drops(self, capsys, files):
         cache_dir = files["dir"] / "cache8"
@@ -549,11 +596,11 @@ class TestCache:
         older = Path(__file__).parent / "data" / "cache_r3w1_v1.jsonl"
         (cache_dir / "cache.jsonl").write_bytes(older.read_bytes())  # an older format
         code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(cache_dir))
-        assert code == 0 and "records=0 classes=0 skipped=56" in out
+        assert code == 0 and "records=0 skipped=56" in out
         code, out, _ = run(capsys, "cache", "compact", "--cache-dir", str(cache_dir))
         assert code == 0 and "records=56 kept=0 dropped=56" in out
         code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(cache_dir))
-        assert code == 0 and "records=0 classes=0 skipped=0" in out
+        assert code == 0 and "records=0 skipped=0" in out
 
     def test_warm_cache_repeats_output(self, capsys, files):
         cache_dir = str(files["dir"] / "cache3")

@@ -56,7 +56,9 @@ class TestEmbeds:
         assert replay_embedding(weighted_pair(5), cycle321, ev)
 
     def test_rank_drop_is_immediate_no(self, a3, a2):
-        assert embeds(a3, a2).verdict is Verdict.NO
+        ev = embeds(a3, a2)
+        assert ev.verdict is Verdict.NO
+        assert not replay_embedding(a3, a2, ev)  # a NO has nothing to replay
 
     def test_pool_mismatch_is_immediate_no(self):
         iced = build(1, 1, [[0, 1], [-1, 0]])
@@ -479,6 +481,8 @@ class TestDensityWitness:
         for _ in range(40):
             P = random_skew(rng, rng.randint(1, 3), rng.randint(0, 1))
             Q = random_quiver(rng, rng.randint(1, 3), 3)
-            R, vp, vq = density_witness(P, Q)
-            assert replay_embedding(P, R, vp)
-            assert replay_embedding(Q, R, vq)
+            for A, B in ((P, Q), (P, P)):  # (P, P): one object, two blocks
+                R, va, vb = density_witness(A, B)
+                assert replay_embedding(A, R, va)
+                assert replay_embedding(B, R, vb)
+                assert len(R.components()) == len(A.components()) + len(B.components())

@@ -94,6 +94,10 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(0, 1, [[0]])
 
+    def test_negative_frozen_count_rejected(self):
+        with pytest.raises(ValueError, match="^frozen index count must be non-negative$"):
+            build(1, -1, [[0]])
+
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             build(2, 0, [[0, 1, 0], [-1, 0, 0]])
@@ -249,6 +253,11 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict(a3, [1, 1])
 
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_out_of_range_rejected(self, a3, i):
+        with pytest.raises(ValueError, match=rf"^index {i} out of range 1\.\.3$"):
+            restrict(a3, [i])
+
     def test_statuses_preserved(self):
         B = build(2, 1, [[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
         sub = restrict(B, [2, 3])
@@ -262,6 +271,12 @@ class TestRestrict:
 class TestDisjointUnion:
     def test_pt_pt(self, pt, i2):
         assert disjoint_union(pt, pt).b == i2.b
+
+    def test_a2_a2_is_one_object_or_two(self, a2):
+        copy = build(2, 0, [list(row) for row in a2.b])
+        assert copy is not a2
+        assert disjoint_union(a2, a2) == disjoint_union(a2, copy)
+        assert not disjoint_union(a2, a2).is_connected
 
     def test_a2_pt(self, a2, pt):
         assert disjoint_union(a2, pt).b == ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
@@ -334,12 +349,24 @@ class TestFormats:
         assert set(obj) == {"mutable", "frozen", "b"}
         assert obj["mutable"] == 3 and obj["frozen"] == 0
 
+    def test_json_missing_key(self):
+        with pytest.raises(ValueError, match="^matrix object is missing key 'b'$"):
+            from_json_dict({"mutable": 1, "frozen": 0})
+
     def test_text_round_trip(self):
         B = build(1, 1, [[0, 2], [-1, 0]])
         assert from_text(to_text(B)) == B
 
     def test_text_format_shape(self, a2):
         assert to_text(a2) == "2 0\n0 1\n-1 0"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "^expected a first line 'n m' followed by matrix rows$"),
+        ("2 0 0 1 -1", "^expected 4 entries, got 3$"),
+    ], ids=["empty", "short"])
+    def test_text_errors(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            from_text(text)
 
     def test_inline(self):
         assert from_inline("0 1;-1 0") == weighted_pair(1)

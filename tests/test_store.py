@@ -591,7 +591,7 @@ def test_open_replays_nothing(monkeypatch, r3w2_cache):
             mutopo.store, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
         )
     with Store(r3w2_cache, readonly=True) as store:
-        assert store.stats()["classes"] == len(_class_lines(r3w2_cache)) > 1
+        assert store.stats()["records"] == len(_class_lines(r3w2_cache)) > 1
         assert calls == []
         for _, obj in _class_lines(r3w2_cache):  # serving replays and checks
             assert store.get_class(obj["seed"], Budget(*obj["budget"])) is not None
@@ -780,7 +780,8 @@ def test_a_cache_with_embed_lines_serves_its_classes_and_no_verdict(tmp_path):
     assert [obj["kind"] for obj in embed_lines] == ["embed"] * 13
     with Store(tmp_path, readonly=True) as store:
         stats = store.stats()
-        assert (stats["records"], stats["classes"], stats["skipped"]) == (7, 7, 13)
+        assert (stats["records"], stats["skipped"]) == (7, 13)
+        assert set(stats) == {"records", "skipped", "path"}
         _serves_fresh_classes(store, lines, seeds)
         for obj in embed_lines:
             assert store.get_embed(obj["p"], obj["q"], Budget(*obj["budget"])) is None
@@ -840,6 +841,17 @@ def test_garbled_member_list_fails_when_served_and_compacted(tmp_path, capsys):
     assert main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 1
     assert f"cache line {k}:" in capsys.readouterr().err
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("header, reason", [
+    (b"[1,2]", "header is not a JSON object"),
+    (b'{"kind":"note"}', "unknown record kind 'note'"),
+], ids=["array", "unknown-kind"])
+def test_a_header_that_is_no_record_fails_at_open(tmp_path, header, reason):
+    (tmp_path / "cache.jsonl").write_bytes(b"0\t" + header + b"\t[]\n")
+    with pytest.raises(CorruptRecord) as err:
+        Store(tmp_path, readonly=True)
+    assert str(err.value) == f"cache line 1: {reason}"
 
 
 def test_record_in_another_encoding_fails_its_checksum(tmp_path):

@@ -44,6 +44,11 @@ def u32():
 
 
 @pytest.fixture(scope="module")
+def u21():
+    return build_universe(2, 1)
+
+
+@pytest.fixture(scope="module")
 def u23():
     return build_universe(2, 3)
 
@@ -345,6 +350,15 @@ class TestClosure:
         with pytest.raises(TypeError):
             open_set_generated(u23, [item])
 
+    @pytest.mark.parametrize("lookup, message", [
+        (lambda u: u.index_of("0" * 64), "class 000000000000 is not in this universe"),
+        (lambda u: u.find(""), r"prefix '' is ambiguous \(3 matches\)"),
+        (lambda u: closure(u, [3]), "class index 3 out of range"),
+    ], ids=["unknown-hash", "ambiguous-prefix", "index-out-of-range"])
+    def test_a_class_the_universe_cannot_name_is_a_key_error(self, u21, lookup, message):
+        with pytest.raises(KeyError, match=message):
+            lookup(u21)
+
     def test_a_selection_reads_integer_indices_and_hashes_alike(self, u23):
         by_hash = closure(u23, [u23.classes[1].hash])
         assert closure(u23, [1]) == by_hash
@@ -433,6 +447,17 @@ class TestHasse:
             build_hasse(broken)
         partial = build_hasse(broken, partial=True)
         assert (1, 2) in partial.unknown
+
+    def test_a_cycle_of_two_distinct_classes_is_refused(self, u21):
+        rows = [list(row) for row in u21.relation]
+        rows[1][2] = rows[2][1] = "Y"
+        broken = Universe(
+            u21.rank_cap, u21.entry_cap, u21.budget, u21.family,
+            u21.classes, tuple(tuple(r) for r in rows),
+        )
+        one, two = (cls.hash[:12] for cls in u21.classes[1:3])
+        with pytest.raises(ValueError, match=f"^relation is not antisymmetric; .*{one} vs {two}"):
+            build_hasse(broken)
 
     def test_dot_output(self, u23, pt, i2):
         dot = hasse_to_dot(build_hasse(u23))
