@@ -56,36 +56,12 @@ class Finiteness(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
-class FrozenRecord:
-    """A plain immutable record, for one that keeps derived state beside its
-    fields and so cannot be a tuple.  ``__init__`` sets the ``_fields`` and
-    the derived state in ``vars(self)``; the fields compare, hash and print
-    by value, as ``Name(field=value, ...)``, and assigning any attribute
-    raises AttributeError.  ``cached_property`` writes ``vars(self)``
-    directly, so it still caches."""
-
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(map(vars(self).__getitem__, self._fields))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+def _refuse_new_attribute(self, name, value):
+    """The ``__setattr__`` of a record that keeps cached properties beside its
+    fields: a namedtuple subclass without ``__slots__``, whose instance dict
+    ``cached_property`` writes directly.  Its fields refuse assignment
+    already; this refuses any other attribute."""
+    raise AttributeError(f"cannot assign to attribute {name!r}")
 
 
 class Budget(namedtuple("Budget", "max_members max_entry max_depth")):
@@ -125,20 +101,17 @@ class Member(namedtuple("Member", "form witness reached")):
     __slots__ = ()
 
 
-class ClassEnumeration(FrozenRecord):
+class ClassEnumeration(namedtuple("ClassEnumeration", "seed members tripped entry_witness budget")):
     """The members of a class up to isomorphism, in BFS order from ``seed``;
     the caps that ``tripped`` under ``budget``; and ``entry_witness``, the
-    first child over the entry cap."""
+    first child over the entry cap.  Each fact derived from them by a pass
+    over the members is a cached property."""
 
-    _fields = ("seed", "members", "tripped", "entry_witness", "budget")
+    __setattr__ = _refuse_new_attribute
 
-    def __init__(self, seed: CanonicalForm, members: tuple[Member, ...], tripped: frozenset[str],
-                 entry_witness: ExchangeMatrix | None, budget: Budget):
-        vars(self).update(
-            seed=seed, members=members, tripped=tripped, entry_witness=entry_witness,
-            budget=budget, _index={mem.form: mem for mem in members},
-            verdicts={},  # see verdict()
-        )
+    @cached_property
+    def _index(self) -> dict[CanonicalForm, Member]:
+        return {mem.form: mem for mem in self.members}
 
     def member_for(self, form: CanonicalForm) -> Member | None:
         """The member whose canonical form equals ``form`` (same shape, same
@@ -182,13 +155,16 @@ class ClassEnumeration(FrozenRecord):
     def depth(self) -> int:
         return max(len(mem.witness) for mem in self.members)
 
+    @cached_property
     def least(self) -> Member:
-        """The member with the least canonical key, found once."""
-        return self._least
+        """The member with the least canonical key."""
+        return min(self.members, key=lambda mem: mem.form.key)
 
     @cached_property
-    def _least(self) -> Member:
-        return min(self.members, key=lambda mem: mem.form.key)
+    def thinnest(self) -> int | None:
+        """The least min(|b_ij|, |b_ji|) over the pairs of mutable indices of
+        the discovered members, or None at rank 1, where there is no pair."""
+        return _thinnest(mem.reached for mem in self.members)
 
     @cached_property
     def first_acyclic(self) -> Member | None:
@@ -225,12 +201,6 @@ class ClassEnumeration(FrozenRecord):
                         orbit.add(form)
                         frontier.append(child)
         return frozenset(orbit)
-
-    def verdict(self, row, arg=None) -> Verdict:
-        """The verdict of a row of :data:`HEREDITARY` on this class, cached."""
-        if (row, arg) not in self.verdicts:
-            self.verdicts[row, arg] = row(self, arg)
-        return self.verdicts[row, arg]
 
     @cached_property
     def bbh_member(self) -> bool:
@@ -361,7 +331,7 @@ def class_key(
     B: ExchangeMatrix, budget: Budget = DEFAULT_BUDGET, store=None
 ) -> ClassKey:
     enum = enumerate_class(B, budget, store)
-    return ClassKey(enum.least().form, enum.status)
+    return ClassKey(enum.least.form, enum.status)
 
 
 # a universe build asks for both class seeds' fingerprints at each pair past
@@ -418,6 +388,21 @@ def seeds_separate(P: ExchangeMatrix, Q: ExchangeMatrix) -> bool:
     return gcd(g_p, g_q) != g_q or skew_q and not skew_p
 
 
+def _thinnest(matrices) -> int | None:
+    """The least min(|b_ij|, |b_ji|) over the pairs of mutable indices of the
+    given matrices, or None if none has two mutable indices.  The scan ends
+    at the first arrowless pair, as no pair is thinner."""
+    least = None
+    for B in matrices:
+        for i, j in combinations(range(B.n), 2):
+            pair = min(abs(B.b[i][j]), abs(B.b[j][i]))
+            if pair == 0:
+                return 0
+            if least is None or pair < least:
+                least = pair
+    return least
+
+
 def _rank3_weight_invariant(B: ExchangeMatrix, i: int = 0, j: int = 1, k: int = 2) -> int:
     """The Markov constant a*a + b*b + c*c -/+ a*b*c of the weights of the
     arrows between indices i, j, k (0-based): minus for an oriented cycle."""
@@ -429,8 +414,8 @@ def _rank3_weight_invariant(B: ExchangeMatrix, i: int = 0, j: int = 1, k: int = 
 # --- the table of hereditary, mutation-invariant class properties ------------
 # The closed sets, by the paper's main theorem: each one that holds for [Q]
 # holds for every [P] embedding into it.  Each row reads a class enumeration;
-# invariants read off the seed alone are seeds_separate's.
-# ClassEnumeration.verdict caches rows.
+# invariants read off the seed alone are seeds_separate's.  A row reads
+# only cached properties of the enumeration, so asking it again is cheap.
 
 
 def abundance(enum: ClassEnumeration, N: int) -> Verdict:
@@ -441,13 +426,11 @@ def abundance(enum: ClassEnumeration, N: int) -> Verdict:
     orbit arrows every pair (a member with an arrowless pair is acyclic);
     for N <= 2 on a rank-3 quiver class with a BBH member, all of whose
     members are cyclic with weights >= 2 (Beineke, Brüstle & Hille 2011)."""
-    def thin(B: ExchangeMatrix) -> bool:
-        return any(min(abs(B.b[i][j]), abs(B.b[j][i])) < N for i, j in combinations(range(B.n), 2))
-    if any(thin(mem.reached) for mem in enum.members):
+    if enum.thinnest is not None and enum.thinnest < N:
         return Verdict.NO
     rank3 = enum.seed.matrix.is_quiver and enum.seed.matrix.n == 3
     orbit = enum.reflection_orbit if rank3 and N == 1 else None
-    arrowed = orbit is not None and not any(thin(form.matrix) for form in orbit)
+    arrowed = orbit is not None and _thinnest(form.matrix for form in orbit) >= 1
     if enum.status == CLOSED or arrowed or rank3 and N <= 2 and enum.bbh_member:
         return Verdict.YES
     return Verdict.UNKNOWN
@@ -480,7 +463,7 @@ def separates(enum_p: ClassEnumeration, enum_q: ClassEnumeration) -> bool:
     both_ways = enum_p.seed.matrix.size == enum_q.seed.matrix.size
     for row, arguments in HEREDITARY:
         for arg in arguments(enum_p, enum_q):
-            p, q = enum_p.verdict(row, arg), enum_q.verdict(row, arg)
+            p, q = row(enum_p, arg), row(enum_q, arg)
             if {p, q} == {Verdict.YES, Verdict.NO} and (both_ways or q is Verdict.YES):
                 return True
     return False

@@ -109,7 +109,7 @@ def _cmd_class(args) -> int:
     budget = _budget(args)
     with _open_store(args) as store:
         enum = enumerate_class(B, budget, store)
-    key = enum.least().form
+    key = enum.least.form
     if args.json:
         members = [
             {"hash": mem.form.hash, "matrix": to_json_dict(mem.form.matrix), "witness": list(mem.witness)}
@@ -238,7 +238,7 @@ def _cmd_universe(args) -> int:
     unknown = sum(row.count("U") for row in u.relation)
     if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
-        print(f"classes={len(u)} unknown_pairs={unknown} -> {args.output}")
+        print(f"classes={len(u.classes)} unknown_pairs={unknown} -> {args.output}")
     else:
         print(text)
     return 0

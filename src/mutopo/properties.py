@@ -47,9 +47,9 @@ def _every(verdicts, failing: Verdict) -> Verdict:
 
 def _lookup(B: ExchangeMatrix, budget: Budget, store, row, arg=None) -> Verdict:
     """A table row on [B], read on the seed alone first: that often settles it."""
-    verdict = enumerate_class(B, Budget(1, budget.max_entry, budget.max_depth)).verdict(row, arg)
+    verdict = row(enumerate_class(B, Budget(1, budget.max_entry, budget.max_depth)), arg)
     if verdict is Verdict.UNKNOWN:
-        verdict = enumerate_class(B, budget, store).verdict(row, arg)
+        verdict = row(enumerate_class(B, budget, store), arg)
     return verdict
 
 

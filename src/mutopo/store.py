@@ -328,9 +328,7 @@ class Store:
             usage = (enum.count, enum.max_abs_entry, enum.depth + 1)
             if enum.status == CLOSED and _at_most(usage, key):
                 served = self._decoded(by_budget, other)
-                widened = ClassEnumeration(
-                    served.seed, served.members, served.tripped, served.entry_witness, budget
-                )
+                widened = served._replace(budget=budget)
                 self._widened[seed_hash, key] = widened
                 return widened
         return None

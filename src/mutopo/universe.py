@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import operator
 from collections import namedtuple
+from functools import cached_property
 from itertools import combinations, product
 
 from .canonical import CanonicalForm, canonical_form
@@ -25,8 +26,8 @@ from .classes import (
     Budget,
     ClassKey,
     DEFAULT_BUDGET,
-    FrozenRecord,
     Verdict,
+    _refuse_new_attribute,
     enumerate_class,
 )
 from .embed import EmbedWitness, embeds, witness_json
@@ -57,26 +58,21 @@ class UniverseClass(namedtuple("UniverseClass", "key seed")):
         return self.key.form.matrix.size
 
 
-class Universe(FrozenRecord):
+class Universe(namedtuple("Universe",
+                          "rank_cap entry_cap budget family classes relation witnesses",
+                          defaults=((),))):
     """The classes of rank <= ``rank_cap`` with seed entries <= ``entry_cap``
     of a seed ``family``, and ``relation[i][j]``, the verdict ("Y", "N" or
     "U") on whether class i embeds into class j under ``budget``.
     ``witnesses`` holds ``(i, j, witness)`` for each Y cell with i != j, in
-    row-major order; the witness is anchored at the two classes' seeds."""
+    row-major order; the witness is anchored at the two classes' seeds.
+    The class count is ``len(u.classes)``: ``len(u)`` counts the fields."""
 
-    _fields = ("rank_cap", "entry_cap", "budget", "family", "classes", "relation", "witnesses")
+    __setattr__ = _refuse_new_attribute
 
-    def __init__(self, rank_cap: int, entry_cap: int, budget: Budget, family: str,
-                 classes: tuple[UniverseClass, ...], relation: tuple[tuple[str, ...], ...],
-                 witnesses: tuple[tuple[int, int, EmbedWitness], ...] = ()):
-        vars(self).update(
-            rank_cap=rank_cap, entry_cap=entry_cap, budget=budget, family=family,
-            classes=classes, relation=relation, witnesses=witnesses,
-            _by_hash={cls.hash: i for i, cls in enumerate(classes)},
-        )
-
-    def __len__(self) -> int:
-        return len(self.classes)
+    @cached_property
+    def _by_hash(self) -> dict[str, int]:
+        return {cls.hash: i for i, cls in enumerate(self.classes)}
 
     @property
     def hashes(self) -> frozenset[str]:
@@ -165,6 +161,12 @@ def _check_params(rank_cap, entry_cap, family, classes) -> None:
                              f"outside r={rank_cap} w={entry_cap} family {family}")
 
 
+def _class_order(form: CanonicalForm) -> tuple:
+    """The one order of seeds and of classes: by size, then mutable count,
+    then canonical key."""
+    return form.n + form.m, form.n, form.key
+
+
 def collect_classes(seeds, budget: Budget, store=None) -> list[UniverseClass]:
     """Group seed matrices into mutation classes.
 
@@ -173,19 +175,16 @@ def collect_classes(seeds, budget: Budget, store=None) -> list[UniverseClass]:
     Each unclassified canonical seed is enumerated once; every member form
     it discovers is marked classified.
     """
-    order = sorted(set(map(canonical_form, seeds)), key=lambda f: (f.n + f.m, f.n, f.key))
+    order = sorted(set(map(canonical_form, seeds)), key=_class_order)
     classified: set[CanonicalForm] = set()
     out: list[UniverseClass] = []
     for form in order:
         if form in classified:
             continue
         enum = enumerate_class(form.matrix, budget, store)
-        least = enum.least()
-        out.append(
-            UniverseClass(ClassKey(least.form, enum.status), form.matrix)
-        )
+        out.append(UniverseClass(ClassKey(enum.least.form, enum.status), form.matrix))
         classified.update(enum.forms)
-    out.sort(key=lambda cls: (cls.rank, cls.key.form.matrix.n, cls.key.form.key))
+    out.sort(key=lambda cls: _class_order(cls.key.form))
     return out
 
 
@@ -241,7 +240,7 @@ def _as_index_set(u: Universe, selection) -> set[int]:
             raise TypeError(f"class index must be an integer, not {item}")
         out.add(u.index_of(item) if isinstance(item, str) else operator.index(item))
     for i in out:
-        if not 0 <= i < len(u):
+        if not 0 <= i < len(u.classes):
             raise KeyError(f"class index {i} out of range")
     return out
 
@@ -306,7 +305,7 @@ def build_hasse(u: Universe, partial: bool = False) -> HasseDiagram:
     Requires a fully resolved relation; with ``partial=True`` unresolved
     pairs are returned separately (for dashed rendering) instead of raising.
     """
-    count = len(u)
+    count = len(u.classes)
     unknown = tuple(
         (i, j)
         for i in range(count)

@@ -206,7 +206,7 @@ def test_criterion_5_topology_axioms(u32):
             if A:
                 assert max(rank_of[h] for h in closed_a) == max(rank_of[h] for h in A)
         # comparability graph is connected
-        count = len(u32)
+        count = len(u32.classes)
         seen = {0}
         frontier = [0]
         while frontier:

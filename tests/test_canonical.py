@@ -229,6 +229,11 @@ def test_entry_multiset_short_circuits(a2):
     assert not is_isomorphic(a2, quiver([[0, 2], [-2, 0]]))
 
 
+def test_a_form_equals_only_forms(a3):
+    # __eq__ returns NotImplemented for a non-form, so == falls back to identity
+    assert not canonical_form(a3) == "a3" and canonical_form(a3) != "a3"
+
+
 def test_hash_format(pt):
     form = canonical_form(pt)
     assert form.hash == content_hash(1, 0, (0,))

@@ -350,7 +350,7 @@ class TestUniversePipeline:
     def test_universe_without_output_prints_the_file(self, capsys):
         code, out, _ = run(capsys, "universe", "-r", "2", "-w", "1", "NC")
         assert code == 0
-        assert len(load_universe(out)) == 3
+        assert len(load_universe(out).classes) == 3
 
     def test_partial_hasse_text_prints_each_unknown_pair(self, capsys, files):
         target = files["dir"] / "u41.json"
@@ -639,6 +639,16 @@ class TestCache:
         code, _, _ = run(capsys, "class", files["a3"])
         assert code == 0
         assert (cache_dir / "cache.jsonl").exists()
+
+
+def test_a_closed_stdout_ends_the_call_with_1(capsys, files, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["mutate", "--at", "2", files["a3"]]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_module_entry_point(files):

@@ -371,6 +371,16 @@ def test_no_class_has_an_orbit_and_a_bbh_member(r4w2_classes):
 
 def test_table_rows_agree_with_exhaustive_answers_on_closed_classes(r4w2_classes):
     budget, store, classes, enums = r4w2_classes
+    # on every class, TRUNCATED too, abundance says NO exactly on a
+    # discovered member with a thinner pair
+    for cls in classes:
+        mats = [mem.form.matrix for mem in enums[cls.hash].members]
+        for N in (1, 2, 3):
+            thin = any(
+                min(abs(B.b[i][j]), abs(B.b[j][i])) < N
+                for B in mats for i, j in combinations(range(B.n), 2)
+            )
+            assert (abundance(enums[cls.hash], N) is Verdict.NO) is thin, (cls.hash, N)
     closed = [cls for cls in classes if cls.key.status == "CLOSED"]
     for cls in closed:
         enum, mats = enums[cls.hash], [mem.form.matrix for mem in enums[cls.hash].members]

@@ -2,7 +2,8 @@
 ``classes`` and ``embed`` and resolves ``store``, ``universe`` and
 ``properties``, with their names, on first access.  Either way it offers
 the same 75 names, each the defining module's object.  The checks of the
-names run in a fresh interpreter, where nothing has touched them yet."""
+names run in a fresh interpreter, where nothing has touched them yet.  Each
+module parses with the oldest grammar the package supports."""
 
 import ast
 import json
@@ -118,3 +119,11 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_module_parses_as_python_3_10():
+    """pyproject.toml declares Python >= 3.10: each module must parse with the
+    3.10 grammar, so no ``except*`` or other newer syntax.  This checks
+    grammar only, not calls into library functions new in 3.11."""
+    for path in sorted(Path(mutopo.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -1,8 +1,8 @@
-"""The records of the package are plain immutable values: records with
-equal fields compare and hash equal, assigning a field raises
-AttributeError, and the repr is ``Name(field=value, ...)``.  Their JSON
-encodings are objects, though ``json`` writes a tuple, and so a namedtuple,
-as a list."""
+"""The records of the package are namedtuples, so plain immutable values:
+records with equal fields compare and hash equal, assigning a field or a
+new attribute raises AttributeError, and the repr is
+``Name(field=value, ...)``.  Their JSON encodings are objects, though
+``json`` writes a tuple, and so a namedtuple, as a list."""
 
 import json
 
@@ -25,6 +25,7 @@ from mutopo.embed import witness_json
 A3 = type_a(3)
 SMALL = Budget(max_members=2)
 WILD = quiver([[0, 3, -3], [-3, 0, 3], [3, -3, 0]])  # an entry above 2: INFINITE
+MARKOV = quiver([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
 
 # name, fields, a factory of fresh equal records, a record that differs
 CASES = [
@@ -60,6 +61,7 @@ parametrize = pytest.mark.parametrize(
 def test_equal_records_compare_and_hash_equal(name, fields, make, other):
     x, y = make(), make()
     assert type(x).__name__ == name and x is not y
+    assert isinstance(x, tuple) and x._fields == fields
     assert x == y and not x != y and hash(x) == hash(y)
     assert x != other()
 
@@ -84,8 +86,12 @@ def test_repr_names_every_field(name, fields, make, other):
 
 def test_derived_state_is_kept_beside_the_fields():
     enum = enumerate_class(A3)
-    assert enum.relabelings is enum.relabelings  # a cached property still caches
+    # a cached property still caches
+    assert enum.relabelings is enum.relabelings and enum.least is enum.least
     assert enum.member_for(enum.seed).witness == ()
+    assert enum.thinnest == 0  # A3 has no arrow between its ends
+    assert enumerate_class(MARKOV).thinnest == 2
+    assert enumerate_class(quiver([[0]])).thinnest is None  # no pair at rank 1
 
 
 def test_witness_and_budget_encode_as_objects():

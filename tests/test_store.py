@@ -17,6 +17,7 @@ from mutopo import (
     build,
     build_universe,
     canonical_form,
+    default_cache_dir,
     embeds,
     enumerate_class,
     is_avoiding,
@@ -518,6 +519,15 @@ def test_first_member_that_is_not_the_seed_fails_when_served(tmp_path, a2, a3, e
         with pytest.raises(CorruptRecord) as err:
             store.get_class(canonical_form(a3).hash, Budget())
     assert err.value.line_no == 2 and "not the seed" in str(err.value)
+
+
+def test_the_default_cache_dir_falls_back_to_xdg_then_home(tmp_path, monkeypatch):
+    monkeypatch.delenv("MUTOPO_CACHE_DIR", raising=False)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert default_cache_dir() == tmp_path / "xdg" / "mutopo"
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    assert default_cache_dir() == tmp_path / "home" / ".cache" / "mutopo"
 
 
 def test_in_memory_store_round_trips_without_a_file(tmp_path, monkeypatch, a2, a3):

@@ -59,13 +59,13 @@ def khash(B, budget=Budget()):
 
 class TestBuildUniverse:
     def test_rank2_weight3_has_five_classes(self, u23, pt, i2, a2):
-        assert len(u23) == 5
+        assert len(u23.classes) == 5
         expected = {khash(pt), khash(i2), khash(a2), khash(weighted_pair(2)), khash(weighted_pair(3))}
         assert u23.hashes == expected
 
     def test_rank1(self, pt):
         u = build_universe(1, 5)
-        assert len(u) == 1
+        assert len(u.classes) == 1
         assert u.hashes == {khash(pt)}
 
     def test_weight_zero(self, pt, i2):
@@ -108,7 +108,7 @@ class TestBuildUniverse:
 
         monkeypatch.setattr(classes_module, "_run_bfs", counting)
         u = build_universe(3, 3)
-        assert len(seeds) == len(u) == 29
+        assert len(seeds) == len(u.classes) == 29
         assert set(seeds) == {canonical_form(cls.seed).hash for cls in u.classes}
 
     def test_skew_family_extends_the_quiver_universe(self):
@@ -123,12 +123,12 @@ class TestBuildUniverse:
 
 class TestOrderAxioms:
     def test_reflexive(self, u32):
-        for i in range(len(u32)):
+        for i in range(len(u32.classes)):
             assert u32.relation[i][i] == "Y"
 
     def test_transitive_on_resolved_triples(self, u32):
         rel = u32.relation
-        size = len(u32)
+        size = len(u32.classes)
         for i in range(size):
             for j in range(size):
                 if rel[i][j] != "Y":
@@ -147,7 +147,7 @@ class TestOrderAxioms:
     def test_comparability_graph_connected(self, u32, pt):
         # every class is comparable to the point, which is enough
         k = u32.index_of(khash(pt))
-        assert all(u32.relation[k][j] == "Y" for j in range(len(u32)))
+        assert all(u32.relation[k][j] == "Y" for j in range(len(u32.classes)))
 
 
 @pytest.mark.parametrize("rank, weight, family", [(3, 3, "quiver"), (4, 1, "quiver"),
@@ -157,7 +157,7 @@ def test_order_axioms_hold_where_rules_say_no(rank, weight, family):
     embeds shows up as a broken order axiom or a broken lower set."""
     store = Store()
     u = build_universe(rank, weight, family=family, store=store)
-    rel, size = u.relation, len(u)
+    rel, size = u.relation, len(u.classes)
     assert all(rel[i][i] == "Y" for i in range(size))
     for i, j in combinations(range(size), 2):
         assert not (rel[i][j] == "Y" and rel[j][i] == "Y"), (i, j)
@@ -245,7 +245,7 @@ def test_a_universe_build_fingerprints_each_class_seed_once(monkeypatch):
     monkeypatch.setattr(classes_module, "_symmetrizer", lambda b: searches.append(b) or real(b))
     classes_module.mutation_fingerprint.cache_clear()
     u = build_universe(3, 2, family="skew")
-    assert len(searches) == len(u) == 205
+    assert len(searches) == len(u.classes) == 205
 
 
 @pytest.mark.parametrize("rank, weight, family", [(4, 1, "quiver"), (3, 2, "skew")])
@@ -253,7 +253,7 @@ def test_every_yes_witness_replays(rank, weight, family):
     """The witness a universe file holds for each off-diagonal Y cell replays
     end to end through mutate, restrict and canonical_form."""
     u = load_universe(dump_universe(build_universe(rank, weight, family=family)))
-    size = len(u)
+    size = len(u.classes)
     cells = [(i, j) for i in range(size) for j in range(size) if i != j and u.relation[i][j] == "Y"]
     assert [(i, j) for i, j, _ in u.witnesses] == cells  # one a cell, in row-major order
     assert any(u.classes[i].rank < u.classes[j].rank for i, j in cells)
@@ -654,7 +654,7 @@ class TestBuildAndLoadAgree:
             build_universe(1, 0, seeds=seeds)
         # the file such a build once wrote: 15 classes up to rank 3 under r=1, w=0
         u = build_universe(3, 2, seeds=seeds)
-        assert len(u) == 15 and max(cls.rank for cls in u.classes) == 3
+        assert len(u.classes) == 15 and max(cls.rank for cls in u.classes) == 3
         obj = json.loads(dump_universe(u))
         obj["params"].update(r=1, w=0)
         with pytest.raises(ValueError, match="outside r=1 w=0 family quiver"):
