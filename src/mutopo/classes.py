@@ -124,11 +124,12 @@ class ClassEnumeration(namedtuple("ClassEnumeration", "seed members tripped entr
         return self._index.keys()
 
     @cached_property
-    def relabelings(self) -> frozenset:
+    def relabelings(self) -> dict:
         """The raw entries (see :func:`entries_getter`) of every
         partition-preserving relabeling of every member's canonical matrix,
-        n!·m! per member.  A matrix of this shape is isomorphic to a member
-        exactly when its raw entries are in the set."""
+        n!·m! per member, each mapped to that member.  A matrix of this shape
+        is isomorphic to a member exactly when its raw entries are a key, and
+        then to the member they map to."""
         seed = self.seed.matrix
         n, size = seed.n, seed.size
         getters = [
@@ -136,7 +137,7 @@ class ClassEnumeration(namedtuple("ClassEnumeration", "seed members tripped entr
             for mut in permutations(range(n))
             for fro in permutations(range(n, size))
         ]
-        return frozenset(get(mem.form.key) for mem in self.members for get in getters)
+        return {get(mem.form.key): mem for mem in self.members for get in getters}
 
     @property
     def status(self) -> str:

@@ -51,12 +51,13 @@ class EmbedVerdict(namedtuple("EmbedVerdict", "verdict witness budget")):
 
 # The largest restriction shape n_p + m_p whose scan is keyed by raw
 # entries, row-major over the subset (mutable indices first, the order of
-# ``restrict``), read off a member without building a matrix and tested
-# against ``enum_p.relabelings`` (at most 6 tuples of 9 entries a member).
-# Larger shapes key by canonical form: at size 4 each member of [P] would
-# hold 24 relabelings, a cost no workload has measured, and at size 6 (720)
-# building them costs more than the few members such a scan visits (A6 into
-# E7: 0.3 ms by form, 137 ms by relabelings).
+# ``restrict``), read off a member without building a matrix and looked up
+# in ``enum_p.relabelings``, which maps them to their member of [P] (at most
+# 6 tuples of 9 entries a member).  Larger shapes key by canonical form: at
+# size 4 each member of [P] would hold 24 relabelings, a cost no workload
+# has measured, and at size 6 (720) building them costs more than the few
+# members such a scan visits (A6 into E7: 0.3 ms by form, 137 ms by
+# relabelings).
 RAW_SCAN_LIMIT = 3
 
 
@@ -69,10 +70,10 @@ def _first_restriction(enum_p, enum_q, p_n: int, p_m: int) -> EmbedWitness | Non
                      key=lambda idx: idx[::-1])
     raw = p_n + p_m <= RAW_SCAN_LIMIT
     if raw:
-        keys_p = enum_p.relabelings
         getters = [entries_getter([i - 1 for i in idx], q.size) for idx in subsets]
+        keys_p, member_for = enum_p.relabelings.keys(), enum_p.relabelings.__getitem__
     else:
-        keys_p = enum_p.forms
+        keys_p, member_for = enum_p.forms, enum_p.member_for
     for q_mem in enum_q.members:
         reached = q_mem.reached
         if raw:
@@ -83,12 +84,7 @@ def _first_restriction(enum_p, enum_q, p_n: int, p_m: int) -> EmbedWitness | Non
         if keys_p.isdisjoint(keys):
             continue
         idx, key = next((idx, key) for idx, key in zip(subsets, keys) if key in keys_p)
-        # raw entries are some relabeling: the form names the member
-        form = canonical_form(restrict(reached, idx)) if raw else key
-        p_mem = enum_p.member_for(form)
-        if p_mem is None:
-            raise RuntimeError(f"the scan key of subset {idx} matches no member of [P]")
-        return EmbedWitness(q_mem.witness, idx, p_mem.witness)
+        return EmbedWitness(q_mem.witness, idx, member_for(key).witness)
     return None
 
 
@@ -108,10 +104,10 @@ def embeds(
     the first restriction (members of [Q] in BFS order, their subsets in
     colex order) that is a member of [P].  Each call walks [Q] from its
     first member and keeps nothing.  Up to three indices a restriction's
-    key is its raw entries, tested against every relabeling of every member
-    of [P], and only the witness builds a matrix and a canonical form;
-    larger shapes key by canonical form, since their relabelings outweigh
-    the members walked (see :data:`RAW_SCAN_LIMIT`).
+    key is its raw entries, looked up among the relabelings of the members
+    of [P], each mapped to its member, so the scan builds no matrix and no
+    canonical form; larger shapes key by canonical form, since their
+    relabelings outweigh the members walked (see :data:`RAW_SCAN_LIMIT`).
 
     With no such restriction the answer is NO when [Q] is CLOSED (*closed
     upper class*), whatever the status of [P]: restriction to I commutes

@@ -430,5 +430,5 @@ class Store:
         return {
             "records": sum(map(len, self._classes.values())),
             "skipped": self._skipped,
-            "path": str(self.path),
+            "path": None if self.path is None else str(self.path),
         }

@@ -319,21 +319,19 @@ def build_hasse(u: Universe, partial: bool = False) -> HasseDiagram:
     strict = [
         [i != j and u.relation[i][j] == "Y" for j in range(count)] for i in range(count)
     ]
+    edges = []  # in row-major order
     for i in range(count):
         for j in range(count):
-            if strict[i][j] and strict[j][i]:
+            if not strict[i][j]:
+                continue
+            if strict[j][i]:
                 raise ValueError(
                     "relation is not antisymmetric; cannot reduce "
                     f"({u.classes[i].hash[:12]} vs {u.classes[j].hash[:12]})"
                 )
-    edges = []
-    for i in range(count):
-        for j in range(count):
-            if strict[i][j] and not any(
-                strict[i][k] and strict[k][j] for k in range(count)
-            ):
+            if not any(strict[i][k] and strict[k][j] for k in range(count)):
                 edges.append((i, j))
-    return HasseDiagram(u, tuple(sorted(edges)), unknown)
+    return HasseDiagram(u, tuple(edges), unknown)
 
 
 def hasse_to_dot(h: HasseDiagram) -> str:
@@ -413,6 +411,8 @@ def universe_from_json(obj: dict) -> Universe:
     KeyError for a missing field and ValueError for any other malformed one."""
     try:
         params = obj["params"]
+        if not isinstance(params, dict):
+            raise ValueError(f"universe params is {params!r}, not an object")
         family = params.get("family", "quiver")
         budget = Budget(*(params["budget"][cap] for cap in Budget._fields))
         classes, seen = [], set()

@@ -455,6 +455,16 @@ def test_a_universe_file_with_bad_params_is_an_error(capsys, tmp_path, u31_file,
     assert (code, out) == (1, "") and err.startswith("error: universe ")
 
 
+def test_a_universe_file_whose_params_is_not_an_object_is_an_error(capsys, tmp_path, u31_file):
+    obj = json.loads(Path(u31_file).read_text())
+    obj["params"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "hasse", str(bad), "NC")
+    assert (code, out) == (1, "") and err.startswith("error: universe params is [], not an object")
+    assert "Traceback" not in err
+
+
 def test_a_universe_file_with_a_missing_relation_row_is_an_error(capsys, tmp_path, u31_file):
     obj = json.loads(Path(u31_file).read_text())
     obj["relation"].pop()

@@ -215,15 +215,22 @@ class TestRestrictionScan:
 
     def test_each_scan_restricts_only_what_its_keys_need(self, monkeypatch):
         restricted = Counter()  # (member matrix, subset) -> restrict calls in one scan
+        canonicalized = Counter()  # canonical_form calls in one scan
         kinds = Counter()  # key kind -> scans run
         real_restrict, real_first = embed_module.restrict, embed_module._first_restriction
+        real_canonical_form = embed_module.canonical_form
 
         def restrict(B, idx):
             restricted[id(B), tuple(idx)] += 1
             return real_restrict(B, idx)
 
+        def canonical_form(B):
+            canonicalized["calls"] += 1
+            return real_canonical_form(B)
+
         def first_restriction(enum_p, enum_q, p_n, p_m):
             restricted.clear()
+            canonicalized.clear()
             witness = real_first(enum_p, enum_q, p_n, p_m)
             visited = [mem.reached for mem in enum_q.members]  # members the scan keyed
             if witness is not None:
@@ -232,10 +239,9 @@ class TestRestrictionScan:
             kind = _key_kind(p_n + p_m)
             kinds[kind] += 1
             if kind == "raw":
-                # raw entries build no matrix: only the witness is restricted,
-                # once, to name its member of [P]
-                named = {} if witness is None else {(id(visited[-1]), witness.subset): 1}
-                assert restricted == Counter(named)
+                # raw entries build no matrix, and their key names the member
+                # of [P]: the scan restricts and canonicalizes nothing
+                assert restricted == Counter() and canonicalized == Counter()
             else:
                 # a form-keyed scan restricts every subset of each member it
                 # visits, once each
@@ -247,6 +253,7 @@ class TestRestrictionScan:
             return witness
 
         monkeypatch.setattr(embed_module, "restrict", restrict)
+        monkeypatch.setattr(embed_module, "canonical_form", canonical_form)
         monkeypatch.setattr(embed_module, "_first_restriction", first_restriction)
         for param in SCAN_CASES:
             (seeds, budget, _), keys = param.values[0](), param.values[1]
@@ -256,6 +263,24 @@ class TestRestrictionScan:
                 for Q in seeds:
                     embeds(P, Q, budget, store)
             assert set(kinds) == set(keys.values())
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            quiver([[0, 1, 0], [-1, 0, 1], [0, -1, 0]]),
+            quiver([[0, 2, -2], [-2, 0, 2], [2, -2, 0]]),
+            build(2, 1, [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]]),
+            build(3, 0, [[0, 1, 0], [-2, 0, 1], [0, -1, 0]]),
+        ],
+        ids=["A3", "markov", "two-mutable-one-frozen", "skew-symmetrizable-B3"],
+    )
+    def test_each_relabeling_maps_to_the_member_it_relabels(self, seed):
+        enum = enumerate_class(seed, Budget(max_members=50))
+        n, size = seed.n, seed.size
+        for entries, mem in enum.relabelings.items():
+            rows = [list(entries[i * size:(i + 1) * size]) for i in range(size)]
+            assert canonical_form(build(n, size - n, rows)) == mem.form
+        assert set(enum.relabelings.values()) == set(enum.members)
 
     def test_closed_upper_class_answers_no(self, cycle321, a4):
         # [cycle321] is mutation-infinite, so its enumeration is TRUNCATED;

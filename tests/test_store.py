@@ -545,6 +545,7 @@ def test_in_memory_store_round_trips_without_a_file(tmp_path, monkeypatch, a2, a
     assert (stats["bytes_before"], stats["bytes_after"]) == (0, 0)
     assert store.get_class(small.seed.hash, small.budget) is None
     assert store.get_class(full.seed.hash, full.budget) == full
+    assert store.stats()["path"] is None
     store.close()
     assert list(tmp_path.iterdir()) == []
 

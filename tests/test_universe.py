@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import chain, combinations
@@ -6,6 +7,7 @@ from math import gcd
 import pytest
 
 import mutopo.classes as classes_module
+import mutopo.cli as cli
 import oracles
 from conftest import weighted_pair
 from mutopo import (
@@ -628,6 +630,32 @@ class TestSerialization:
         del obj["params"]["family"]
         assert load_universe(json.dumps(obj)) == u23
 
+    def test_a_field_of_any_json_type_fails_only_as_documented(self, u21):
+        # every field of the file, at any depth, swapped for each of nine JSON
+        # values: the loader raises KeyError or ValueError, or loads
+        text = dump_universe(u21)
+
+        def paths(node, prefix=()):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                yield prefix + (key,)
+                if isinstance(value, (dict, list)):
+                    yield from paths(value, prefix + (key,))
+
+        for path in paths(json.loads(text)):
+            for value in (None, True, False, 0, 7, 1.5, "x", [], {}):
+                obj = json.loads(text)
+                parent = obj
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+                try:
+                    load_universe(json.dumps(obj))
+                except (KeyError, ValueError):
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{path} = {value!r} raised {exc!r}")
+
     def test_find_by_prefix(self, u23, pt):
         full = khash(pt)
         assert u23.find(full[:10]).hash == full
@@ -665,6 +693,39 @@ class TestBuildAndLoadAgree:
     def test_caps_out_of_range_fail_at_build(self, caps):
         with pytest.raises(ValueError, match="universe param [rw] is "):
             build_universe(*caps)
+
+
+# SHA-256 digests of outputs that a change to the code must leave alone
+PINNED_UNIVERSES = {
+    (4, 1, "quiver"): "5d8faaaf0ea3326f46bb5871f16428fad39d2a64e2654108f4e37e10187ec3d5",
+    (3, 3, "quiver"): "9c0f94f076d630be4009613e0ca1e8dc4c8c3c58979789e5e8a8fc378737370e",
+    (3, 2, "quiver"): "aae872ef65fe2b4741b3042e351aad39c92c9eb17830ae5d177a9da286183cf1",
+    (3, 2, "skew"): "146de5a4b7d9e16e44f47de1d60ace8720d713a5f38b2184e826c177319b9de9",
+    (2, 3, "skew"): "7de11f28620846a382fad860251cdd776351b9dbc995be9e389b43ef347cfd4c",
+    (3, 1, "skew"): "f6095e96ad0ab4d5f510fb1bd67f6e31bd5118df5a1eaa3148d3c8465dfee92f",
+}
+PINNED_R4W1_CACHE = "1f9b5b151ddf7afbc820b3fe3bbeab5b4c8d4807be4ee757273b15c420e74792"
+PINNED_R4W1_HASSE = "7a63ebce496b4aaad7faffa0bf35ba5d4b6331493c5d2b07cfd67eb3c0c88d2a"
+
+
+def test_outputs_match_their_pinned_digests(tmp_path, capsys):
+    """Universe files, the r4 w1 cache file and the r4 w1 ``hasse --json
+    --partial`` output, byte for byte.  A change that means to alter an
+    answer or a format updates the digest here and says why in CHANGES.md."""
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    store = Store(tmp_path)  # r4 w1 is built once, into a cache file
+    r4w1 = build_universe(4, 1, store=store)
+    store.close()
+    for (r, w, family), expected in PINNED_UNIVERSES.items():
+        u = r4w1 if (r, w, family) == (4, 1, "quiver") else build_universe(r, w, family=family)
+        assert digest(dump_universe(u).encode()) == expected, (r, w, family)
+    assert digest((tmp_path / "cache.jsonl").read_bytes()) == PINNED_R4W1_CACHE
+    universe_file = tmp_path / "r4w1.json"
+    universe_file.write_text(dump_universe(r4w1) + "\n")
+    assert cli.main(["hasse", str(universe_file), "--json", "--partial"]) == 0
+    assert digest(capsys.readouterr().out.encode()) == PINNED_R4W1_HASSE
 
 
 class TestSeedIterators:
