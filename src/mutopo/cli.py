@@ -86,8 +86,27 @@ def _print_json(payload: dict):
     sys.stdout.write("\n")
 
 
-def _verdict_exit(verdict: Verdict) -> int:
-    return 2 if verdict is Verdict.UNKNOWN else 0
+def _answer(args, ask, reply) -> int:
+    """The one answer path of the question verbs.  ``ask(budget, store=...)``
+    answers under the call's budget and store; ``reply(answer, as_json)``
+    words the answer, as JSON fields (the budget joins them) or as text, and
+    gives the exit code."""
+    budget = _budget(args)
+    with _open_store(args) as store:
+        answer = ask(budget, store=store)
+    words, code = reply(answer, args.json)
+    if args.json:
+        _print_json({**words, "budget": budget.to_json()})
+    else:
+        print(words)
+    return code
+
+
+def _verdict_reply(verdict: Verdict, as_json: bool, **extra):
+    """The reply of a verb whose answer is a Verdict: its value, and in JSON
+    the ``extra`` fields too; UNKNOWN exits 2."""
+    words = {"verdict": verdict.value, **extra} if as_json else verdict.value
+    return words, 2 if verdict is Verdict.UNKNOWN else 0
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -105,109 +124,76 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_class(args) -> int:
-    B = _input(args)
-    budget = _budget(args)
-    with _open_store(args) as store:
-        enum = enumerate_class(B, budget, store)
-    key = enum.least.form
-    if args.json:
-        members = [
-            {"hash": mem.form.hash, "matrix": to_json_dict(mem.form.matrix), "witness": list(mem.witness)}
-            for mem in enum.members
-        ]
-        _print_json({"seed": enum.seed.hash, "status": enum.status, "class_key": key.hash,
-                     "members": members, "budget": budget.to_json()})
-    else:
-        print(f"status={enum.status} members={enum.count} key={key.hash[:12]}")
-        for mem in enum.members:
-            seq = ",".join(str(k) for k in mem.witness)
-            print(f"  {mem.form.hash[:12]} witness=[{seq}]")
-    return 0 if enum.status == CLOSED else 2
+    def reply(enum, as_json):
+        key = enum.least.form.hash
+        if as_json:
+            members = [{"hash": mem.form.hash, "matrix": to_json_dict(mem.form.matrix),
+                        "witness": list(mem.witness)} for mem in enum.members]
+            words = {"seed": enum.seed.hash, "status": enum.status, "class_key": key,
+                     "members": members}
+        else:
+            lines = [f"status={enum.status} members={enum.count} key={key[:12]}"]
+            lines += (f"  {mem.form.hash[:12]} witness=[{','.join(map(str, mem.witness))}]"
+                      for mem in enum.members)
+            words = "\n".join(lines)
+        return words, 0 if enum.status == CLOSED else 2
+
+    return _answer(args, partial(enumerate_class, _input(args)), reply)
 
 
 def _cmd_finite(args) -> int:
-    B = _input(args)
-    budget = _budget(args)
-    with _open_store(args) as store:
-        fv = is_mutation_finite(B, budget, store=store)
-    if args.json:
-        _print_json(
-            {
-                "verdict": fv.kind.value,
-                "members": fv.members,
-                "witness": to_json_dict(fv.offender) if fv.offender is not None else None,
-                "budget": budget.to_json(),
-            }
-        )
-    elif fv.kind is Finiteness.FINITE:
-        print(f"FINITE members={fv.members}")
-    else:
-        print(fv.kind.value)
-    return 2 if fv.kind is Finiteness.UNKNOWN else 0
+    def reply(fv, as_json):
+        if as_json:
+            offender = to_json_dict(fv.offender) if fv.offender is not None else None
+            words = {"verdict": fv.kind.value, "members": fv.members, "witness": offender}
+        elif fv.kind is Finiteness.FINITE:
+            words = f"FINITE members={fv.members}"
+        else:
+            words = fv.kind.value
+        return words, 2 if fv.kind is Finiteness.UNKNOWN else 0
+
+    return _answer(args, partial(is_mutation_finite, _input(args)), reply)
 
 
 def _cmd_embeds(args) -> int:
+    def reply(ev, as_json):
+        w = ev.witness
+        words, code = _verdict_reply(ev.verdict, as_json, witness=witness_json(w))
+        if not as_json and w is not None:
+            words += (f"\n  q_sequence={list(w.q_sequence)} subset={list(w.subset)} "
+                      f"p_sequence={list(w.p_sequence)}")
+        return words, code
+
     P, Q = _read_matrix(args.p), _read_matrix(args.q)
-    budget = _budget(args)
-    with _open_store(args) as store:
-        ev = embeds(P, Q, budget, store=store)
-    if args.json:
-        _print_json(
-            {
-                "verdict": ev.verdict.value,
-                "witness": witness_json(ev.witness),
-                "budget": budget.to_json(),
-            }
-        )
-    else:
-        print(ev.verdict.value)
-        if ev.witness is not None:
-            w = ev.witness
-            print(
-                f"  q_sequence={list(w.q_sequence)} subset={list(w.subset)} "
-                f"p_sequence={list(w.p_sequence)}"
-            )
-    return _verdict_exit(ev.verdict)
-
-
-def _tri_valued(args, ask, **extra) -> int:
-    """Answer a verdict verb: ``ask(budget, store=...)`` under the call's budget."""
-    budget = _budget(args)
-    with _open_store(args) as store:
-        verdict = ask(budget, store=store)
-    if args.json:
-        _print_json({"verdict": verdict.value, "budget": budget.to_json(), **extra})
-    else:
-        print(verdict.value)
-    return _verdict_exit(verdict)
+    return _answer(args, partial(embeds, P, Q), reply)
 
 
 def _cmd_avoid(args) -> int:
     from .properties import is_avoiding
 
     patterns = [_read_matrix(p) for p in args.patterns]
-    return _tri_valued(args, partial(is_avoiding, _read_matrix(args.q), patterns),
-                       patterns=len(patterns))
+    return _answer(args, partial(is_avoiding, _read_matrix(args.q), patterns),
+                   partial(_verdict_reply, patterns=len(patterns)))
 
 
 def _cmd_abundant(args) -> int:
     from .properties import is_N_abundant
 
-    return _tri_valued(args, partial(is_N_abundant, _input(args), args.arrows),
-                       arrows=args.arrows)
+    return _answer(args, partial(is_N_abundant, _input(args), args.arrows),
+                   partial(_verdict_reply, arrows=args.arrows))
 
 
 def _cmd_acyclic(args) -> int:
     from .properties import is_mutation_acyclic
 
-    return _tri_valued(args, partial(is_mutation_acyclic, _input(args)))
+    return _answer(args, partial(is_mutation_acyclic, _input(args)), _verdict_reply)
 
 
 def _cmd_universal(args) -> int:
     from .properties import is_k_universal_bounded
 
-    return _tri_valued(args, partial(is_k_universal_bounded, _input(args), args.k, args.w),
-                       k=args.k, w=args.w)
+    return _answer(args, partial(is_k_universal_bounded, _input(args), args.k, args.w),
+                   partial(_verdict_reply, k=args.k, w=args.w))
 
 
 def _cmd_density_witness(args) -> int:

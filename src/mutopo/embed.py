@@ -61,14 +61,14 @@ class EmbedVerdict(namedtuple("EmbedVerdict", "verdict witness budget")):
 RAW_SCAN_LIMIT = 3
 
 
-def _first_restriction(enum_p, enum_q, p_n: int, p_m: int) -> EmbedWitness | None:
+def _first_restriction(enum_p, enum_q) -> EmbedWitness | None:
     """The witness at the first member of [Q] (BFS order) and subset (colex
     order) whose restriction is a member of [P]; None when there is none."""
-    q = enum_q.seed.matrix
-    subsets = sorted((mut + fro for mut in combinations(range(1, q.n + 1), p_n)
-                      for fro in combinations(range(q.n + 1, q.size + 1), p_m)),
+    p, q = enum_p.seed.matrix, enum_q.seed.matrix
+    subsets = sorted((mut + fro for mut in combinations(range(1, q.n + 1), p.n)
+                      for fro in combinations(range(q.n + 1, q.size + 1), p.m)),
                      key=lambda idx: idx[::-1])
-    raw = p_n + p_m <= RAW_SCAN_LIMIT
+    raw = p.size <= RAW_SCAN_LIMIT
     if raw:
         getters = [entries_getter([i - 1 for i in idx], q.size) for idx in subsets]
         keys_p, member_for = enum_p.relabelings.keys(), enum_p.relabelings.__getitem__
@@ -157,7 +157,7 @@ def _embeds_fresh(P, Q, cf_p, cf_q, budget, store) -> EmbedVerdict:
 
     enum_p = enumerate_class(cf_p.matrix, budget, store)
     enum_q = enumerate_class(cf_q.matrix, budget, store)
-    witness = _first_restriction(enum_p, enum_q, P.n, P.m)
+    witness = _first_restriction(enum_p, enum_q)
     if witness is not None:
         return EmbedVerdict(Verdict.YES, witness, budget)
     if enum_q.status == CLOSED or separates(enum_p, enum_q):

@@ -61,11 +61,9 @@ class ExchangeMatrix(namedtuple("ExchangeMatrix", "n m b")):
 
     @property
     def is_skew_symmetric(self) -> bool:
-        return all(
-            self.b[i][j] == -self.b[j][i]
-            for i in range(self.size)
-            for j in range(i, self.size)
-        )
+        """The normalized symmetrizer is unique up to scale on each support
+        component, so it is all ones exactly when every b[i][j] == -b[j][i]."""
+        return all(v == 1 for v in self.d)
 
     @property
     def is_quiver(self) -> bool:

@@ -340,12 +340,12 @@ class Store:
     def _decoded(self, by_budget: dict, key: tuple) -> ClassEnumeration:
         enum = by_budget[key]
         if isinstance(enum, _Indexed):
-            enum = by_budget[key] = self._verified(enum)
+            enum = by_budget[key] = self._verified(enum, self._line(enum))
         return enum
 
-    def _verified(self, entry: _Indexed) -> ClassEnumeration:
-        """Decode a record through its CRC, seed, member replay and figures checks."""
-        header, _, members = _body(self._line(entry), entry.line_no).partition(b"\t")
+    def _verified(self, entry: _Indexed, line: bytes) -> ClassEnumeration:
+        """Decode ``entry``'s ``line`` through its CRC, seed, member replay and figures checks."""
+        header, _, members = _body(line, entry.line_no).partition(b"\t")
         try:
             # MEMBERS holds integers only, and int() refuses the text of a float
             members = json.loads(members, parse_float=int)
@@ -405,9 +405,9 @@ class Store:
             lines = []
             for by_budget in self._classes.values():
                 for enum in by_budget.values():
-                    if isinstance(enum, _Indexed):
-                        self._verified(enum)  # then dropped: memory stays flat
+                    if isinstance(enum, _Indexed):  # checked, then dropped: memory stays flat
                         lines.append(self._line(enum))
+                        self._verified(enum, lines[-1])
                     else:
                         lines.append(_class_line(enum))
             tmp.write_bytes(b"".join(lines))

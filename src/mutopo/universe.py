@@ -212,8 +212,9 @@ def build_universe(
     and its enumeration serves every pair it is a side of.  Without a
     store, the build memoizes in an in-memory one.
     """
-    if seeds is None:  # an unknown family has no seeds, and the check refuses it
-        seeds = _FAMILIES[family](rank_cap, entry_cap) if family in _FAMILIES else ()
+    _check_params(rank_cap, entry_cap, family, ())  # before a seed is made
+    if seeds is None:
+        seeds = _FAMILIES[family](rank_cap, entry_cap)
     if store is None:
         from .store import Store  # only here: a universe file is read without the cache
 
@@ -434,7 +435,10 @@ def universe_from_json(obj: dict) -> Universe:
             seen.add(form)
             classes.append(UniverseClass(ClassKey(form, entry["status"]), seed))
         _check_params(params["r"], params["w"], family, classes)
-        relation = tuple(tuple(row) for row in obj["relation"])
+        relation = obj["relation"]
+        if type(relation) is not list or any(type(row) is not list for row in relation):
+            raise ValueError("universe relation is not a list of lists")
+        relation = tuple(map(tuple, relation))
         if len(relation) != len(classes) or any(len(row) != len(classes) for row in relation):
             raise ValueError("universe relation shape does not match the class list")
         for i, row in enumerate(relation):

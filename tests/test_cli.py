@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from itertools import combinations
@@ -17,6 +18,7 @@ from mutopo import (
     class_key,
     disjoint_union,
     dump_universe,
+    from_inline,
     load_universe,
     replay_embedding,
     to_json_dict,
@@ -490,6 +492,47 @@ def test_every_json_budget_is_one_object(capsys, files, u31_file):
         assert code == 0 and json.loads(out)["budget"] == default, argv
     code, out, _ = run(capsys, "embeds", files["a2"], files["a3"], "NC", "--json")
     assert json.loads(out)["witness"] == {"q_sequence": [], "subset": [1, 2], "p_sequence": []}
+
+
+# The question verbs' text, JSON fields and exit codes, pinned as one digest
+QUESTION_MATRICES = {
+    "a2": ("0 1;-1 0", 0),
+    "a3": ("0 1 0;-1 0 1;0 -1 0", 0),
+    "markov": ("0 2 -2;-2 0 2;2 -2 0", 0),
+    "w4": ("0 2 0 0;-2 0 2 0;0 -2 0 2;0 0 -2 0", 0),
+    "f": ("0 2;-1 0", 1),
+    "s3b": ("0 2 0;-1 0 3;0 -1 0", 0),
+    "q4": ("0 1 1 1;-1 0 1 1;-1 -1 0 1;-1 -1 -1 0", 0),
+}
+QUESTION_CALLS = [
+    "class a3", "class w4 --max-members 50", "class f",
+    "finite a3", "finite markov", "finite w4 --max-members 20", "finite f",
+    "embeds a2 a3", "embeds a3 markov", "embeds a2 w4 --max-members 30", "embeds f a3",
+    "avoid markov a2", "abundant -N 2 markov", "acyclic markov", "acyclic w4 --max-members 30",
+    "universal -k 2 -w 1 a3",
+    "finite s3b --max-members 20", "abundant -N 1 q4 --max-members 20",
+    "embeds a2 s3b --max-members 20", "embeds a3 q4 --max-members 20",
+    "avoid q4 a3 --max-members 20", "universal -k 2 -w 1 q4 --max-members 20",
+]
+
+
+def test_question_verbs_output_matches_its_pinned_digest(capsys, tmp_path):
+    paths = {}
+    for name, (rows, frozen) in QUESTION_MATRICES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(to_json_dict(from_inline(rows, frozen))))
+    transcript, unknown = [], 0
+    for line in QUESTION_CALLS:
+        call = line.split()
+        for extra in ([], ["--json"]):
+            code = main([str(paths.get(a, a)) for a in call] + extra + ["--no-cache"])
+            transcript.append("$ " + " ".join(call + extra) + "\n"
+                              + capsys.readouterr().out + f"exit={code}\n")
+            unknown += code == 2
+    text = "".join(transcript)
+    assert (len(text), unknown) == (39_252, 14)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f8be3d61c14349a560da530e94e3a6ff9a8b3b46b7fb4fee0d348646c2f9f9dc")
 
 
 def _repeated_class(obj):

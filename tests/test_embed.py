@@ -183,9 +183,9 @@ class TestRestrictionScan:
         scanned = set()  # the restriction shape sizes n_p + m_p scanned
         real_first = embed_module._first_restriction
 
-        def first_restriction(enum_p, enum_q, p_n, p_m):
-            scanned.add(p_n + p_m)
-            return real_first(enum_p, enum_q, p_n, p_m)
+        def first_restriction(enum_p, enum_q):
+            scanned.add(enum_p.seed.matrix.size)
+            return real_first(enum_p, enum_q)
 
         monkeypatch.setattr(embed_module, "_first_restriction", first_restriction)
         pairs = [(i, j) for i in range(len(seeds)) for j in range(len(seeds))]
@@ -228,10 +228,11 @@ class TestRestrictionScan:
             canonicalized["calls"] += 1
             return real_canonical_form(B)
 
-        def first_restriction(enum_p, enum_q, p_n, p_m):
+        def first_restriction(enum_p, enum_q):
+            p_n, p_m = enum_p.seed.matrix.n, enum_p.seed.matrix.m
             restricted.clear()
             canonicalized.clear()
-            witness = real_first(enum_p, enum_q, p_n, p_m)
+            witness = real_first(enum_p, enum_q)
             visited = [mem.reached for mem in enum_q.members]  # members the scan keyed
             if witness is not None:
                 k = next(k for k, mem in enumerate(enum_q.members) if mem.witness == witness.q_sequence)

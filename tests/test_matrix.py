@@ -159,6 +159,11 @@ class TestMutate:
             assert [list(r) for r in mutate(B, k).b] == expected
 
 
+def _skew_by_entries(B) -> bool:
+    """The reference for ``is_skew_symmetric``: every b[i][j] == -b[j][i]."""
+    return all(B.b[i][j] == -B.b[j][i] for i in range(B.size) for j in range(B.size))
+
+
 @st.composite
 def skew_matrices(draw):
     n = draw(st.integers(min_value=1, max_value=4))
@@ -227,7 +232,9 @@ class TestMutationProperties:
             with pytest.raises(NotSkewSymmetrizable):
                 build(len(rows), 0, rows)
         else:
-            assert build(len(rows), 0, rows).d == expected
+            B = build(len(rows), 0, rows)
+            assert B.d == expected
+            assert B.is_skew_symmetric == _skew_by_entries(B)
 
 
 class TestRestrict:
@@ -415,6 +422,7 @@ class TestValidateOnce:
         for i in range(B.size):
             for j in range(B.size):
                 assert B.d[i] * B.b[i][j] == -B.d[j] * B.b[j][i]
+        assert B.is_skew_symmetric == _skew_by_entries(B)
 
     @given(B=non_skew_frozen_matrices(), data=st.data())
     @settings(max_examples=150, deadline=None)

@@ -530,6 +530,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"relation\[1\]\[3\]"):
             load_universe(json.dumps(obj))
 
+    @pytest.mark.parametrize("caps, relation", [((2, 1), ["YYY", "NYN", "NNY"]), ((1, 0), "Y")],
+                             ids=["rows-strings", "relation-string"])
+    def test_relation_other_than_a_list_of_lists_rejected(self, caps, relation):
+        # tuple() would split a string into its characters, each a valid cell
+        obj = json.loads(dump_universe(build_universe(*caps)))
+        obj["relation"] = relation
+        with pytest.raises(ValueError, match="universe relation is not a list of lists"):
+            load_universe(json.dumps(obj))
+
     @pytest.mark.parametrize("cell", ["N", "U"])
     def test_diagonal_cell_other_than_Y_rejected(self, cell):
         # a class embeds into itself: an N would give a closure that misses
@@ -688,8 +697,8 @@ class TestBuildAndLoadAgree:
         with pytest.raises(ValueError, match="outside r=1 w=0 family quiver"):
             load_universe(json.dumps(obj))
 
-    @pytest.mark.parametrize("caps", [(0, 1), (2, -1), (True, 1), (2, False)],
-                             ids=["r-zero", "w-negative", "r-bool", "w-bool"])
+    @pytest.mark.parametrize("caps", [(0, 1), (2, -1), (True, 1), (2, False), (2.0, 1), (2, 1.5)],
+                             ids=["r-zero", "w-negative", "r-bool", "w-bool", "r-float", "w-float"])
     def test_caps_out_of_range_fail_at_build(self, caps):
         with pytest.raises(ValueError, match="universe param [rw] is "):
             build_universe(*caps)
