@@ -193,11 +193,13 @@ def _lex_min(B: ExchangeMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(flat), tuple(perm)
 
 
-# small on purpose: the repeats are restrictions to a few small shapes, the
-# class BFS reading the permutation right after canonical_form, and, for
-# 31% of the BFS's canonical_form calls on A7, D7, E6, E7 and A8 (25% on E8),
-# a matrix met a moment before, as mu_i mu_j = mu_j mu_i when b_ij = 0.  One
-# E8 enumeration still evicts: 4,733 distinct matrices, 4,814 _lex_min runs
+# small on purpose: the repeats are restrictions to a few small shapes and
+# the class BFS reading the permutation right after canonical_form.  The BFS
+# itself meets almost no matrix twice, since it closes squares (mu_i mu_j =
+# mu_j mu_i when b_ij = 0) and pentagons on edges it knows instead: 4 repeats
+# in 1,500 canonical_form calls on A7, D7, E6, E7 and A8, and 2 in 1,673 on
+# E8, whose 1,671 distinct matrices cost one _lex_min run each although they
+# outnumber the 1,024 entries
 @lru_cache(maxsize=1 << 10)
 def _canonical(B: ExchangeMatrix) -> tuple[CanonicalForm, tuple[int, ...]]:
     flat, perm = _lex_min(B)

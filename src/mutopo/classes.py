@@ -7,13 +7,28 @@ first and level synchronous with candidates admitted in canonical order,
 which makes the member set, the stored witnesses, and the truncation
 behaviour a deterministic function of the seed and the budget alone.
 
-Mutation is an involution, so each edge of the exchange graph, taken up to
-isomorphism, is canonicalized from one end only.  When mutating a member at
-k canonicalizes to the class C, and k becomes C's canonical vertex c, then
-mutating C at c leads back into that member; the BFS records c in a bitmask
-kept for C.  Expanding C later skips every vertex whose canonical index is
-in the mask: that child is a relabeling of a member already found, so the
-skip changes no member, witness, or cap.
+The BFS keeps an edge table over the canonical forms of the last four
+levels: one slot per canonical mutable vertex, holding the edge's target and
+the relabelings that carry positions across.  Mutation is an involution, so
+an edge met from one end fills the slots at both, and expanding a form
+skips every vertex whose slot is filled: that child is a relabeling of a
+member already found, so the skip changes no member, witness, or cap.
+
+Before it canonicalizes the child at canonical vertex c of a member, the
+BFS looks for a mutable d that closes a 2-face of the exchange graph on
+known edges.  If b_cd = 0 then mu_c mu_d B = mu_d mu_c B, so walking d, c, d
+reaches the child (a square); if b_cd*b_dc = -1 then mutating at c, d, c,
+d, c gives B with c and d swapped, so walking d, c, d, c and then swapping
+c and d reaches it (a pentagon).  These are the faces of the exchange graph
+where the pair c, d is of type A1 x A1 or A2 (Fomin & Zelevinsky, "Cluster
+algebras II", Invent. Math. 154, 2003); both identities hold for every
+skew-symmetrizable matrix, frozen rows included.  A walk ends on a form the
+table knows, a member or a candidate of the next level, so an inferred
+child is never a new member.  Nor is it over the entry cap: it is a
+relabeling of that form, which was within the cap when it was found.  The
+child is mutated only when its witness beats its candidate's.  The walks
+reach at most two edges from the member, so four levels of the table
+suffice: the level before last, the last, the frontier and the next.
 
 Mutation at k flips the signs of row and column k and sets every other
 entry to b_ij + b_ik*max(b_kj, 0) + max(-b_ik, 0)*b_kj (Fomin &
@@ -235,16 +250,67 @@ def entries_getter(order, size: int) -> itemgetter:
     return itemgetter(*(i * size + j for i in order for j in order))
 
 
+def _close_face(node, c, key, relabeling, n, size, depth):
+    """The node of the child at canonical vertex c of a frontier member at
+    level ``depth``, and the child's canonical relabeling, when a square or
+    a pentagon through c (see the module docstring) closes on known edges;
+    else None.
+
+    ``node`` is the member's node of the edge table, ``key`` its canonical
+    entries and ``relabeling`` its own (0-based).  A walk tracks where c
+    and d sit in each node it enters.  It is refused when its first edge
+    enters the unexpanded next level, whose nodes know few edges, and its
+    relabeling is composed only when it closes.
+    """
+    row = c * size
+    for d, slot in enumerate(node[:n]):  # slot c is empty
+        if slot is None:
+            continue
+        b_cd = key[row + d]
+        if b_cd and b_cd * key[d * size + c] != -1:
+            continue
+        at, src, dst = slot
+        if at[-1] > depth:
+            continue
+        trail = [slot]
+        x, y = c, d
+        # the first edge, at d, is taken; then at c, at d, and round a
+        # pentagon at c again
+        for turn in range(3 if b_cd else 2):
+            x, y = dst.index(src[x]), dst.index(src[y])
+            slot = at[y if turn % 2 else x]
+            if slot is None:
+                break
+            trail.append(slot)
+            at, src, dst = slot
+        else:
+            base = relabeling
+            if b_cd:  # the pentagon's end is the child with c and d swapped
+                base = list(relabeling)
+                base[c], base[d] = base[d], base[c]
+            positions = range(size)
+            for _, src, dst in reversed(trail):
+                positions = map(src.index, map(dst.__getitem__, positions))
+            return at, tuple(map(base.__getitem__, positions))
+    return None
+
+
 def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
-    n, cap = seed.n, budget.max_entry
+    n, size, cap = seed.n, seed.n + seed.m, budget.max_entry
     members: dict[CanonicalForm, Member] = {seed: Member(seed, (), seed.matrix)}
+    # the edge table: per canonical form of the last four levels a node, its
+    # n slots (one per canonical mutable vertex), then the form and its
+    # level.  Slot c holds the edge at c as (target node, relabeling, target
+    # relabeling); both relabelings carry canonical positions to the indices
+    # of one matrix, so position v goes across to dst.index(src[v])
+    empty = (None,) * n
+    node = [*empty, seed, 0]
+    edges = {seed: node}
     # each frontier member with its canonical relabeling (the permutation
-    # _canonical finds for its reached matrix, 0-based); the seed's reached
-    # matrix is its canonical one
-    frontier = [(members[seed], tuple(range(seed.n + seed.m)))]
-    # canonical form -> bitmask of the canonical vertices whose mutation leads
-    # back into a member, kept for the forms of the frontier and the next level
-    back: dict[CanonicalForm, int] = {}
+    # _canonical finds for its reached matrix, 0-based) and its node; the
+    # seed's reached matrix is its canonical one
+    frontier = [(members[seed], tuple(range(size)), node)]
+    levels = [frontier]  # the frontiers whose nodes the table keeps, oldest first
     tripped: set[str] = set()
     entry_witness: ExchangeMatrix | None = None
     depth = 0
@@ -252,19 +318,21 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
         if budget.max_depth is not None and depth == budget.max_depth:
             tripped.add("depth")
             break
-        candidates: dict[CanonicalForm, tuple[tuple[int, ...], ExchangeMatrix, tuple]] = {}
-        for mem, relabeling in frontier:
-            own, rows = mem.form, mem.reached.b
+        # form -> (witness, reached matrix, relabeling, node) of the next level
+        candidates: dict[CanonicalForm, tuple[tuple[int, ...], ExchangeMatrix, tuple, list]] = {}
+        for mem, relabeling, node in frontier:
+            key, rows = mem.form.key, mem.reached.b
             # b'_ij = b_ij + b_ik*max(b_kj, 0) + max(-b_ik, 0)*b_kj is at most
             # top + top*top in size, so within the cap no child needs a scan
-            top = max(max(own.key), -min(own.key))
+            top = max(max(key), -min(key))
             scan = top * (top + 1) > cap
-            mask = back.get(own, 0)
             for k in range(1, n + 1):
-                if mask >> relabeling.index(k - 1) & 1:
-                    continue  # this edge was canonicalized from its other end
-                child = mutate(mem.reached, k)
+                c = relabeling.index(k - 1)
+                if node[c] is not None:
+                    continue  # this edge was met from its other end: it leads into a member
+                child = None
                 if scan:
+                    child = mutate(mem.reached, k)
                     # mutate shares the rows it leaves alone with the member, within the cap
                     rebuilt = [row for row, old in zip(child.b, rows) if row is not old]
                     if max(map(max, rebuilt)) > cap or -min(map(min, rebuilt)) > cap:
@@ -272,29 +340,49 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
                         if entry_witness is None:
                             entry_witness = child
                         continue
-                form = canonical_form(child)
-                # the permutation found with the form: a cache hit, 0-based
-                child_relabeling = _canonical(child)[1]
-                back[form] = back.get(form, 0) | 1 << child_relabeling.index(k - 1)
-                if form == own:  # mutation at k relabels the member itself
-                    mask = back[own]
-                if form in members:
-                    continue
+                # the face rule (see the module docstring): a closed face ends
+                # on a form the table knows, so the child is no new member and
+                # is within the cap
+                closed = _close_face(node, c, key, relabeling, n, size, depth)
+                if closed is not None:
+                    target, child_relabeling = closed
+                else:
+                    if child is None:
+                        child = mutate(mem.reached, k)
+                    form = canonical_form(child)
+                    # the permutation found with the form: a cache hit, 0-based
+                    child_relabeling = _canonical(child)[1]
+                    target = edges.get(form)
+                    if target is None:
+                        target = edges[form] = [*empty, form, depth + 1]
+                node[c] = (target, relabeling, child_relabeling)
+                target[child_relabeling.index(k - 1)] = (node, child_relabeling, relabeling)
+                if target[-1] <= depth:
+                    continue  # a member
+                form = target[n]
                 witness = mem.witness + (k,)
                 prev = candidates.get(form)
                 if prev is None or witness < prev[0]:
-                    candidates[form] = (witness, child, child_relabeling)
+                    if child is None:
+                        child = mutate(mem.reached, k)
+                    candidates[form] = (witness, child, child_relabeling, target)
         frontier = []
         for form in sorted(candidates, key=attrgetter("key")):
             if len(members) >= budget.max_members:
                 tripped.add("members")
                 break
-            witness, child, relabeling = candidates[form]
+            witness, child, relabeling, node = candidates[form]
             mem = members[form] = Member(form, witness, child)
-            frontier.append((mem, relabeling))
+            frontier.append((mem, relabeling, node))
         if "members" in tripped:
             break
-        back = {mem.form: back[mem.form] for mem, _ in frontier}
+        levels.append(frontier)
+        if len(levels) > 3:
+            # no walk from the next level reaches the oldest one: drop it,
+            # and empty its nodes, whose slots would keep older ones alive
+            for _, _, node in levels.pop(0):
+                del edges[node[n]]
+                node.clear()
         depth += 1
     return ClassEnumeration(
         seed, tuple(members.values()), frozenset(tripped), entry_witness, budget

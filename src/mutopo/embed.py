@@ -68,23 +68,27 @@ def _first_restriction(enum_p, enum_q) -> EmbedWitness | None:
     subsets = sorted((mut + fro for mut in combinations(range(1, q.n + 1), p.n)
                       for fro in combinations(range(q.n + 1, q.size + 1), p.m)),
                      key=lambda idx: idx[::-1])
-    raw = p.size <= RAW_SCAN_LIMIT
-    if raw:
+    if p.size <= RAW_SCAN_LIMIT:
         getters = [entries_getter([i - 1 for i in idx], q.size) for idx in subsets]
-        keys_p, member_for = enum_p.relabelings.keys(), enum_p.relabelings.__getitem__
-    else:
-        keys_p, member_for = enum_p.forms, enum_p.member_for
+        relabelings = enum_p.relabelings
+        for q_mem in enum_q.members:
+            # whether some restriction is a key does not depend on the
+            # member's labelling, so the canonical entries, already flat, tell
+            if relabelings.keys().isdisjoint([get(q_mem.form.key) for get in getters]):
+                continue
+            # the witness restricts the reached matrix: its colex-first hit
+            entries = tuple(chain.from_iterable(q_mem.reached.b))
+            for idx, get in zip(subsets, getters):
+                mem_p = relabelings.get(get(entries))
+                if mem_p is not None:
+                    return EmbedWitness(q_mem.witness, idx, mem_p.witness)
+        return None
     for q_mem in enum_q.members:
-        reached = q_mem.reached
-        if raw:
-            entries = tuple(chain.from_iterable(reached.b))
-            keys = [get(entries) for get in getters]
-        else:
-            keys = [canonical_form(restrict(reached, idx)) for idx in subsets]
-        if keys_p.isdisjoint(keys):
+        keys = [canonical_form(restrict(q_mem.reached, idx)) for idx in subsets]
+        if enum_p.forms.isdisjoint(keys):
             continue
-        idx, key = next((idx, key) for idx, key in zip(subsets, keys) if key in keys_p)
-        return EmbedWitness(q_mem.witness, idx, member_for(key).witness)
+        idx, key = next((idx, key) for idx, key in zip(subsets, keys) if key in enum_p.forms)
+        return EmbedWitness(q_mem.witness, idx, enum_p.member_for(key).witness)
     return None
 
 

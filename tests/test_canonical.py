@@ -256,18 +256,23 @@ def _assert_same_as_reference(matrices):
 
 
 def test_lex_min_matches_reference_on_dynkin_enumerations(monkeypatch):
-    # every matrix the class BFS canonicalizes, a superset of the inputs
-    # _lex_min sees whatever the canonical-form cache holds
-    inputs = set()
+    # each seed, and every member's reached matrix mutated at every mutable
+    # index: a superset of what the class BFS canonicalizes, with or without
+    # its face rule, and so of the inputs _lex_min sees whatever the
+    # canonical-form cache holds
+    inputs, canonicalized = set(), set()
 
     def recording(B):
-        inputs.add(B)
+        canonicalized.add(B)
         return canonical_form(B)
 
     monkeypatch.setattr(mutopo.classes, "canonical_form", recording)
     for B in (type_a(7), type_d(7), type_e(6), type_e(7), type_a(8)):
-        mutopo.classes.enumerate_class(B)
-    assert len(inputs) > 3000
+        inputs.add(B)
+        for mem in mutopo.classes.enumerate_class(B).members:
+            inputs.update(mutate(mem.reached, k) for k in range(1, B.n + 1))
+    assert canonicalized <= inputs
+    assert len(inputs) > 5000
     _assert_same_as_reference(inputs)
 
 

@@ -298,11 +298,108 @@ class TestEdgeRule:
         monkeypatch.setattr(
             classes_module, "canonical_form", lambda B: calls.append(B) or canonical(B)
         )
-        enumerate_class(type_a(8))
-        # 1,769 calls; canonicalizing both ends of every edge but the one to
-        # the discovering parent takes 3,096, and a BFS that went round the
-        # hook would record none
-        assert 1_000 < len(calls) < 2_000
+        enum = enumerate_class(type_a(8))
+        # 500 calls, the seed's included; canonicalizing one end of every
+        # edge took 1,769.  No closed face yields a new member, so each of
+        # the 441 members past the seed costs one call: a BFS that went
+        # round the hook would record fewer than the 442 of that floor
+        assert len(calls) == 500
+        assert len(calls) >= enum.count == 442
+
+
+def _swapped(B, c, d):
+    """B with the 1-based indices c and d swapped."""
+    order = list(range(B.size))
+    order[c - 1], order[d - 1] = d - 1, c - 1
+    return build(B.n, B.m, [[B.b[i][j] for j in order] for i in order])
+
+
+class TestFaceRule:
+    """Before it canonicalizes a child, the BFS closes a square (b_cd = 0)
+    or a pentagon (b_cd*b_dc = -1) of the exchange graph through edges it
+    knows.  Each branch is counted through the module's ``_close_face``
+    binding, and each class must still match the plain BFS field by field."""
+
+    def test_the_two_identities_hold_on_random_matrices_with_frozen_indices(self):
+        rng = random.Random(29)
+        squares = pentagons = 0
+        for _ in range(1500):
+            size = rng.randint(2, 7)
+            n = rng.randint(2, size)
+            B = random_skew(rng, n, size - n, max_ratio=rng.choice((1, 2)), max_weight=1)
+            for c, d in permutations(range(1, n + 1), 2):
+                b_cd, b_dc = B.b[c - 1][d - 1], B.b[d - 1][c - 1]
+                if b_cd == 0:
+                    assert apply_sequence(B, [d, c]) == apply_sequence(B, [c, d])
+                    squares += 1
+                elif b_cd * b_dc == -1:
+                    assert apply_sequence(B, [c, d, c, d, c]) == _swapped(B, c, d)
+                    pentagons += 1
+        assert squares > 3000 and pentagons > 3000
+
+    @staticmethod
+    def count_branches(monkeypatch):
+        """Wrap ``_close_face`` and ``mutate`` in mutopo.classes.  Each face
+        a member tries is counted as refused (its first edge enters the next
+        level) or, for the first that closes, as a square or a pentagon;
+        every closed face's relabeling must carry the child onto its form."""
+        counts = {"refused": 0, "square": 0, "pentagon": 0, "mutate": 0}
+        close_face, mutate = classes_module._close_face, classes_module.mutate
+
+        def counting_close_face(node, c, key, relabeling, n, size, depth):
+            found = close_face(node, c, key, relabeling, n, size, depth)
+            for d, slot in enumerate(node[:n]):
+                b_cd = key[c * size + d]
+                if slot is None or b_cd and b_cd * key[d * size + c] != -1:
+                    continue
+                if slot[0][-1] > depth:
+                    counts["refused"] += 1
+                    continue
+                alone = [None] * n + node[n:]  # the walks that start at d
+                alone[d] = slot
+                if close_face(alone, c, key, relabeling, n, size, depth) is not None:
+                    counts["pentagon" if b_cd else "square"] += 1
+                    break
+            if found is not None:
+                target, child_relabeling = found
+                # position p of the child's form is position
+                # relabeling.index(child_relabeling[p]) of the member's
+                child = apply_sequence(node[n].matrix, [c + 1])
+                across = [relabeling.index(i) for i in child_relabeling]
+                rows = tuple(tuple(child.b[i][j] for j in across) for i in across)
+                assert rows == target[n].matrix.b
+            return found
+
+        def counting_mutate(B, k):
+            counts["mutate"] += 1
+            return mutate(B, k)
+
+        monkeypatch.setattr(classes_module, "_close_face", counting_close_face)
+        monkeypatch.setattr(classes_module, "mutate", counting_mutate)
+        return counts
+
+    @pytest.mark.parametrize("case", ["A8", "D7", "E7"])
+    def test_squares_pentagons_refusals_and_better_witnesses(self, case, monkeypatch):
+        B, budget, _ = _BFS_CASES[case]
+        counts = self.count_branches(monkeypatch)
+        calls = []
+        canonical = classes_module.canonical_form
+        monkeypatch.setattr(
+            classes_module, "canonical_form", lambda B: calls.append(B) or canonical(B)
+        )
+        TestEdgeRule.assert_matches_reference(B, budget)
+        assert counts["square"] > 0 and counts["pentagon"] > 0 and counts["refused"] > 0
+        # no member of a Dynkin class needs the entry-cap scan, so every
+        # mutation past those canonicalized (the seed's call makes none) is
+        # an inferred child whose witness beats its candidate's
+        assert counts["mutate"] > len(calls) - 1
+
+    @pytest.mark.parametrize("case", ["frozen", "B5-skew"])
+    def test_faces_close_with_frozen_indices_and_off_skew(self, case, monkeypatch):
+        B, budget, _ = _BFS_CASES[case]
+        counts = self.count_branches(monkeypatch)
+        TestEdgeRule.assert_matches_reference(B, budget)
+        assert counts["square"] > 0 and counts["pentagon"] > 0
 
 
 def test_an_enumeration_hashes_only_the_name_it_is_stored_under(monkeypatch):
