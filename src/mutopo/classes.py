@@ -34,11 +34,15 @@ Mutation at k flips the signs of row and column k and sets every other
 entry to b_ij + b_ik*max(b_kj, 0) + max(-b_ik, 0)*b_kj (Fomin &
 Zelevinsky, "Cluster algebras I", J. Amer. Math. Soc. 15, 2002), whose
 two products add up to 0 unless b_ik and b_kj have one sign, and then to
-+-b_ik*b_kj.  So if every entry of a member is at most T in size, no entry
-of a child is larger than T + T*T.  The BFS reads T once per member, off
-its canonical key, and scans the children's rebuilt rows against the entry
-cap only when T*(T + 1) exceeds it: a skipped scan is one that could not
-trip.
++-b_ik*b_kj.  Every entry off such a same-sign two-path i -> k -> j keeps
+its size, so a child of a member within the entry cap is over it exactly
+when one of these two-paths, in any row, frozen rows included, takes b_ij
+past it.  The BFS tests that on the member's rows (:func:`_over_cap`) and
+builds no child over the cap but the first, the entry witness.  If every
+entry of a member is at most T in size, no entry of a child is larger than
+T + T*T, so the BFS reads T once per member, off its canonical key, and
+tests the children only when T*(T + 1) exceeds the cap: a skipped test is
+one that could not trip.
 """
 
 from __future__ import annotations
@@ -250,6 +254,30 @@ def entries_getter(order, size: int) -> itemgetter:
     return itemgetter(*(i * size + j for i in order for j in order))
 
 
+def _over_cap(rows, kk, cap) -> bool:
+    """Has the child at the 0-based mutable index kk of the matrix with these
+    rows, all within the cap, an entry over it?  Only the same-sign two-paths
+    i -> kk -> j change an entry in size (see the module docstring): a
+    positive pair raises b_ij, a negative pair lowers it."""
+    pos, neg = [], []
+    for j, v in enumerate(rows[kk]):
+        if v > 0:
+            pos.append((j, v))
+        elif v < 0:
+            neg.append((j, v))
+    for row in rows:
+        w = row[kk]
+        if w > 0:
+            for j, v in pos:
+                if row[j] + w * v > cap:
+                    return True
+        elif w < 0:
+            for j, v in neg:
+                if row[j] - w * v < -cap:
+                    return True
+    return False
+
+
 def _close_face(node, c, key, relabeling, n, size, depth):
     """The node of the child at canonical vertex c of a frontier member at
     level ``depth``, and the child's canonical relabeling, when a square or
@@ -323,23 +351,19 @@ def _run_bfs(seed: CanonicalForm, budget: Budget) -> ClassEnumeration:
         for mem, relabeling, node in frontier:
             key, rows = mem.form.key, mem.reached.b
             # b'_ij = b_ij + b_ik*max(b_kj, 0) + max(-b_ik, 0)*b_kj is at most
-            # top + top*top in size, so within the cap no child needs a scan
+            # top + top*top in size, so within the cap no child needs the test
             top = max(max(key), -min(key))
-            scan = top * (top + 1) > cap
+            may_trip = top * (top + 1) > cap
             for k in range(1, n + 1):
                 c = relabeling.index(k - 1)
                 if node[c] is not None:
                     continue  # this edge was met from its other end: it leads into a member
+                if may_trip and _over_cap(rows, k - 1, cap):
+                    tripped.add("entry")
+                    if entry_witness is None:
+                        entry_witness = mutate(mem.reached, k)
+                    continue
                 child = None
-                if scan:
-                    child = mutate(mem.reached, k)
-                    # mutate shares the rows it leaves alone with the member, within the cap
-                    rebuilt = [row for row, old in zip(child.b, rows) if row is not old]
-                    if max(map(max, rebuilt)) > cap or -min(map(min, rebuilt)) > cap:
-                        tripped.add("entry")
-                        if entry_witness is None:
-                            entry_witness = child
-                        continue
                 # the face rule (see the module docstring): a closed face ends
                 # on a form the table knows, so the child is no new member and
                 # is within the cap

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import chain, permutations
 
 import pytest
 
@@ -171,6 +171,10 @@ def _automorphisms(B):
     )
 
 
+# a wild r4 w1 class: most of its members need the entry-cap test, and
+# more than half of their children are over the default cap
+_WILD = quiver([[0, -1, -1, -1], [1, 0, -1, 1], [1, 1, 0, -1], [1, -1, 1, 0]])
+
 _BFS_CASES = {
     "A8": (type_a(8), Budget(), set()),
     "D7": (type_d(7), Budget(), set()),
@@ -213,6 +217,8 @@ _BFS_CASES = {
     ),
     "D4-star": (tree_quiver(4, [(1, 4), (2, 4), (3, 4)]), Budget(), set()),
     "affine-D4-star": (tree_quiver(5, [(1, 5), (2, 5), (3, 5), (4, 5)]), Budget(), set()),
+    "wild": (_WILD, Budget(), {"entry"}),
+    "wild-entry-16": (_WILD, Budget(max_entry=16), {"entry"}),
 }
 
 
@@ -306,6 +312,48 @@ class TestEdgeRule:
         assert len(calls) == 500
         assert len(calls) >= enum.count == 442
 
+    def test_a_child_over_the_entry_cap_is_built_only_as_the_witness(self, monkeypatch):
+        built, calls = [], []
+        mutate, canonical = classes_module.mutate, classes_module.canonical_form
+        monkeypatch.setattr(
+            classes_module, "mutate", lambda B, k: built.append(mutate(B, k)) or built[-1]
+        )
+        monkeypatch.setattr(
+            classes_module, "canonical_form", lambda B: calls.append(B) or canonical(B)
+        )
+        enum = enumerate_class(_WILD)
+        assert enum.count == 1351 and enum.tripped == {"entry"}
+        # building each child of a member that may trip the cap, and testing
+        # the cap on the child, took 3,734 mutations and the same 1,356 calls
+        assert len(built) == 1492 and len(calls) == 1356
+        over = [child for child in built if child.max_abs_entry > enum.budget.max_entry]
+        assert len(over) == 1 and over[0] is enum.entry_witness
+
+    def test_the_cap_test_is_exact(self):
+        # the BFS decides on a member's rows whether the child at k is over
+        # the cap; at caps one below, at and one above the child's largest
+        # entry, each at least the member's, it must agree with the child
+        rng = random.Random(41)
+        over = within = frozen_only = 0
+        for _ in range(1500):
+            size = rng.randint(2, 7)
+            n = rng.randint(1, size - 1)
+            B = random_skew(rng, n, size - n)
+            for k in range(1, n + 1):
+                child = apply_sequence(B, [k])
+                top = child.max_abs_entry
+                for cap in (top - 1, top, top + 1):
+                    if cap < B.max_abs_entry:
+                        continue
+                    assert classes_module._over_cap(B.b, k - 1, cap) == (top > cap)
+                    if top <= cap:
+                        within += 1
+                        continue
+                    over += 1
+                    # only a frozen row holds an entry over the cap
+                    frozen_only += max(map(abs, chain(*child.b[:n]))) <= cap
+        assert over > 1000 and within > 1000 and frozen_only > 50
+
 
 def _swapped(B, c, d):
     """B with the 1-based indices c and d swapped."""
@@ -389,7 +437,7 @@ class TestFaceRule:
         )
         TestEdgeRule.assert_matches_reference(B, budget)
         assert counts["square"] > 0 and counts["pentagon"] > 0 and counts["refused"] > 0
-        # no member of a Dynkin class needs the entry-cap scan, so every
+        # no member of a Dynkin class needs the entry-cap test, so every
         # mutation past those canonicalized (the seed's call makes none) is
         # an inferred child whose witness beats its candidate's
         assert counts["mutate"] > len(calls) - 1

@@ -139,7 +139,7 @@ class TestMutate:
             mutate(a3, 4)
 
     def test_shares_exactly_the_rows_with_no_entry_toward_k(self):
-        # the class BFS checks its entry cap on the rebuilt rows alone
+        # a row that mutation leaves alone is not rebuilt: the child shares it
         rng = random.Random(23)
         for _ in range(300):
             n = rng.randint(1, 5)

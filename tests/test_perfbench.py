@@ -47,6 +47,7 @@ for span in ("embed.embeds", "store.open", "universe.topology"):
 # The class BFS calls mutate and canonical_form through the bindings in
 # mutopo.classes, which the trace replaces: a traced BFS records every call
 # an untraced one makes, counted here by code object under a profile hook.
+# No member of E6 needs the entry-cap test; most of the wild rank-4 class do.
 BFS_SCRIPT = """
 import sys
 sys.path[:0] = [{src!r}, {bench!r}]
@@ -55,24 +56,35 @@ import mutopo
 from mutopo import canonical, matrix
 e6 = mutopo.build(6, 0, [[0, 1, 0, 0, 0, 0], [-1, 0, 1, 0, 0, 0], [0, -1, 0, 1, 0, 1],
                          [0, 0, -1, 0, 1, 0], [0, 0, 0, -1, 0, 0], [0, 0, -1, 0, 0, 0]])
-codes = {{matrix.mutate.__code__: "matrix.mutate",
-          canonical.canonical_form.__code__: "canonical.canonical_form.5-6"}}
-untraced = dict.fromkeys(codes.values(), 0)
-def count(frame, event, arg):
-    if event == "call" and frame.f_code in codes:
-        untraced[codes[frame.f_code]] += 1
-sys.setprofile(count)
-enum = mutopo.enumerate_class(e6)
-sys.setprofile(None)
-assert enum.count == 67 and enum.status == "CLOSED"
+wild = mutopo.build(4, 0, [[0, -1, -1, -1], [1, 0, -1, 1], [1, 1, 0, -1], [1, -1, 1, 0]])
+cases = {{"e6": (e6, "5-6"), "wild": (wild, "le4")}}
+enums, untraced = {{}}, {{}}
+for name, (B, bucket) in cases.items():
+    codes = {{matrix.mutate.__code__: "matrix.mutate",
+              canonical.canonical_form.__code__: "canonical.canonical_form." + bucket}}
+    calls = untraced[name] = dict.fromkeys(codes.values(), 0)
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+    sys.setprofile(count)
+    enums[name] = mutopo.enumerate_class(B)
+    sys.setprofile(None)
+assert enums["e6"].count == 67 and enums["e6"].status == "CLOSED"
+assert enums["wild"].count == 1351 and enums["wild"].tripped == {{"entry"}}
 trace = layers.Trace()
 layers.install(trace)
-assert mutopo.enumerate_class(e6).members == enum.members
-traced = {{name: trace.spans[name][0] for name in untraced}}
-assert traced == untraced, (traced, untraced)
+for name, (B, _) in cases.items():
+    before = {{span: trace.spans.get(span, [0])[0] for span in untraced[name]}}
+    assert mutopo.enumerate_class(B) == enums[name]
+    traced = {{span: trace.spans[span][0] - before[span] for span in untraced[name]}}
+    assert traced == untraced[name], (name, traced, untraced[name])
 # the seed's form and one for each child not met round a closed face, and a
-# mutation for each of those children and each better witness found by one
-assert traced == {{"matrix.mutate": 99, "canonical.canonical_form.5-6": 79}}, traced
+# mutation for each of those children and each better witness found by one;
+# of the wild class's children over the entry cap only the first is built
+assert untraced == {{
+    "e6": {{"matrix.mutate": 99, "canonical.canonical_form.5-6": 79}},
+    "wild": {{"matrix.mutate": 1492, "canonical.canonical_form.le4": 1356}},
+}}, untraced
 """
 
 
